@@ -13,7 +13,7 @@
 #include "bench/figures_lib.h"
 
 int main(int argc, char** argv) {
-  int jobs = opec_bench::ParseJobsFlag(argc, argv, "usage: ablation_shadow_sync [--jobs N]");
+  int jobs = opec_bench::ParseJobsFlag(argc, argv);
   std::fputs(opec_bench::AblationShadowSyncText(jobs).c_str(), stdout);
   return 0;
 }

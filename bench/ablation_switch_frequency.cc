@@ -12,8 +12,7 @@
 #include "bench/figures_lib.h"
 
 int main(int argc, char** argv) {
-  int jobs =
-      opec_bench::ParseJobsFlag(argc, argv, "usage: ablation_switch_frequency [--jobs N]");
+  int jobs = opec_bench::ParseJobsFlag(argc, argv);
   std::fputs(opec_bench::AblationSwitchFrequencyText(jobs).c_str(), stdout);
   return 0;
 }

@@ -7,15 +7,19 @@
 //
 // Usage:
 //   campaign [--spec FILE] [--apps a,b|all] [--modes opec|vanilla|both]
-//            [--engine interp|bytecode] [--fault-sweep N] [--fault-class CLASS]
-//            [--figures] [--jobs N] [--seed S] [--timeout-ms T]
-//            [--report-json FILE] [--deterministic] [--trace-dir DIR]
-//            [--snapshot-dir DIR] [--cold-boot]
+//            [--engine interp|bytecode] [--rv on|off|report]
+//            [--fault-sweep N] [--fault-class CLASS] [--figures] [--jobs N]
+//            [--seed S] [--timeout-ms T] [--report-json FILE] [--deterministic]
+//            [--trace-dir DIR] [--snapshot-dir DIR] [--cold-boot]
+//            [--traffic rate=N,conns=M,seed=S[,requests=R,...]]
+//            [--workers N | --serve PORT | --connect HOST:PORT] [fleet flags]
 //
 //   --engine        execution tier for every job (default interp); modeled
 //                   outputs are bit-identical across tiers, so
 //                   --deterministic reports compare byte-equal between
 //                   `--engine interp` and `--engine bytecode` campaigns
+//   --rv            runtime-verification monitors on every job (default on);
+//                   `report` also prints the per-automaton aggregate
 //   --spec FILE     line-oriented campaign spec (see CampaignSpec::ParseFile)
 //   --apps/--modes  scenario matrix (default: all apps, both modes) used when
 //                   no --spec/--fault-sweep is given; also the app pool for
@@ -36,23 +40,28 @@
 //   --cold-boot     rebuild every job from scratch instead of forking from
 //                   the per-worker post-boot snapshot (warm start, the
 //                   default); results are bit-identical either way
+//   --traffic       load spec for the traffic apps (in-process only: the spec
+//                   is process-global and never crosses the wire)
 //
-// Exit status: 0 when every job succeeded (AllOk), 1 otherwise.
+// The fleet roles (src/dist/fleet.h) run the same sweep through the
+// distributed campaign service; the --deterministic report is byte-identical
+// to the in-process one.
+//
+// Exit status: 0 when every job succeeded (AllOk), 1 otherwise, 2 on a usage
+// error.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/figures_lib.h"
 #include "src/apps/all_apps.h"
 #include "src/campaign/campaign.h"
+#include "src/dist/fleet.h"
 #include "src/rv/monitors.h"
+#include "src/support/flags.h"
 #include "src/traffic/traffic.h"
 
 namespace {
@@ -62,19 +71,6 @@ using opec_campaign::CampaignSpec;
 using opec_campaign::Executor;
 using opec_campaign::FaultClass;
 using opec_campaign::Outcome;
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: campaign [--spec FILE] [--apps a,b|all] [--modes opec|vanilla|both]\n"
-      "                [--engine interp|bytecode] [--rv on|off|report]\n"
-      "                [--fault-sweep N] [--fault-class CLASS] [--figures]\n"
-      "                [--jobs N] [--seed S] [--timeout-ms T]\n"
-      "                [--report-json FILE] [--deterministic] [--trace-dir DIR]\n"
-      "                [--snapshot-dir DIR] [--cold-boot]\n"
-      "                [--traffic rate=N,conns=M,seed=S[,requests=R,...]]\n");
-  return 2;
-}
 
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> out;
@@ -89,41 +85,6 @@ std::vector<std::string> SplitCommas(const std::string& s) {
     start = comma + 1;
   }
   return out;
-}
-
-// Full-string numeric parse: rejects empty strings, trailing junk, negative
-// values and overflow, unlike bare atoi/strtoull (atoi silently yields 0 on
-// "abc", which used to make `--jobs abc` fall through to the `jobs < 1`
-// branch with no hint at the cause, and `--seed 12x` silently truncated).
-bool ParseU64Flag(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseFaultClass(const std::string& s, FaultClass* out) {
-  if (s == "any") {
-    *out = FaultClass::kAny;
-  } else if (s == "stack-bit-flip") {
-    *out = FaultClass::kStackBitFlip;
-  } else if (s == "shadow-bit-flip") {
-    *out = FaultClass::kShadowBitFlip;
-  } else if (s == "svc-arg") {
-    *out = FaultClass::kSvcArgCorrupt;
-  } else if (s == "icall-forge") {
-    *out = FaultClass::kIcallForge;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -145,120 +106,50 @@ int main(int argc, char** argv) {
   std::string trace_dir;
   std::string snapshot_dir;
   bool cold_boot = false;
+  bool traffic = false;
+  opec_dist::FleetOptions fleet;
 
-  for (int i = 1; i < argc; ++i) {
-    // Flags accept both `--flag value` and `--flag=value`.
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
+  opec_support::FlagSet flags;
+  flags.Str("--spec", &spec_path);
+  flags.Str("--apps", &apps_arg);
+  flags.Choice("--modes", &modes_arg, {"opec", "vanilla", "both"});
+  flags.Enum("--engine", &engine, opec_apps::ParseEngineKind, "expected interp|bytecode");
+  flags.Choice("--rv", &rv_arg, {"on", "off", "report"});
+  flags.Int("--fault-sweep", &fault_sweep, 1, 1000000);
+  flags.Enum("--fault-class", &fault_class, opec_campaign::ParseFaultClass,
+             "expected any|stack-bit-flip|shadow-bit-flip|svc-arg|icall-forge");
+  flags.Bool("--figures", &figures);
+  flags.Int("--jobs", &jobs, 1, 1024);
+  flags.U64("--seed", &seed);
+  flags.U64("--timeout-ms", &timeout_ms);
+  flags.Str("--report-json", &report_path);
+  flags.Bool("--deterministic", &deterministic);
+  flags.Str("--trace-dir", &trace_dir);
+  flags.Str("--snapshot-dir", &snapshot_dir);
+  flags.Bool("--cold-boot", &cold_boot);
+  flags.Custom("--traffic", [&](const std::string& v) {
+    opec_traffic::TrafficSpec traffic_spec;
+    std::string error;
+    if (!opec_traffic::ParseTrafficSpec(v, &traffic_spec, &error)) {
+      return error;
     }
-    auto next = [&]() -> const char* {
-      if (has_value) {
-        return value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--spec") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      spec_path = v;
-    } else if (arg == "--apps") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      apps_arg = v;
-    } else if (arg == "--modes") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      modes_arg = v;
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v != nullptr && std::strcmp(v, "interp") == 0) {
-        engine = opec_apps::EngineKind::kInterp;
-      } else if (v != nullptr && std::strcmp(v, "bytecode") == 0) {
-        engine = opec_apps::EngineKind::kBytecode;
-      } else {
-        std::fprintf(stderr, "invalid --engine '%s'; valid tiers are: interp bytecode\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--rv") {
-      const char* v = next();
-      if (v == nullptr || (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0 &&
-                           std::strcmp(v, "report") != 0)) {
-        std::fprintf(stderr, "invalid --rv '%s'; valid settings are: on off report\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-      rv_arg = v;
-    } else if (arg == "--fault-sweep") {
-      const char* v = next();
-      int n = 0;
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1000000, &n)) {
-        std::fprintf(stderr, "invalid --fault-sweep '%s'; expected an integer >= 1\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-      fault_sweep = static_cast<size_t>(n);
-    } else if (arg == "--fault-class") {
-      const char* v = next();
-      if (v == nullptr || !ParseFaultClass(v, &fault_class)) return Usage();
-    } else if (arg == "--figures") {
-      figures = true;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1024, &jobs)) {
-        std::fprintf(stderr, "invalid --jobs '%s'; expected an integer in [1, 1024]\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64Flag(v, &seed)) {
-        std::fprintf(stderr, "invalid --seed '%s'; expected an unsigned integer\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64Flag(v, &timeout_ms)) {
-        std::fprintf(stderr, "invalid --timeout-ms '%s'; expected an unsigned integer\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--report-json") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      report_path = v;
-    } else if (arg == "--deterministic") {
-      deterministic = true;
-    } else if (arg == "--trace-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      trace_dir = v;
-    } else if (arg == "--snapshot-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      snapshot_dir = v;
-    } else if (arg == "--cold-boot") {
-      cold_boot = true;
-    } else if (arg == "--traffic") {
-      const char* v = next();
-      opec_traffic::TrafficSpec traffic_spec;
-      std::string error;
-      if (v == nullptr || !opec_traffic::ParseTrafficSpec(v, &traffic_spec, &error)) {
-        std::fprintf(stderr, "invalid --traffic '%s': %s\n", v == nullptr ? "" : v,
-                     error.c_str());
-        return Usage();
-      }
-      // Set before any worker spawns: the traffic app factories read it.
-      opec_traffic::SetDefaultLoadSpec(traffic_spec);
-    } else {
-      return Usage();
-    }
+    // Set before any worker spawns: the traffic app factories read it.
+    opec_traffic::SetDefaultLoadSpec(traffic_spec);
+    traffic = true;
+    return std::string();
+  });
+  opec_dist::AddFleetFlags(flags, &fleet);
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (std::string err = opec_dist::CheckFleetRoles(fleet); !err.empty()) {
+    return flags.Fail(err);
+  }
+  if (fleet.distributed() && (traffic || figures)) {
+    return flags.Fail("--traffic and --figures run in-process only");
+  }
+  if (!fleet.connect.empty()) {
+    return opec_dist::RunFleetWorker(fleet);
   }
 
   if (figures) {
@@ -277,14 +168,11 @@ int main(int argc, char** argv) {
     apps = SplitCommas(apps_arg);
   }
   std::vector<opec_apps::BuildMode> modes;
-  if (modes_arg == "opec") {
-    modes = {opec_apps::BuildMode::kOpec};
-  } else if (modes_arg == "vanilla") {
-    modes = {opec_apps::BuildMode::kVanilla};
-  } else if (modes_arg == "both") {
-    modes = {opec_apps::BuildMode::kVanilla, opec_apps::BuildMode::kOpec};
-  } else {
-    return Usage();
+  if (modes_arg != "opec") {
+    modes.push_back(opec_apps::BuildMode::kVanilla);
+  }
+  if (modes_arg != "vanilla") {
+    modes.push_back(opec_apps::BuildMode::kOpec);
   }
 
   CampaignSpec spec;
@@ -308,15 +196,27 @@ int main(int argc, char** argv) {
     job.rv = rv_arg != "off";
   }
 
-  Executor::Options options;
-  options.jobs = jobs;
-  options.default_timeout_ms = timeout_ms;
-  options.trace_dir = trace_dir;
-  options.snapshot_dir = snapshot_dir;
-  options.cold_boot = cold_boot;
   CampaignResult result;
   try {
-    result = Executor::Run(spec, options);
+    if (fleet.distributed()) {
+      fleet.server.cold_boot = cold_boot;
+      fleet.server.snapshot_dir = snapshot_dir;
+      fleet.server.trace_dir = trace_dir;
+      fleet.server.default_timeout_ms = timeout_ms;
+      std::string err = opec_dist::ServeCampaign(spec, fleet, &result);
+      if (!err.empty()) {
+        std::fprintf(stderr, "campaign: %s\n", err.c_str());
+        return 2;
+      }
+    } else {
+      Executor::Options options;
+      options.jobs = jobs;
+      options.default_timeout_ms = timeout_ms;
+      options.trace_dir = trace_dir;
+      options.snapshot_dir = snapshot_dir;
+      options.cold_boot = cold_boot;
+      result = Executor::Run(spec, options);
+    }
   } catch (const std::runtime_error& e) {
     // Environment problems (unwritable --snapshot-dir/--trace-dir, unknown
     // app) are usage-class errors, not crashes: clear message, exit 2.

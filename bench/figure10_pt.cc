@@ -12,7 +12,7 @@
 #include "bench/figures_lib.h"
 
 int main(int argc, char** argv) {
-  int jobs = opec_bench::ParseJobsFlag(argc, argv, "usage: figure10_pt [--jobs N]");
+  int jobs = opec_bench::ParseJobsFlag(argc, argv);
   std::fputs(opec_bench::Figure10Text(jobs).c_str(), stdout);
   return 0;
 }

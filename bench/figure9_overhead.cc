@@ -12,7 +12,7 @@
 #include "bench/figures_lib.h"
 
 int main(int argc, char** argv) {
-  int jobs = opec_bench::ParseJobsFlag(argc, argv, "usage: figure9_overhead [--jobs N]");
+  int jobs = opec_bench::ParseJobsFlag(argc, argv);
   std::fputs(opec_bench::Figure9Text(jobs).c_str(), stdout);
   return 0;
 }

@@ -16,6 +16,9 @@
 // bit-identical across tiers, so `--engine bytecode --baseline interp.json`
 // measures the tier speedup while hard-failing on any modeled drift.
 //
+// --baseline is read before anything is measured: a missing, unreadable or
+// metric-less file is a usage error (exit 2).
+//
 // --jobs N measures the workload/configuration units concurrently on the
 // campaign thread pool (each unit is a fully isolated Machine/AppRun, so the
 // modeled outputs are unchanged); the JSON records the job count plus total
@@ -45,7 +48,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -58,8 +60,9 @@
 #include "src/campaign/campaign.h"
 #include "src/obs/export.h"
 #include "src/obs/recorder.h"
-#include "src/traffic/traffic.h"
 #include "src/support/check.h"
+#include "src/support/flags.h"
+#include "src/traffic/traffic.h"
 
 namespace {
 
@@ -120,25 +123,12 @@ class CountingSink : public opec_obs::Sink {
   uint64_t count_ = 0;
 };
 
-std::string KeyName(const std::string& app_name) {
-  std::string key;
-  for (char c : app_name) {
-    if (c == '-') {
-      key += '_';
-    } else {
-      key += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-  }
-  return key;
-}
-
 // Parses the flat "metrics" section of a previous host_speed output. The
 // format is line-oriented by construction: every metric is emitted on its own
 // line as `"<key>": <integer-or-float>,` so a full JSON parser is not needed.
-std::map<std::string, double> LoadBaseline(const std::string& path) {
-  std::map<std::string, double> out;
+// Returns false when the file cannot be read or holds no metrics.
+bool LoadBaseline(const std::string& path, std::map<std::string, double>* out) {
   std::ifstream in(path);
-  OPEC_CHECK_MSG(in.good(), "cannot open baseline file: " + path);
   std::string line;
   bool in_metrics = false;
   while (std::getline(in, line)) {
@@ -159,9 +149,9 @@ std::map<std::string, double> LoadBaseline(const std::string& path) {
       continue;
     }
     std::string key = line.substr(k0 + 1, k1 - k0 - 1);
-    out[key] = std::strtod(line.c_str() + colon + 1, nullptr);
+    (*out)[key] = std::strtod(line.c_str() + colon + 1, nullptr);
   }
-  return out;
+  return !out->empty();
 }
 
 struct Config {
@@ -252,94 +242,40 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string rv_arg = "off";
   bool self_check_obs = false;
+  bool smoke = false;
   bool measure_traffic = false;
-  for (int i = 1; i < argc; ++i) {
-    // Flags accept both `--flag value` and `--flag=value`.
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
+
+  opec_support::FlagSet flags;
+  flags.Int("--iters", &iters, 1, 1000000);
+  flags.Int("--jobs", &jobs, 1, 1024);
+  flags.Enum("--engine", &engine, opec_apps::ParseEngineKind, "expected interp|bytecode");
+  flags.Str("--out", &out_path);
+  flags.Str("--baseline", &baseline_path);
+  flags.Str("--trace-out", &trace_path);
+  flags.Choice("--rv", &rv_arg, {"on", "off", "report"});
+  flags.Bool("--self-check-obs", &self_check_obs);
+  flags.Bool("--smoke", &smoke);
+  flags.Custom("--traffic", [&](const std::string& v) {
+    opec_traffic::TrafficSpec traffic_spec;
+    std::string error;
+    if (!opec_traffic::ParseTrafficSpec(v, &traffic_spec, &error)) {
+      return error;
     }
-    auto take = [&]() -> const char* {
-      if (has_value) {
-        return value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--iters") {
-      const char* v = take();
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1000000, &iters)) {
-        std::fprintf(stderr, "invalid --iters '%s'; expected an integer >= 1\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--jobs") {
-      const char* v = take();
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1024, &jobs)) {
-        std::fprintf(stderr, "invalid --jobs '%s'; expected an integer in [1, 1024]\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--engine") {
-      const char* v = take();
-      if (v != nullptr && std::strcmp(v, "interp") == 0) {
-        engine = opec_apps::EngineKind::kInterp;
-      } else if (v != nullptr && std::strcmp(v, "bytecode") == 0) {
-        engine = opec_apps::EngineKind::kBytecode;
-      } else {
-        std::fprintf(stderr, "invalid --engine '%s'; valid tiers are: interp bytecode\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--out") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      out_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      baseline_path = v;
-    } else if (arg == "--trace-out") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      trace_path = v;
-    } else if (arg == "--rv") {
-      const char* v = take();
-      if (v == nullptr || (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0 &&
-                           std::strcmp(v, "report") != 0)) {
-        std::fprintf(stderr, "invalid --rv '%s'; expected on, off or report\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-      rv_arg = v;
-    } else if (arg == "--self-check-obs") {
-      self_check_obs = true;
-    } else if (arg == "--smoke") {
-      iters = 1;
-    } else if (arg == "--traffic") {
-      const char* v = take();
-      opec_traffic::TrafficSpec traffic_spec;
-      std::string error;
-      if (v == nullptr || !opec_traffic::ParseTrafficSpec(v, &traffic_spec, &error)) {
-        std::fprintf(stderr, "invalid --traffic '%s': %s\n", v == nullptr ? "" : v,
-                     error.c_str());
-        return 2;
-      }
-      opec_traffic::SetDefaultLoadSpec(traffic_spec);
-      measure_traffic = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: host_speed [--engine interp|bytecode] [--iters N] [--jobs N] "
-                   "[--out FILE] [--baseline FILE] [--trace-out FILE] [--self-check-obs] "
-                   "[--rv on|off|report] [--traffic rate=N,conns=M,seed=S[,...]]\n");
-      return 2;
-    }
+    opec_traffic::SetDefaultLoadSpec(traffic_spec);
+    measure_traffic = true;
+    return std::string();
+  });
+  if (!flags.Parse(argc, argv)) {
+    return 2;
   }
-  OPEC_CHECK_MSG(iters >= 1, "--iters must be >= 1");
-  OPEC_CHECK_MSG(jobs >= 1, "--jobs must be >= 1");
+  if (smoke) {
+    iters = 1;
+  }
+  // Check the baseline before measuring: a bad path must not cost a full run.
+  std::map<std::string, double> baseline;
+  if (!baseline_path.empty() && !LoadBaseline(baseline_path, &baseline)) {
+    return flags.Fail("no metrics in baseline file '" + baseline_path + "'");
+  }
 
   std::vector<std::string> wanted = {"CoreMark", "FatFs-uSD", "TCP-Echo"};
   if (measure_traffic) {
@@ -429,7 +365,7 @@ int main(int argc, char** argv) {
           OPEC_CHECK_MSG(r.cycles == out.best.cycles,
                          factory.name + ": recorded run changed modeled cycles");
           out.has_trace = true;
-          out.trace = {KeyName(factory.name) + "." + cfg.name, run.recorder()->Snapshot(),
+          out.trace = {opec_apps::AppKey(factory.name) + "." + cfg.name, run.recorder()->Snapshot(),
                        run.EventNaming(), run.recorder()->dropped()};
         }
         out.unit_wall_ns = NsSince(u0);
@@ -443,7 +379,7 @@ int main(int argc, char** argv) {
     const Config& cfg = *units[u].cfg;
     const Sample& best = unit_results[u].best;
     units_wall_ns += unit_results[u].unit_wall_ns;
-    std::string prefix = KeyName(factory.name) + "." + cfg.name + ".";
+    std::string prefix = opec_apps::AppKey(factory.name) + "." + cfg.name + ".";
     emit(prefix + "wall_ns", static_cast<double>(best.wall_ns()));
     emit(prefix + "build_ns", static_cast<double>(best.build_ns));
     emit(prefix + "exec_ns", static_cast<double>(best.exec_ns));
@@ -478,7 +414,7 @@ int main(int argc, char** argv) {
       if (!unit_results[u].has_rv) {
         continue;
       }
-      std::printf("--- %s.%s\n%s", KeyName(units[u].factory->name).c_str(),
+      std::printf("--- %s.%s\n%s", opec_apps::AppKey(units[u].factory->name).c_str(),
                   units[u].cfg->name, unit_results[u].rv_report.c_str());
     }
   }
@@ -493,12 +429,7 @@ int main(int argc, char** argv) {
                 trace_processes.size());
   }
 
-  std::map<std::string, double> baseline;
   bool modeled_mismatch = false;
-  if (!baseline_path.empty()) {
-    baseline = LoadBaseline(baseline_path);
-    OPEC_CHECK_MSG(!baseline.empty(), "baseline file has no metrics: " + baseline_path);
-  }
 
   std::ostringstream json;
   json << "{\n";

@@ -17,16 +17,15 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
 #include "src/campaign/campaign.h"
 #include "src/support/check.h"
+#include "src/support/flags.h"
 
 namespace {
 
@@ -94,27 +93,18 @@ int main(int argc, char** argv) {
   int iters = 20;
   int sweep_jobs = 500;
   std::string out_path = "BENCH_warm_start.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-      if (!opec_bench::ParseCount(argv[++i], 1, 1000000, &iters)) {
-        std::fprintf(stderr, "invalid --iters '%s'; expected an integer >= 1\n", argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
-      if (!opec_bench::ParseCount(argv[++i], 1, 1000000, &sweep_jobs)) {
-        std::fprintf(stderr, "invalid --sweep-jobs '%s'; expected an integer >= 1\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      iters = 2;
-      sweep_jobs = 10;
-    } else {
-      std::fprintf(stderr, "usage: warm_start [--iters N] [--sweep-jobs N] [--out FILE] [--smoke]\n");
-      return 2;
-    }
+  bool smoke = false;
+  opec_support::FlagSet flags;
+  flags.Int("--iters", &iters, 1, 1000000);
+  flags.Int("--sweep-jobs", &sweep_jobs, 1, 1000000);
+  flags.Str("--out", &out_path);
+  flags.Bool("--smoke", &smoke);
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (smoke) {
+    iters = 2;
+    sweep_jobs = 10;
   }
 
   std::vector<AppRow> rows;

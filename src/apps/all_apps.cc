@@ -41,25 +41,28 @@ std::vector<AppFactory> TrafficApps() {
   };
 }
 
-namespace {
-// "TCP-Echo-Load", "tcp_echo_load" and "tcp-echo-load" all name the same app
-// (same folding the runner and campaign CLIs apply).
-std::string FoldName(const std::string& name) {
+std::string AppKey(const std::string& name) {
   std::string out;
   for (char c : name) {
     out.push_back(c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
   return out;
 }
-}  // namespace
 
 std::optional<AppFactory> FindAppFactory(const std::string& name) {
-  const std::string folded = FoldName(name);
-  for (const std::vector<AppFactory>& registry : {AllApps(), TrafficApps()}) {
-    for (const AppFactory& app : registry) {
-      if (app.name == name || FoldName(app.name) == folded) {
-        return app;
-      }
+  // One registry per process (campaign jobs look their app up one by one),
+  // never destroyed so late lookups from pool threads stay valid.
+  static const std::vector<AppFactory>* kApps = [] {
+    auto* apps = new std::vector<AppFactory>(AllApps());
+    for (AppFactory& factory : TrafficApps()) {
+      apps->push_back(std::move(factory));
+    }
+    return apps;
+  }();
+  const std::string key = AppKey(name);
+  for (const AppFactory& app : *kApps) {
+    if (app.name == name || AppKey(app.name) == key) {
+      return app;
     }
   }
   return std::nullopt;

@@ -31,8 +31,13 @@ std::vector<AppFactory> AllApps();
 // from opec_traffic::DefaultLoadSpec() at make() time.
 std::vector<AppFactory> TrafficApps();
 
-// Looks up `name` (exact or case/sep-folded, as the CLIs accept) across
-// AllApps() ∪ TrafficApps(). Returns nullopt if unknown.
+// Canonical app key: lower-case, '-' folded to '_'. "TCP-Echo-Load",
+// "tcp_echo_load" and "tcp-echo-load" all name the same app; the CLIs accept
+// any of them, and host_speed metric keys use this form.
+std::string AppKey(const std::string& name);
+
+// Looks up `name` (exact or by AppKey) across AllApps() ∪ TrafficApps().
+// Returns nullopt if unknown.
 std::optional<AppFactory> FindAppFactory(const std::string& name);
 
 }  // namespace opec_apps

@@ -12,6 +12,16 @@ const char* EngineKindName(EngineKind kind) {
   return kind == EngineKind::kBytecode ? "bytecode" : "interp";
 }
 
+bool ParseEngineKind(const std::string& name, EngineKind* out) {
+  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kBytecode}) {
+    if (name == EngineKindName(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::unique_ptr<opec_rt::Engine> AppRun::MakeEngine() {
   const opec_rt::AddressAssignment& lay = layout();
   opec_rt::Supervisor* sup = monitor_.get();
@@ -62,17 +72,7 @@ void AppRun::AdoptBootSnapshot(opec_snapshot::Snapshot snapshot) {
   // quiescent point so later RestoreBoot() calls ride the fast path.
   boot_snapshot_->Restore(*machine_);
   machine_->bus().CaptureMemoryBaseline();
-  if (mode_ == BuildMode::kOpec) {
-    monitor_ = std::make_unique<opec_monitor::Monitor>(*machine_, compile_->policy, soc_);
-  }
-  engine_ = MakeEngine();
-  probe_.reset();
-  trace_.Clear();
-  trace_enabled_ = false;
-  recorder_.reset();
-  rv_.reset();
-  extra_sinks_.clear();
-  last_result_ = {};
+  ResetRunState();
 }
 
 void AppRun::RestoreBoot() {
@@ -82,13 +82,24 @@ void AppRun::RestoreBoot() {
   } else {
     boot_snapshot_->Restore(*machine_);
   }
+  ResetRunState();
+}
+
+void AppRun::ResetRunState() {
   // The monitor's and engine's pre-run state is entirely constructor-derived
   // (from the immutable policy/module), so fresh objects are equivalent to —
-  // and simpler than — rolling back attacks, counters and fault reports.
+  // and simpler than — rolling back attacks, counters and fault reports. The
+  // lowered bytecode depends only on the module and layout, so the new VM
+  // takes over the old one's instead of lowering again; its verdict cache
+  // starts empty.
   if (mode_ == BuildMode::kOpec) {
     monitor_ = std::make_unique<opec_monitor::Monitor>(*machine_, compile_->policy, soc_);
   }
-  engine_ = MakeEngine();
+  std::unique_ptr<opec_rt::Engine> engine = MakeEngine();
+  if (auto* vm = dynamic_cast<opec_rt::bytecode::VM*>(engine_.get())) {
+    vm->ShareBytecode(static_cast<opec_rt::bytecode::VM&>(*engine));
+  }
+  engine_ = std::move(engine);
   probe_.reset();
   trace_.Clear();
   trace_enabled_ = false;

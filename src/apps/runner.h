@@ -37,6 +37,8 @@ enum class EngineKind {
 };
 
 const char* EngineKindName(EngineKind kind);
+// Inverse of EngineKindName; false for an unknown name.
+bool ParseEngineKind(const std::string& name, EngineKind* out);
 
 class AppRun {
  public:
@@ -69,8 +71,9 @@ class AppRun {
   // Captures the post-build, pre-run machine state (globals loaded, devices
   // reset, scenario not yet fed). RestoreBoot() rewinds to it and rebuilds
   // the monitor and engine fresh — everything Execute() needs, without
-  // re-running BuildModule/CompileOpec/LoadGlobals. This is the warm-start
-  // path campaign jobs fork from.
+  // re-running BuildModule/CompileOpec/LoadGlobals or lowering the module
+  // again (the bytecode VM's lowered module carries over). This is the
+  // warm-start path campaign jobs fork from.
   void CaptureBoot();
   // Adopts a boot snapshot captured by another AppRun of the same (app, mode)
   // — possibly in another process (the dist artifact cache, DESIGN.md §16) —
@@ -124,6 +127,9 @@ class AppRun {
   // Builds the engine of the selected kind (also used by RestoreBoot to
   // recreate it against the restored machine).
   std::unique_ptr<opec_rt::Engine> MakeEngine();
+  // After a boot restore: fresh monitor and engine (keeping the lowered
+  // bytecode), and no per-run instrumentation.
+  void ResetRunState();
 
   const Application& app_;
   BuildMode mode_;

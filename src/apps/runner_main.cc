@@ -6,11 +6,14 @@
 //
 //   $ ./build/src/apps/runner --app pinlock --trace-out=trace.json --profile
 //
+// Usage: runner [--app NAME] [--mode opec|vanilla] [--engine interp|bytecode]
+//               [--rv on|off|report] [--trace-out FILE] [--jsonl-out FILE]
+//               [--traffic rate=N,conns=M,seed=S[,requests=R,...]]
+//               [--profile] [--list]
+//
 // Flags accept both `--flag value` and `--flag=value` spellings.
 
-#include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,131 +22,61 @@
 #include "src/apps/runner.h"
 #include "src/obs/export.h"
 #include "src/obs/profile.h"
+#include "src/support/flags.h"
+#include "src/support/text.h"
 #include "src/traffic/traffic.h"
-
-namespace {
-
-// Canonical app key: lower-case, '-' folded to '_' (matches host_speed keys).
-std::string KeyName(const std::string& name) {
-  std::string key;
-  for (char c : name) {
-    key += c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return key;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: runner [--app NAME] [--mode opec|vanilla] [--engine interp|bytecode]\n"
-               "              [--rv on|off|report] [--trace-out FILE] [--jsonl-out FILE]\n"
-               "              [--traffic rate=N,conns=M,seed=S[,requests=R,...]]\n"
-               "              [--profile] [--list]\n");
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string app_name = "pinlock";
   std::string mode_name = "opec";
-  std::string engine_name = "interp";
+  opec_apps::EngineKind engine_kind = opec_apps::EngineKind::kInterp;
   std::string trace_out;
   std::string jsonl_out;
   std::string rv_name = "on";
   bool profile = false;
+  bool list = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
+  opec_support::FlagSet flags;
+  flags.Str("--app", &app_name);
+  flags.Choice("--mode", &mode_name, {"opec", "vanilla"});
+  flags.Enum("--engine", &engine_kind, opec_apps::ParseEngineKind, "expected interp|bytecode");
+  flags.Str("--trace-out", &trace_out);
+  flags.Str("--jsonl-out", &jsonl_out);
+  flags.Choice("--rv", &rv_name, {"on", "off", "report"});
+  flags.Custom("--traffic", [](const std::string& v) {
+    opec_traffic::TrafficSpec spec;
+    std::string error;
+    if (!opec_traffic::ParseTrafficSpec(v, &spec, &error)) {
+      return error;
     }
-    auto take = [&]() -> std::string {
-      if (has_value) {
-        return value;
-      }
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--app") {
-      app_name = take();
-    } else if (arg == "--mode") {
-      mode_name = take();
-    } else if (arg == "--engine") {
-      engine_name = take();
-    } else if (arg == "--trace-out") {
-      trace_out = take();
-    } else if (arg == "--jsonl-out") {
-      jsonl_out = take();
-    } else if (arg == "--rv") {
-      rv_name = take();
-    } else if (arg == "--traffic") {
-      opec_traffic::TrafficSpec spec;
-      std::string error;
-      if (!opec_traffic::ParseTrafficSpec(take(), &spec, &error)) {
-        std::fprintf(stderr, "bad --traffic: %s\n", error.c_str());
-        return 2;
-      }
-      opec_traffic::SetDefaultLoadSpec(spec);
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--list") {
-      for (const opec_apps::AppFactory& f : opec_apps::AllApps()) {
-        std::printf("%s\n", KeyName(f.name).c_str());
-      }
-      for (const opec_apps::AppFactory& f : opec_apps::TrafficApps()) {
-        std::printf("%s\n", KeyName(f.name).c_str());
-      }
-      return 0;
-    } else {
-      return Usage();
-    }
-  }
-
-  opec_apps::BuildMode mode;
-  if (mode_name == "opec") {
-    mode = opec_apps::BuildMode::kOpec;
-  } else if (mode_name == "vanilla") {
-    mode = opec_apps::BuildMode::kVanilla;
-  } else {
-    std::fprintf(stderr, "unknown --mode '%s'; valid modes are: opec vanilla\n",
-                 mode_name.c_str());
+    opec_traffic::SetDefaultLoadSpec(spec);
+    return std::string();
+  });
+  flags.Bool("--profile", &profile);
+  flags.Bool("--list", &list);
+  if (!flags.Parse(argc, argv)) {
     return 2;
   }
-
-  opec_apps::EngineKind engine_kind;
-  if (engine_name == "interp") {
-    engine_kind = opec_apps::EngineKind::kInterp;
-  } else if (engine_name == "bytecode") {
-    engine_kind = opec_apps::EngineKind::kBytecode;
-  } else {
-    std::fprintf(stderr, "unknown --engine '%s'; valid tiers are: interp bytecode\n",
-                 engine_name.c_str());
-    return 2;
+  std::vector<std::string> keys;
+  for (const auto& registry : {opec_apps::AllApps(), opec_apps::TrafficApps()}) {
+    for (const opec_apps::AppFactory& f : registry) {
+      keys.push_back(opec_apps::AppKey(f.name));
+    }
   }
+  if (list) {
+    std::printf("%s\n", opec_support::Join(keys, "\n").c_str());
+    return 0;
+  }
+  opec_apps::BuildMode mode =
+      mode_name == "opec" ? opec_apps::BuildMode::kOpec : opec_apps::BuildMode::kVanilla;
 
   std::unique_ptr<opec_apps::Application> app;
   if (std::optional<opec_apps::AppFactory> factory = opec_apps::FindAppFactory(app_name)) {
     app = factory->make();
   }
   if (app == nullptr) {
-    std::fprintf(stderr, "unknown --app '%s'; valid apps are:", app_name.c_str());
-    for (const opec_apps::AppFactory& factory : opec_apps::AllApps()) {
-      std::fprintf(stderr, " %s", KeyName(factory.name).c_str());
-    }
-    for (const opec_apps::AppFactory& factory : opec_apps::TrafficApps()) {
-      std::fprintf(stderr, " %s", KeyName(factory.name).c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
-
-  if (rv_name != "on" && rv_name != "off" && rv_name != "report") {
-    std::fprintf(stderr, "unknown --rv '%s'; valid settings are: on off report\n",
-                 rv_name.c_str());
-    return 2;
+    return flags.Fail("unknown --app '" + app_name + "'; valid apps are: " +
+                      opec_support::Join(keys, " "));
   }
 
   opec_apps::AppRun run(*app, mode, engine_kind);

@@ -1,7 +1,6 @@
 #include "src/campaign/campaign.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
@@ -29,33 +28,7 @@ uint64_t NsSince(Clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
 }
 
-// Canonical app key: lower-case, '-' folded to '_' (matches the runner CLI
-// and host_speed metric keys).
-std::string AppKey(const std::string& name) {
-  std::string key;
-  for (char c : name) {
-    key += c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return key;
-}
-
-const opec_apps::AppFactory* FindApp(const std::string& name) {
-  // One stable registry per process; covers AllApps() ∪ TrafficApps() so
-  // campaign jobs can target the load-mode app variants.
-  static const std::vector<opec_apps::AppFactory>* kApps = [] {
-    auto* apps = new std::vector<opec_apps::AppFactory>(opec_apps::AllApps());
-    for (opec_apps::AppFactory& factory : opec_apps::TrafficApps()) {
-      apps->push_back(std::move(factory));
-    }
-    return apps;
-  }();
-  for (const opec_apps::AppFactory& factory : *kApps) {
-    if (factory.name == name || AppKey(factory.name) == AppKey(name)) {
-      return &factory;
-    }
-  }
-  return nullptr;
-}
+using opec_apps::AppKey;
 
 const char* ModeName(opec_apps::BuildMode mode) {
   return mode == opec_apps::BuildMode::kOpec ? "opec" : "vanilla";
@@ -406,8 +379,8 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
   JobResult out;
   out.index = index;
   out.spec = spec;
-  const opec_apps::AppFactory* factory = FindApp(spec.app);
-  if (factory == nullptr) {
+  std::optional<opec_apps::AppFactory> factory = opec_apps::FindAppFactory(spec.app);
+  if (!factory) {
     throw std::runtime_error("unknown app '" + spec.app + "' (see opec_apps::AllApps)");
   }
 
@@ -684,6 +657,17 @@ const char* FaultClassName(FaultClass fault) {
   return "?";
 }
 
+bool ParseFaultClass(const std::string& name, FaultClass* out) {
+  for (FaultClass c : {FaultClass::kAny, FaultClass::kStackBitFlip, FaultClass::kShadowBitFlip,
+                       FaultClass::kSvcArgCorrupt, FaultClass::kIcallForge}) {
+    if (name == FaultClassName(c)) {
+      *out = c;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* OutcomeName(Outcome outcome) {
   switch (outcome) {
     case Outcome::kOk:
@@ -787,7 +771,7 @@ std::string CampaignSpec::ParseText(const std::string& text, const std::string& 
       std::vector<std::string> apps =
           app == "all" ? all_apps : std::vector<std::string>{app};
       for (const std::string& a : apps) {
-        if (FindApp(a) == nullptr) {
+        if (!opec_apps::FindAppFactory(a)) {
           return err("unknown app: " + a);
         }
       }
@@ -809,24 +793,13 @@ std::string CampaignSpec::ParseText(const std::string& text, const std::string& 
         return err("fault needs: <app|all> <count> [class]");
       }
       FaultClass cls = FaultClass::kAny;
-      if (tok >> cls_name) {
-        bool found = false;
-        for (FaultClass c : {FaultClass::kAny, FaultClass::kStackBitFlip,
-                             FaultClass::kShadowBitFlip, FaultClass::kSvcArgCorrupt,
-                             FaultClass::kIcallForge}) {
-          if (cls_name == FaultClassName(c)) {
-            cls = c;
-            found = true;
-          }
-        }
-        if (!found) {
-          return err("unknown fault class: " + cls_name);
-        }
+      if (tok >> cls_name && !ParseFaultClass(cls_name, &cls)) {
+        return err("unknown fault class: " + cls_name);
       }
       std::vector<std::string> apps =
           app == "all" ? all_apps : std::vector<std::string>{app};
       for (const std::string& a : apps) {
-        if (FindApp(a) == nullptr) {
+        if (!opec_apps::FindAppFactory(a)) {
           return err("unknown app: " + a);
         }
       }

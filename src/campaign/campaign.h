@@ -136,6 +136,8 @@ enum class FaultClass : uint8_t {
 
 const char* JobKindName(JobKind kind);
 const char* FaultClassName(FaultClass fault);
+// Inverse of FaultClassName; false for an unknown name.
+bool ParseFaultClass(const std::string& name, FaultClass* out);
 
 struct JobSpec {
   JobKind kind = JobKind::kScenario;

@@ -210,7 +210,7 @@ void CampaignServer::KillWorker(size_t wi, const char* why) {
   w.outbox_bytes = 0;
   if (!w.shutdown_sent) {
     ++stats_.workers_died;
-    std::fprintf(stderr, "campaignd: worker %zu (%s) lost: %s\n", wi,
+    std::fprintf(stderr, "dist: worker %zu (%s) lost: %s\n", wi,
                  w.name.empty() ? "?" : w.name.c_str(), why);
   }
   RequeueWorkerUnits(wi);
@@ -234,7 +234,7 @@ void CampaignServer::DropConnection(size_t wi, const char* why) {
   w.outbox_off = 0;
   w.outbox_bytes = 0;
   ++stats_.links_lost;
-  std::fprintf(stderr, "campaignd: worker %zu (%s) link lost: %s; leases parked\n", wi,
+  std::fprintf(stderr, "dist: worker %zu (%s) link lost: %s; leases parked\n", wi,
                w.name.empty() ? "?" : w.name.c_str(), why);
   ParkWorkerUnits(wi);
 }
@@ -480,9 +480,10 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
   WorkerState& w = workers_[wi];
   auto reject = [&](const char* why) {
     // Refuse before a single byte flows back: no welcome, no error frame —
-    // just the hangup. (A frame would leak that a campaignd is listening.)
+    // just the hangup. (A frame would leak that a campaign server is
+    // listening, and which protocol version it speaks.)
     ++stats_.peers_rejected;
-    std::fprintf(stderr, "campaignd: peer '%s' rejected: %s\n",
+    std::fprintf(stderr, "dist: peer '%s' rejected: %s\n",
                  hello.worker_name.empty() ? "?" : hello.worker_name.c_str(), why);
     w.dead = true;
     w.transport->Close();
@@ -495,17 +496,15 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     KillWorker(wi, "duplicate hello");
     return false;
   }
-  uint32_t negotiated = NegotiateVersion(hello);
-  if (negotiated == 0) {
-    return reject("no common protocol version");
+  if (hello.version != kProtocolVersion) {
+    return reject("protocol version mismatch");
   }
   if (!options_.auth_token.empty() && !TokenEq(hello.token, options_.auth_token)) {
     return reject("bad auth token");
   }
   w.name = hello.worker_name;
-  w.version = negotiated;
   w.worker_id = hello.worker_id;
-  w.resumable = hello.resumable && !hello.worker_id.empty() && negotiated >= 2;
+  w.resumable = hello.resumable && !hello.worker_id.empty();
   w.hello_done = true;
   if (!w.worker_id.empty()) {
     // A live connection claiming the same id is stale (the worker gave up on
@@ -534,7 +533,6 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     AdoptParkedLeases(wi);
   }
   WelcomeMsg welcome;
-  welcome.version = negotiated;
   welcome.sweep = sweep_;
   welcome.cold_boot = options_.cold_boot;
   welcome.snapshot_dir = options_.snapshot_dir;
@@ -684,7 +682,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       bool found = cache_.Get(f.digest, &bytes);
       uint32_t threshold =
           options_.chunk_threshold == 0 ? kDefaultChunkThreshold : options_.chunk_threshold;
-      if (w.version >= 2 && found && bytes.size() > threshold) {
+      if (found && bytes.size() > threshold) {
         // Stream in bounded slices: the outbox interleaves fairness at frame
         // granularity, so one snapshot-sized reply never monopolizes a link.
         uint64_t total = bytes.size();
@@ -857,7 +855,7 @@ std::string CampaignServer::Serve() {
           if (!CidrMatch(options_.allow, peer_ip)) {
             // Refused before a single frame is read or written.
             ++stats_.peers_rejected;
-            std::fprintf(stderr, "campaignd: peer %u.%u.%u.%u rejected: not allow-listed\n",
+            std::fprintf(stderr, "dist: peer %u.%u.%u.%u rejected: not allow-listed\n",
                          (peer_ip >> 24) & 0xff, (peer_ip >> 16) & 0xff,
                          (peer_ip >> 8) & 0xff, peer_ip & 0xff);
             ::close(cfd);

@@ -7,10 +7,11 @@
 // TSan-clean and makes the aggregation order a non-issue: results land in a
 // pre-sized, index-addressed vector, first write wins.
 //
-// Fleet hardening (protocol v2, wire.h):
-//   * Auth: when `auth_token` is set, a hello whose token does not match is
-//     hung up on before the server emits a single byte; `allow` restricts
-//     TCP peers by CIDR at accept time, before any frame is read.
+// Fleet hardening (wire.h):
+//   * Auth: a hello from another protocol version, or (when `auth_token` is
+//     set) one whose token does not match, is hung up on before the server
+//     emits a single byte; `allow` restricts TCP peers by CIDR at accept
+//     time, before any frame is read.
 //   * Backpressure: every send goes through a per-peer outbox drained with
 //     POLLOUT via non-blocking partial writes — a peer that stops reading
 //     stalls only itself (and is killed when its outbox exceeds
@@ -149,7 +150,6 @@ class CampaignServer {
     std::string name;
     std::string worker_id;    // "" = anonymous (never resumed)
     std::string session_key;  // worker_id, or a per-connection key
-    uint32_t version = kProtocolVersion;  // negotiated dialect
     bool resumable = false;
     bool hello_done = false;
     bool dead = false;

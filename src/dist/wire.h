@@ -17,16 +17,13 @@
 // map to Fnv1a64 digests server-side, bytes live in per-host cache
 // directories and can be streamed through the server for cache-cold hosts.
 //
-// Versioning: the hello frame leads with `u32 version` so the layout of the
-// rest of the handshake can evolve. Version 1 is the original loopback
-// protocol (version + worker name). Version 2 adds fleet hardening: a shared
-// auth token (checked before the server sends a single byte), a stable
-// worker id plus resume cursor for reconnect-and-resume, and chunked
-// artifact streaming (kArtifactChunk) bounded by the threshold the server
-// advertises in its welcome. A server negotiates
-// `min(kProtocolVersion, hello.version)` and refuses peers whose
-// `min_version` it cannot meet; v1 hellos keep working (with empty token —
-// refused when the server requires one).
+// Versioning: both ends ship from this tree, so there is one dialect. The
+// hello frame leads with `u32 version`; a server hangs up on a hello whose
+// version is not kProtocolVersion before it sends a single byte (as it does
+// on a bad auth token), and a worker refuses a welcome from another version.
+// The hello carries the shared auth token and a stable worker id plus resume
+// cursor for reconnect-and-resume; the welcome carries the threshold above
+// which artifact replies stream as kArtifactChunk frames.
 
 #ifndef SRC_DIST_WIRE_H_
 #define SRC_DIST_WIRE_H_
@@ -44,7 +41,6 @@
 namespace opec_dist {
 
 inline constexpr uint32_t kProtocolVersion = 2;
-inline constexpr uint32_t kMinProtocolVersion = 1;
 
 // "No unit" sentinel for HelloMsg::resume_unit.
 inline constexpr uint64_t kNoResumeUnit = ~0ull;
@@ -54,14 +50,14 @@ inline constexpr uint64_t kNoResumeUnit = ~0ull;
 // corrupt length prefixes, not a tuning knob.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
-// Artifact payloads above this stream as kArtifactChunk frames on v2
-// connections, so one snapshot-sized reply never monopolizes a link.
+// Artifact payloads above this stream as kArtifactChunk frames, so one
+// snapshot-sized reply never monopolizes a link.
 inline constexpr uint32_t kDefaultChunkThreshold = 1u << 20;
 
 enum class FrameType : uint8_t {
   // Handshake.
   kHello,    // worker -> server: protocol version, auth token, worker id
-  kWelcome,  // server -> worker: negotiated version, sweep kind, environment
+  kWelcome,  // server -> worker: protocol version, sweep kind, environment
   // Work loop.
   kRequestWork,  // worker -> server
   kAssign,       // server -> worker: one leased unit of resolved jobs
@@ -89,8 +85,8 @@ struct Frame {
 // need to truncate frames at arbitrary byte offsets.
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
-// What a campaignd instance is sweeping: a campaign job matrix or a
-// differential-fuzz seed range. The unit/lease machinery is shared.
+// What a server is sweeping: a campaign job matrix or a differential-fuzz
+// seed range. The unit/lease machinery is shared.
 enum class SweepKind : uint8_t {
   kCampaign,
   kFuzz,
@@ -102,9 +98,8 @@ enum class SweepKind : uint8_t {
 // ScopedCheckThrow and turn failures into connection errors).
 
 struct HelloMsg {
+  // ReadHello decodes nothing past a version other than kProtocolVersion.
   uint32_t version = kProtocolVersion;
-  // v2+ fields (v1 hellos carry only version + worker_name).
-  uint32_t min_version = kMinProtocolVersion;  // oldest dialect peer speaks
   std::string worker_name;
   std::string token;      // shared secret; must match the server's --auth-token
   std::string worker_id;  // stable across reconnects ("" = not resumable)
@@ -117,17 +112,13 @@ struct HelloMsg {
 };
 
 struct WelcomeMsg {
-  uint32_t version = kProtocolVersion;  // negotiated: min(server, hello)
+  uint32_t version = kProtocolVersion;
   SweepKind sweep = SweepKind::kCampaign;
   bool cold_boot = false;
   std::string snapshot_dir;
-  // v2+: artifact replies larger than this arrive as kArtifactChunk frames.
+  // Artifact replies larger than this arrive as kArtifactChunk frames.
   uint32_t chunk_threshold = kDefaultChunkThreshold;
 };
-
-// Returns the version the server should speak with a peer that sent `hello`,
-// or 0 if no common dialect exists.
-uint32_t NegotiateVersion(const HelloMsg& hello);
 
 struct NoWorkMsg {
   uint32_t retry_ms = 20;

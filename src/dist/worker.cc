@@ -66,8 +66,8 @@ class ServerArtifacts {
     }
   }
 
-  // Handles both reply shapes: one kArtifactData frame (small artifacts, v1
-  // servers) or an in-order kArtifactChunk stream (v2 servers, big replies).
+  // Handles both reply shapes: one kArtifactData frame (small artifacts) or
+  // an in-order kArtifactChunk stream (replies above the chunk threshold).
   bool Fetch(uint64_t digest, std::vector<uint8_t>* out) {
     if (broken_ || t_ == nullptr) {
       return false;
@@ -179,8 +179,7 @@ class DistWarmPool {
                                static_cast<int>(engine));
     auto it = pool_.find(key);
     if (it != pool_.end()) {
-      it->second.run->RestoreBoot();
-      ReAdoptBytecode(it->second);
+      it->second.run->RestoreBoot();  // keeps the lowered module
       return it->second.run.get();
     }
 
@@ -204,9 +203,6 @@ class DistWarmPool {
   struct Entry {
     std::unique_ptr<opec_apps::Application> app;
     std::unique_ptr<opec_apps::AppRun> run;
-    bool have_bc = false;
-    opec_rt::bytecode::BytecodeModule bc;
-    opec_rt::CostModel bc_costs;
   };
 
   // Local cache first, then the server (caching what it returns).
@@ -280,13 +276,10 @@ class DistWarmPool {
         try {
           opec_support::ScopedCheckThrow capture;
           opec_hw::StateReader r(bytes);
-          opec_rt::bytecode::BytecodeModule bc;
+          auto bc = std::make_shared<opec_rt::bytecode::BytecodeModule>();
           opec_rt::CostModel costs;
-          if (ReadBytecodeArtifact(r, &bc, &costs) &&
-              vm->AdoptBytecode(bc, costs)) {
-            e.have_bc = true;
-            e.bc = std::move(bc);
-            e.bc_costs = costs;
+          if (ReadBytecodeArtifact(r, bc.get(), &costs) &&
+              vm->AdoptBytecode(std::move(bc), costs)) {
             cache_.PutRef(key, digest);
             if (!server_knew) {
               server_.Announce(key, digest, bytes);
@@ -299,32 +292,17 @@ class DistWarmPool {
       }
     }
     // Lower locally (Bytecode() forces it) and publish the result.
+    opec_hw::StateWriter w;
     try {
       opec_support::ScopedCheckThrow capture;
-      e.bc = vm->Bytecode();
-      e.bc_costs = e.run->engine().cost_model();
-      e.have_bc = true;
+      WriteBytecodeArtifact(w, vm->Bytecode(), vm->cost_model());
     } catch (const std::exception&) {
       return;  // lowering failure surfaces when the job runs; don't publish
     }
-    opec_hw::StateWriter w;
-    WriteBytecodeArtifact(w, e.bc, e.bc_costs);
     std::vector<uint8_t> bytes = w.Take();
     uint64_t actual = cache_.Put(bytes);
     cache_.PutRef(key, actual);
     server_.Announce(key, actual, bytes);
-  }
-
-  // RestoreBoot rebuilds the engine, dropping its lowered code; hand the
-  // retained module back so warm jobs never re-lower.
-  void ReAdoptBytecode(Entry& e) {
-    if (!e.have_bc) {
-      return;
-    }
-    auto* vm = dynamic_cast<opec_rt::bytecode::VM*>(&e.run->engine());
-    if (vm != nullptr) {
-      vm->AdoptBytecode(e.bc, e.bc_costs);
-    }
   }
 
   ServerArtifacts& server_;
@@ -399,7 +377,7 @@ ConnStatus RunConnection(Transport& transport, const WorkerOptions& options,
     *error = std::string("bad welcome frame: ") + e.what();
     return ConnStatus::kFatal;
   }
-  if (welcome.version < kMinProtocolVersion || welcome.version > kProtocolVersion) {
+  if (welcome.version != kProtocolVersion) {
     *error = "protocol version mismatch";
     return ConnStatus::kFatal;
   }

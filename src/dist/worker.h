@@ -1,8 +1,9 @@
-// The campaign worker (DESIGN.md §16): connects to a campaignd server over
+// The campaign worker (DESIGN.md §16): connects to a campaign server over
 // any Transport, executes leased work units through the exact per-job path
 // the in-process executor uses (opec_campaign::JobRunner), and streams
-// results back. Single-threaded; self-hosted mode forks one process per
-// worker, remote mode runs one per `campaignd --worker` invocation.
+// results back. Single-threaded; the self-hosted fleet (`--workers N`)
+// forks one process per worker, and each `campaign --connect HOST:PORT` or
+// `fuzz --connect HOST:PORT` invocation runs one remote worker.
 //
 // Warm starts ride the content-addressed artifact cache: the worker's warm
 // pool resolves `boot/<app>/<mode>` (post-boot machine snapshot) and
@@ -12,9 +13,10 @@
 // artifacts are verified by digest and by the adoption preconditions
 // (snapshot provenance checks, VM::AdoptBytecode's module/cost-model match);
 // any rejection falls back to the cold path — wrong bytes can slow a worker
-// down, never change its results.
+// down, never change its results. A warm entry lowers at most once: every
+// RestoreBoot hands the lowered module to the rebuilt VM.
 //
-// Reconnect-and-resume (protocol v2): a worker with a stable `worker_id`
+// Reconnect-and-resume: a worker with a stable `worker_id`
 // that loses the link mid-unit keeps its session state — warm pool, cache,
 // and the rows of the current unit it already finished — redials through
 // RunWorkerLoop, presents its resume cursor in the hello, delivers the
@@ -38,7 +40,7 @@ struct WorkerOptions {
   std::string name;       // for server logs
   std::string cache_dir;  // local artifact cache ("" = in-memory, per-process)
   uint64_t cache_max_bytes = 0;
-  // Fleet hardening (protocol v2).
+  // Fleet hardening.
   std::string token;      // shared secret; must match the server's --auth-token
   std::string worker_id;  // stable across reconnects; "" = not resumable
   // Reconnect policy for RunWorkerLoop: how many times to redial after a

@@ -1,62 +1,44 @@
 // Differential fuzzing CLI (DESIGN.md Section 12).
 //
-//   fuzz --seed 1 --count 1000 [--jobs N] [--shrink] [--corpus-dir DIR]
+//   fuzz [--seed S] [--count N] [--jobs N] [--shrink] [--corpus-dir DIR]
+//        [--traffic-count N] [--traffic-seed S]
+//        [--workers N | --serve PORT | --connect HOST:PORT] [fleet flags]
+//
+//   --seed S           base program seed (default 1)
+//   --count N          number of programs (default 100; 0 = skip)
+//   --jobs N           worker threads (default 1; serial == parallel)
+//   --shrink           minimize each diverging program
+//   --corpus-dir D     write diverging recipes (IR + oracle report) to D
+//   --traffic-count N  traffic cases over the net apps + ethernet device
+//                      models (default 0)
+//   --traffic-seed S   base traffic-case seed (default 1)
 //
 // Case i runs the full oracle stack on program seed (--seed + i), fanned out
-// over the campaign ParallelMap. Stdout is one deterministic digest line per
-// case plus divergence details — byte-identical for any --jobs value, which
-// is oracle 4 (CI runs the same sweep serial and parallel and cmps). Exit
-// status: 0 clean, 1 divergences found, 2 usage error.
+// over the campaign ParallelMap, or over the dist fleet with a role flag
+// (src/dist/fleet.h). Stdout is one deterministic digest line per case plus
+// divergence details: byte-identical for any --jobs value or fleet, which
+// is oracle 4 (CI runs the same sweep serial, parallel and distributed and
+// cmps). --shrink and --corpus-dir post-process the returned cases, and the
+// traffic cases always run on the in-process pool. Exit status: 0 clean, 1
+// divergences found, 2 usage error.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/campaign/campaign.h"
+#include "src/dist/fleet.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracles.h"
 #include "src/fuzz/program.h"
 #include "src/fuzz/shrink.h"
 #include "src/fuzz/traffic_fuzz.h"
 #include "src/ir/printer.h"
+#include "src/support/flags.h"
 
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: fuzz [--seed S] [--count N] [--jobs N] [--shrink] "
-               "[--corpus-dir DIR]\n"
-               "            [--traffic-count N] [--traffic-seed S]\n"
-               "  --seed S           base program seed (default 1)\n"
-               "  --count N          number of programs (default 100; 0 = skip)\n"
-               "  --jobs N           worker threads (default 1; serial == parallel)\n"
-               "  --shrink           minimize each diverging program\n"
-               "  --corpus-dir D     write diverging recipes (IR + oracle report) to D\n"
-               "  --traffic-count N  traffic cases over the net apps + ethernet\n"
-               "                     device models (default 0)\n"
-               "  --traffic-seed S   base traffic-case seed (default 1)\n");
-  return 2;
-}
-
-// Full-string unsigned parse; rejects empty, trailing junk and overflow.
-bool ParseU64(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || std::strchr(s, '-') != nullptr) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 // The shrink predicate covers the recipe-level oracles (execution and
 // points-to); the MPU and injected-graph oracles are seed-driven and have
@@ -90,74 +72,44 @@ void DumpCorpusEntry(const std::string& dir, const opec_fuzz::CaseResult& result
 int main(int argc, char** argv) {
   uint64_t seed = 1;
   uint64_t count = 100;
-  uint64_t jobs = 1;
+  int jobs = 1;
   uint64_t traffic_count = 0;
   uint64_t traffic_seed = 1;
   bool shrink = false;
   std::string corpus_dir;
+  opec_dist::FleetOptions fleet;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      const char* v = value("--seed");
-      if (v == nullptr || !ParseU64(v, &seed)) {
-        std::fprintf(stderr, "invalid --seed '%s'; expected an unsigned integer\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--count") {
-      const char* v = value("--count");
-      if (v == nullptr || !ParseU64(v, &count)) {
-        std::fprintf(stderr, "invalid --count '%s'; expected an integer >= 0\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--traffic-count") {
-      const char* v = value("--traffic-count");
-      if (v == nullptr || !ParseU64(v, &traffic_count)) {
-        std::fprintf(stderr, "invalid --traffic-count '%s'; expected an integer >= 0\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--traffic-seed") {
-      const char* v = value("--traffic-seed");
-      if (v == nullptr || !ParseU64(v, &traffic_seed)) {
-        std::fprintf(stderr, "invalid --traffic-seed '%s'; expected an unsigned integer\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (v == nullptr || !ParseU64(v, &jobs) || jobs < 1 || jobs > 1024) {
-        std::fprintf(stderr, "invalid --jobs '%s'; expected an integer in [1, 1024]\n",
-                     v == nullptr ? "" : v);
-        return Usage();
-      }
-    } else if (arg == "--shrink") {
-      shrink = true;
-    } else if (arg == "--corpus-dir") {
-      const char* v = value("--corpus-dir");
-      if (v == nullptr || *v == '\0') {
-        std::fprintf(stderr, "invalid --corpus-dir: expected a directory path\n");
-        return Usage();
-      }
-      corpus_dir = v;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return Usage();
-    }
+  opec_support::FlagSet flags;
+  flags.U64("--seed", &seed);
+  flags.U64("--count", &count);
+  flags.Int("--jobs", &jobs, 1, 1024);
+  flags.Bool("--shrink", &shrink);
+  flags.Str("--corpus-dir", &corpus_dir);
+  flags.U64("--traffic-count", &traffic_count);
+  flags.U64("--traffic-seed", &traffic_seed);
+  opec_dist::AddFleetFlags(flags, &fleet);
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (std::string err = opec_dist::CheckFleetRoles(fleet); !err.empty()) {
+    return flags.Fail(err);
+  }
+  if (!fleet.connect.empty()) {
+    return opec_dist::RunFleetWorker(fleet);
   }
 
-  std::vector<opec_fuzz::CaseResult> results = opec_campaign::ParallelMap(
-      static_cast<int>(jobs), static_cast<size_t>(count),
-      [seed](size_t i) { return opec_fuzz::RunCase(seed + i); });
+  std::vector<opec_fuzz::CaseResult> results;
+  if (fleet.distributed()) {
+    std::string err = opec_dist::ServeFuzz(seed, count, fleet, &results);
+    if (!err.empty()) {
+      std::fprintf(stderr, "fuzz: %s\n", err.c_str());
+      return 2;
+    }
+  } else {
+    results = opec_campaign::ParallelMap(jobs, static_cast<size_t>(count), [seed](size_t i) {
+      return opec_fuzz::RunCase(seed + i);
+    });
+  }
 
   size_t diverging_cases = 0;
   size_t divergences = 0;
@@ -195,7 +147,7 @@ int main(int argc, char** argv) {
   size_t traffic_diverging = 0;
   if (traffic_count > 0) {
     std::vector<opec_fuzz::TrafficCaseResult> traffic_results = opec_campaign::ParallelMap(
-        static_cast<int>(jobs), static_cast<size_t>(traffic_count),
+        jobs, static_cast<size_t>(traffic_count),
         [traffic_seed](size_t i) { return opec_fuzz::RunTrafficCase(traffic_seed + i); });
     for (const opec_fuzz::TrafficCaseResult& result : traffic_results) {
       std::printf("%s\n", result.digest.c_str());

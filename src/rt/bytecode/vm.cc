@@ -83,44 +83,47 @@ VM::VM(opec_hw::Machine& machine, const opec_ir::Module& module,
 
 const BytecodeModule& VM::Bytecode() {
   EnsureLowered();
-  return bc_;
+  return *bc_;
 }
 
 void VM::EnsureLowered() {
-  if (lowered_ && lowered_costs_ == costs_) {
+  if (bc_ != nullptr && lowered_costs_ == costs_) {
     return;
   }
-  bc_ = Lowerer::Lower(*this, costs_);
-  vcache_.assign(bc_.code.size(), VCache{});
+  Install(std::make_shared<const BytecodeModule>(Lowerer::Lower(*this, costs_)), costs_);
+}
+
+bool VM::AdoptBytecode(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs) {
+  if (bc == nullptr || !(costs == costs_) ||
+      bc->funcs.size() != module_.functions().size() || bc->acct.size() != bc->code.size()) {
+    return false;
+  }
+  for (const BytecodeFunction& fn : bc->funcs) {
+    if (fn.entry >= bc->code.size()) {
+      return false;
+    }
+  }
+  Install(std::move(bc), costs);
+  return true;
+}
+
+void VM::ShareBytecode(VM& next) const {
+  if (bc_ != nullptr) {
+    next.AdoptBytecode(bc_, lowered_costs_);
+  }
+}
+
+void VM::Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs) {
+  bc_ = std::move(bc);
+  lowered_costs_ = costs;
+  vcache_.assign(bc_->code.size(), VCache{});
   // One register window per possible frame, preallocated so register pointers
   // never move mid-run. Zero-filled once: register values are never
   // observable, but deterministic contents keep any latent read-before-write
   // lowering bug deterministic too.
-  size_t window = std::max<size_t>(bc_.max_regs, 1);
+  size_t window = std::max<size_t>(bc_->max_regs, 1);
   regs_.assign(static_cast<size_t>(kMaxDepth + 1) * window + 16, 0);
   frames_.reserve(kMaxDepth + 1);
-  lowered_ = true;
-  lowered_costs_ = costs_;
-}
-
-bool VM::AdoptBytecode(BytecodeModule bc, const CostModel& costs) {
-  if (!(costs == costs_) || bc.funcs.size() != module_.functions().size() ||
-      bc.acct.size() != bc.code.size()) {
-    return false;
-  }
-  for (const BytecodeFunction& fn : bc.funcs) {
-    if (fn.entry >= bc.code.size()) {
-      return false;
-    }
-  }
-  bc_ = std::move(bc);
-  vcache_.assign(bc_.code.size(), VCache{});
-  size_t window = std::max<size_t>(bc_.max_regs, 1);
-  regs_.assign(static_cast<size_t>(kMaxDepth + 1) * window + 16, 0);
-  frames_.reserve(kMaxDepth + 1);
-  lowered_ = true;
-  lowered_costs_ = costs_;
-  return true;
 }
 
 void VM::PushFrame(const Function* fn, size_t nargs, uint32_t return_pc,
@@ -153,7 +156,7 @@ void VM::PushFrame(const Function* fn, size_t nargs, uint32_t return_pc,
   fr.reg_base = frames_.empty()
                     ? 0
                     : frames_.back().reg_base +
-                          bc_.funcs[static_cast<size_t>(frames_.back().fn->ordinal())].nregs;
+                          bc_->funcs[static_cast<size_t>(frames_.back().fn->ordinal())].nregs;
   fr.frame_base = base;
   fr.saved_sp = saved_sp;
   fr.ret_dst = ret_dst;
@@ -179,7 +182,7 @@ void VM::EnterCall(const Insn& ins, const Function* fn, uint32_t ret_pc,
                    const uint32_t* R) {
   size_t nargs = ins.sub;
   call_args_.clear();
-  const uint16_t* pool = bc_.arg_pool.data() + ins.b;
+  const uint16_t* pool = bc_->arg_pool.data() + ins.b;
   for (size_t i = 0; i < nargs; ++i) {
     call_args_.push_back(R[pool[i]]);
   }
@@ -248,10 +251,10 @@ void VM::UnwindAllFrames() {
 }
 
 void VM::ReplayAcct(uint32_t pc) {
-  auto [ofs, len] = bc_.acct[pc];
+  auto [ofs, len] = bc_->acct[pc];
   OPEC_CHECK_MSG(len != 0, "statement batch crossed the limit without a replay script");
   for (uint32_t i = 0; i < len; ++i) {
-    int64_t e = bc_.acct_pool[ofs + i];
+    int64_t e = bc_->acct_pool[ofs + i];
     if (e == kAcctStmt) {
       if (++statements_ > statement_limit_) {
         throw ExecutionAborted{"statement limit exceeded (possible guest infinite loop)"};
@@ -373,7 +376,8 @@ void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t v
   } while (0)
 
 uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args) {
-  const Insn* const code = bc_.code.data();
+  const BytecodeModule& bc = *bc_;
+  const Insn* const code = bc.code.data();
 
   // Entry frame: pushed directly, like Run -> DoCall in the interpreter — no
   // call charge, no operation-entry protocol, no supervisor call hooks.
@@ -381,7 +385,7 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
             /*via_call=*/false, current_operation_);
   SpillParams(args.data(), args.size());
 
-  uint32_t pc = bc_.funcs[static_cast<size_t>(entry_fn->ordinal())].entry;
+  uint32_t pc = bc.funcs[static_cast<size_t>(entry_fn->ordinal())].entry;
   uint32_t* R = regs_.data() + frames_.back().reg_base;
   uint32_t fp = frames_.back().frame_base;
   const Insn* I = nullptr;
@@ -601,7 +605,7 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
         const VFrame& fr = frames_.back();
         R = regs_.data() + fr.reg_base;
         fp = fr.frame_base;
-        pc = bc_.funcs[static_cast<size_t>(fn->ordinal())].entry;
+        pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kCallInd) {
@@ -611,7 +615,7 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
         const VFrame& fr = frames_.back();
         R = regs_.data() + fr.reg_base;
         fp = fr.frame_base;
-        pc = bc_.funcs[static_cast<size_t>(fn->ordinal())].entry;
+        pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kICallCheck) {
@@ -670,7 +674,7 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
       }
       OPEC_VM_CASE(kAbort) {
         OPEC_VM_FLUSH();
-        throw ExecutionAborted{bc_.messages[I->imm]};
+        throw ExecutionAborted{bc.messages[I->imm]};
       }
 
 #ifndef OPEC_VM_THREADED

@@ -20,6 +20,7 @@
 #define SRC_RT_BYTECODE_VM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,14 +41,22 @@ class VM : public Engine {
   // The lowered module (lowering happens lazily at first Run and again
   // whenever the cost model changed). For tests and disassembly.
   const BytecodeModule& Bytecode();
+  // Whether a lowered module is installed yet (lowering is lazy).
+  bool lowered() const { return bc_ != nullptr; }
 
-  // Adopts a pre-lowered module — the distributed artifact cache (DESIGN.md
-  // §16) ships these between workers so a warm worker never re-lowers.
-  // Refused (returns false) unless `costs` equals this engine's current cost
-  // model and the function table matches this module; lowering is
-  // deterministic, so an accepted adoption executes bit-identically to
-  // EnsureLowered()'s own output.
-  bool AdoptBytecode(BytecodeModule bc, const CostModel& costs);
+  // Adopts a pre-lowered module, shared rather than copied: the distributed
+  // artifact cache (DESIGN.md §16) ships these between workers, and a VM
+  // rebuilt over the same module and layout takes over its predecessor's
+  // (ShareBytecode). Refused (returns false) unless `costs` equals this
+  // engine's current cost model and the function table matches this module;
+  // lowering is deterministic, so an accepted adoption executes
+  // bit-identically to EnsureLowered()'s own output. The verdict cache starts
+  // empty either way.
+  bool AdoptBytecode(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs);
+  // Hands this VM's lowered module, if any, to `next`: a fresh VM over the
+  // same module and layout (AppRun::RestoreBoot), which then runs without
+  // lowering again.
+  void ShareBytecode(VM& next) const;
 
  private:
   // One active call frame. Registers live in one preallocated file; each
@@ -80,6 +89,9 @@ class VM : public Engine {
   };
 
   void EnsureLowered();
+  // Installs a lowered module and sizes the per-instruction and per-frame
+  // state for it.
+  void Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs);
   uint32_t Execute(const opec_ir::Function* entry_fn, const std::vector<uint32_t>& args);
 
   // Call protocol split (mirrors CallFunction/DoCall): EnterCall performs the
@@ -105,8 +117,7 @@ class VM : public Engine {
   // interpreter-side cycle count and statements_ == limit + 1 at the abort.
   [[noreturn]] void ReplayAcct(uint32_t pc);
 
-  BytecodeModule bc_;
-  bool lowered_ = false;
+  std::shared_ptr<const BytecodeModule> bc_;  // null until lowered
   CostModel lowered_costs_;
 
   std::vector<VCache> vcache_;     // one slot per instruction

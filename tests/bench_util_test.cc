@@ -1,9 +1,4 @@
-// Regression tests for the shared CLI helpers in bench/bench_util.h.
-//
-// ParseCount: the four CLIs used to parse counts with bare std::atoi, which
-// silently yields 0 on junk ("--jobs abc" fell into the jobs<1 error with no
-// hint at the cause) and wraps on overflow. The strict full-string parse
-// rejects all of that; these tests fail on the pre-fix behavior.
+// Regression tests for the shared helpers in bench/bench_util.h.
 //
 // NsPerStatement: host_speed used to compute exec_ns / statements unguarded —
 // a zero-statement run emitted nan/inf into BENCH_host_speed.json, corrupting
@@ -17,35 +12,6 @@
 
 namespace opec_bench {
 namespace {
-
-TEST(ParseCount, AcceptsPlainIntegersInRange) {
-  int v = -1;
-  EXPECT_TRUE(ParseCount("1", 1, 1024, &v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(ParseCount("1024", 1, 1024, &v));
-  EXPECT_EQ(v, 1024);
-  EXPECT_TRUE(ParseCount("42", 1, 1024, &v));
-  EXPECT_EQ(v, 42);
-}
-
-TEST(ParseCount, RejectsJunkThatAtoiAcceptedSilently) {
-  int v = 99;
-  EXPECT_FALSE(ParseCount("abc", 1, 1024, &v));   // atoi: 0
-  EXPECT_FALSE(ParseCount("12x", 1, 1024, &v));   // atoi: 12 (trailing junk)
-  EXPECT_FALSE(ParseCount("", 1, 1024, &v));      // atoi: 0
-  EXPECT_FALSE(ParseCount(" 4", 1, 1024, &v));    // leading whitespace
-  EXPECT_FALSE(ParseCount("4 ", 1, 1024, &v));    // trailing whitespace
-  EXPECT_FALSE(ParseCount(nullptr, 1, 1024, &v));
-  EXPECT_EQ(v, 99);  // out-param untouched on failure
-}
-
-TEST(ParseCount, RejectsOutOfRangeAndOverflow) {
-  int v = 0;
-  EXPECT_FALSE(ParseCount("0", 1, 1024, &v));
-  EXPECT_FALSE(ParseCount("-3", 1, 1024, &v));
-  EXPECT_FALSE(ParseCount("1025", 1, 1024, &v));
-  EXPECT_FALSE(ParseCount("99999999999999999999", 1, 1024, &v));  // > LONG_MAX
-}
 
 TEST(NsPerStatement, ZeroStatementsYieldsZeroNotNan) {
   double r = NsPerStatement(123456, 0);

@@ -58,15 +58,10 @@ struct TierObservation {
   std::string check;
 };
 
-TierObservation Observe(const opec_apps::AppFactory& factory, BuildMode mode,
-                        EngineKind engine, uint64_t statement_limit = 0) {
-  auto app = factory.make();
-  AppRun run(*app, mode, engine);
+// Executes `run` under a digest sink and records the observation tuple.
+TierObservation ObserveRun(AppRun& run) {
   DigestSink sink;
   run.AttachSink(&sink);
-  if (statement_limit != 0) {
-    run.engine().set_statement_limit(statement_limit);
-  }
   opec_rt::RunResult r = run.Execute();
   TierObservation obs;
   obs.ok = r.ok;
@@ -77,6 +72,16 @@ TierObservation Observe(const opec_apps::AppFactory& factory, BuildMode mode,
   obs.events_digest = sink.digest();
   obs.check = run.Check();
   return obs;
+}
+
+TierObservation Observe(const opec_apps::AppFactory& factory, BuildMode mode,
+                        EngineKind engine, uint64_t statement_limit = 0) {
+  auto app = factory.make();
+  AppRun run(*app, mode, engine);
+  if (statement_limit != 0) {
+    run.engine().set_statement_limit(statement_limit);
+  }
+  return ObserveRun(run);
 }
 
 void ExpectIdentical(const TierObservation& interp, const TierObservation& bc,
@@ -136,17 +141,7 @@ TEST(BytecodeTier, AttackInjectionParity) {
     attack.addr = ops.back().section_base;
     attack.value = 0x41414141;
     run.AddAttack(attack);
-    DigestSink sink;
-    run.AttachSink(&sink);
-    opec_rt::RunResult r = run.Execute();
-    TierObservation obs;
-    obs.ok = r.ok;
-    obs.violation = r.violation;
-    obs.return_value = r.return_value;
-    obs.cycles = r.cycles;
-    obs.statements = r.statements;
-    obs.events_digest = sink.digest();
-    obs.check = run.Check();
+    TierObservation obs = ObserveRun(run);
     EXPECT_EQ(run.engine().attacks()[0].fired, true);
     return obs;
   };
@@ -164,6 +159,30 @@ TEST(BytecodeTier, LoweringShape) {
   EXPECT_FALSE(bc.code.empty());
   EXPECT_EQ(bc.funcs.size(), run.module().functions().size());
   EXPECT_GT(bc.max_regs, 0u);
+}
+
+// Lower once per AppRun: a boot restore hands the lowered module to the
+// rebuilt VM (shared, not copied, and installed before any run) instead of
+// lowering it again, and warm runs, each starting from an empty verdict
+// cache, stay bit-identical to a cold run.
+TEST(BytecodeTier, RestoreKeepsLoweredModuleAndWarmRunsMatchCold) {
+  for (const opec_apps::AppFactory& factory : opec_apps::AllApps()) {
+    std::string label = std::string(factory.name);
+    TierObservation cold = Observe(factory, BuildMode::kOpec, EngineKind::kBytecode);
+    auto app = factory.make();
+    AppRun warm(*app, BuildMode::kOpec, EngineKind::kBytecode);
+    warm.CaptureBoot();
+    const opec_rt::bytecode::BytecodeModule* lowered =
+        &static_cast<opec_rt::bytecode::VM&>(warm.engine()).Bytecode();
+    ExpectIdentical(cold, ObserveRun(warm), label + " first run");
+    for (int i = 0; i < 2; ++i) {
+      warm.RestoreBoot();
+      auto& vm = static_cast<opec_rt::bytecode::VM&>(warm.engine());
+      EXPECT_TRUE(vm.lowered()) << label;
+      EXPECT_EQ(&vm.Bytecode(), lowered) << label;
+      ExpectIdentical(cold, ObserveRun(warm), label + " warm run");
+    }
+  }
 }
 
 // The peephole superinstructions must actually fire: a representative app

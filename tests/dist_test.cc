@@ -170,17 +170,7 @@ TEST(DistTransport, UnknownFrameTypeRejected) {
 // ---------------------------------------------------------------------------
 // Message round-trips.
 
-TEST(DistWire, HandshakeMessagesRoundTrip) {
-  opec_dist::HelloMsg hello;
-  hello.worker_name = "w-test";
-  StateWriter hw;
-  opec_dist::WriteHello(hw, hello);
-  std::vector<uint8_t> hb = hw.Take();
-  StateReader hr(hb);
-  opec_dist::HelloMsg hello2 = opec_dist::ReadHello(hr);
-  EXPECT_EQ(hello2.version, opec_dist::kProtocolVersion);
-  EXPECT_EQ(hello2.worker_name, "w-test");
-
+TEST(DistWire, WelcomeRoundTrip) {
   opec_dist::WelcomeMsg welcome;
   welcome.sweep = SweepKind::kFuzz;
   welcome.cold_boot = true;
@@ -546,6 +536,12 @@ opec_campaign::CampaignSpec SmallFaultSweep(size_t count) {
   return spec;
 }
 
+std::string SerialJson(const opec_campaign::CampaignSpec& spec) {
+  opec_campaign::Executor::Options serial_options;
+  serial_options.jobs = 1;
+  return opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
+}
+
 struct DistRun {
   opec_campaign::CampaignResult result;
   std::string serve_error;
@@ -584,9 +580,7 @@ DistRun RunDistCampaign(const opec_campaign::CampaignSpec& spec, size_t n_worker
 
 TEST(DistSweep, MatchesInProcessExecutorAcrossWorkerCounts) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(10);
-  opec_campaign::Executor::Options serial_options;
-  serial_options.jobs = 1;
-  std::string serial = opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
+  std::string serial = SerialJson(spec);
 
   for (size_t n : {1u, 2u, 4u}) {
     CampaignServer::Options options;
@@ -614,9 +608,7 @@ TEST(DistSweep, DistBlockInJsonButNotDeterministicJson) {
 
 TEST(DistSweep, WorkerDeathMidSweepReissuesAndReportUnchanged) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(10);
-  opec_campaign::Executor::Options serial_options;
-  serial_options.jobs = 1;
-  std::string serial = opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
+  std::string serial = SerialJson(spec);
 
   CampaignServer::Options options;
   options.unit_size = 2;
@@ -631,9 +623,7 @@ TEST(DistSweep, WorkerDeathMidSweepReissuesAndReportUnchanged) {
 
 TEST(DistSweep, LeaseExpiryReissuesToLiveWorker) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(8);
-  opec_campaign::Executor::Options serial_options;
-  serial_options.jobs = 1;
-  std::string serial = opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
+  std::string serial = SerialJson(spec);
 
   CampaignServer::Options options;
   options.unit_size = 2;
@@ -757,58 +747,15 @@ TEST(DistSweep, SharedCacheDirGivesArtifactHitsOnSecondRunSameReport) {
 
   // And both match the in-process executor (warm pool, cold boot — all the
   // same modeled outputs).
-  opec_campaign::Executor::Options serial_options;
-  serial_options.jobs = 1;
-  EXPECT_EQ(cold.result.DeterministicJson(),
-            opec_campaign::Executor::Run(spec, serial_options).DeterministicJson());
+  EXPECT_EQ(cold.result.DeterministicJson(), SerialJson(spec));
 }
 
 // ---------------------------------------------------------------------------
-// Fleet hardening (protocol v2): version negotiation, auth, CIDR
+// Fleet hardening: version refusal, auth, CIDR
 // allow-listing, truncation hygiene, streaming backpressure,
 // reconnect-and-resume, adaptive unit sizing, chunked artifact replies.
 
-std::string SerialJson(const opec_campaign::CampaignSpec& spec) {
-  opec_campaign::Executor::Options serial_options;
-  serial_options.jobs = 1;
-  return opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
-}
-
-TEST(DistWire, VersionNegotiation) {
-  opec_dist::HelloMsg hello;  // defaults: a current-dialect peer
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), opec_dist::kProtocolVersion);
-  hello.version = 1;
-  hello.min_version = 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), 1u);
-  // A future peer that can still fall back to our dialect.
-  hello.version = 99;
-  hello.min_version = 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), opec_dist::kProtocolVersion);
-  // A peer that demands a dialect newer than ours: no common version.
-  hello.min_version = opec_dist::kProtocolVersion + 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), 0u);
-}
-
-TEST(DistWire, V1HelloCarriesOnlyVersionAndName) {
-  opec_dist::HelloMsg hello;
-  hello.version = 1;
-  hello.worker_name = "legacy";
-  hello.token = "never-sent-on-v1";
-  hello.worker_id = "never-sent-on-v1";
-  StateWriter w;
-  opec_dist::WriteHello(w, hello);
-  std::vector<uint8_t> bytes = w.Take();
-  StateReader r(bytes);
-  opec_dist::HelloMsg got = opec_dist::ReadHello(r);
-  EXPECT_EQ(got.version, 1u);
-  EXPECT_EQ(got.worker_name, "legacy");
-  EXPECT_EQ(got.token, "");
-  EXPECT_EQ(got.worker_id, "");
-  EXPECT_FALSE(got.resumable);
-  EXPECT_EQ(got.resume_unit, opec_dist::kNoResumeUnit);
-}
-
-TEST(DistWire, V2HelloRoundTripsResumeCursor) {
+TEST(DistWire, HelloRoundTrip) {
   opec_dist::HelloMsg hello;
   hello.worker_name = "w7";
   hello.token = "sesame";
@@ -822,6 +769,7 @@ TEST(DistWire, V2HelloRoundTripsResumeCursor) {
   StateReader r(bytes);
   opec_dist::HelloMsg got = opec_dist::ReadHello(r);
   EXPECT_EQ(got.version, opec_dist::kProtocolVersion);
+  EXPECT_EQ(got.worker_name, "w7");
   EXPECT_EQ(got.token, "sesame");
   EXPECT_EQ(got.worker_id, "host7#3");
   EXPECT_TRUE(got.resumable);
@@ -855,7 +803,7 @@ TEST(DistTransport, CidrParseAndMatch) {
 }
 
 TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
-  // Sweep a v2 hello and a campaign result frame: EOF at any byte offset
+  // Sweep a hello and a campaign result frame: EOF at any byte offset
   // inside the frame must surface as a clean "truncated frame", and a fresh
   // transport (what a reconnect from the same worker id gets — the receive
   // buffer is per connection) must decode the full frame untainted.
@@ -910,29 +858,24 @@ TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
   }
 }
 
-TEST(DistAuth, BadTokenHungUpOnBeforeAnyBytes) {
+// A refused peer gets no welcome and no error frame: the server hangs up
+// before any reply byte (kEof, not a frame or a mid-frame error) and counts
+// it in peers_rejected, while a good worker runs the sweep alone.
+void ExpectRefusedBeforeAnyBytes(const std::string& auth_token, const Frame& hello) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(4);
   std::string serial = SerialJson(spec);
 
   CampaignServer::Options options;
   options.unit_size = 2;
-  options.auth_token = "sesame";
+  options.auth_token = auth_token;
   CampaignServer server(spec, options);
 
   auto [bad_server_end, bad_end] = LocalPair();
   server.AddWorker(std::move(bad_server_end));
   auto [good_server_end, good_end] = LocalPair();
   server.AddWorker(std::move(good_server_end));
+  ASSERT_EQ(bad_end->Send(hello), Transport::Status::kOk);
 
-  opec_dist::HelloMsg hello;
-  hello.worker_name = "intruder";
-  hello.token = "wrong";
-  ASSERT_EQ(bad_end->Send(MakeFrame(FrameType::kHello,
-                                    [&](StateWriter& w) { opec_dist::WriteHello(w, hello); })),
-            Transport::Status::kOk);
-
-  // kEof (not a frame, not a mid-frame error) proves the server hung up
-  // without sending a single byte back.
   Transport::Status bad_status = Transport::Status::kOk;
   std::thread intruder([&, transport = bad_end.get()] {
     Frame f;
@@ -942,7 +885,7 @@ TEST(DistAuth, BadTokenHungUpOnBeforeAnyBytes) {
   std::thread good([&, transport = good_end.get()] {
     WorkerOptions wo;
     wo.name = "legit";
-    wo.token = "sesame";
+    wo.token = auth_token;
     good_error = RunWorker(*transport, wo);
   });
   std::string err = server.Serve();
@@ -952,8 +895,26 @@ TEST(DistAuth, BadTokenHungUpOnBeforeAnyBytes) {
   EXPECT_EQ(good_error, "");
   EXPECT_EQ(bad_status, Transport::Status::kEof);
   EXPECT_EQ(server.dist_stats().peers_rejected, 1u);
-  EXPECT_EQ(server.dist_stats().workers, 1u);  // the intruder never joined
+  EXPECT_EQ(server.dist_stats().workers, 1u);  // the refused peer never joined
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
+}
+
+TEST(DistAuth, BadTokenHungUpOnBeforeAnyBytes) {
+  opec_dist::HelloMsg hello;
+  hello.worker_name = "intruder";
+  hello.token = "wrong";
+  ExpectRefusedBeforeAnyBytes("sesame", MakeFrame(FrameType::kHello, [&](StateWriter& w) {
+                                opec_dist::WriteHello(w, hello);
+                              }));
+}
+
+// Both ends ship from one tree, so a hello from any other protocol version
+// (here version 1: version + worker name) is refused like a bad token.
+TEST(DistAuth, OtherProtocolVersionHungUpOnBeforeAnyBytes) {
+  ExpectRefusedBeforeAnyBytes("", MakeFrame(FrameType::kHello, [](StateWriter& w) {
+                                w.U32(1);
+                                w.Str("legacy");
+                              }));
 }
 
 TEST(DistAuth, TcpPeerOutsideAllowListRefusedAtAccept) {
@@ -1001,57 +962,6 @@ TEST(DistAuth, TcpPeerOutsideAllowListRefusedAtAccept) {
   ASSERT_EQ(serve_error, "");
   EXPECT_EQ(worker_error, "");
   EXPECT_GE(server.dist_stats().peers_rejected, 1u);
-  EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
-}
-
-TEST(DistSweep, V1HelloPeerStillWelcomed) {
-  opec_campaign::CampaignSpec spec = SmallFaultSweep(2);
-  std::string serial = SerialJson(spec);
-
-  CampaignServer::Options options;
-  options.unit_size = 1;
-  CampaignServer server(spec, options);
-  auto [stub_server_end, stub_end] = LocalPair();
-  server.AddWorker(std::move(stub_server_end));
-  auto [real_server_end, real_end] = LocalPair();
-  server.AddWorker(std::move(real_server_end));
-
-  // A v1 peer completes the handshake and gets a v1 welcome; the v2 worker
-  // runs the sweep alongside it.
-  opec_dist::HelloMsg hello;
-  hello.version = 1;
-  hello.worker_name = "legacy";
-  ASSERT_EQ(stub_end->Send(MakeFrame(FrameType::kHello,
-                                     [&](StateWriter& w) { opec_dist::WriteHello(w, hello); })),
-            Transport::Status::kOk);
-
-  uint32_t welcomed_version = 0;
-  std::thread legacy([&, transport = stub_end.get()] {
-    Frame f;
-    while (transport->Recv(&f) == Transport::Status::kOk) {
-      if (f.type == FrameType::kWelcome) {
-        StateReader r(f.payload);
-        welcomed_version = opec_dist::ReadWelcome(r).version;
-      }
-      if (f.type == FrameType::kShutdown) {
-        break;
-      }
-    }
-    transport->Close();
-  });
-  std::string real_error;
-  std::thread real([&, transport = real_end.get()] {
-    WorkerOptions wo;
-    wo.name = "real";
-    real_error = RunWorker(*transport, wo);
-  });
-  std::string err = server.Serve();
-  legacy.join();
-  real.join();
-  ASSERT_EQ(err, "");
-  EXPECT_EQ(real_error, "");
-  EXPECT_EQ(welcomed_version, 1u);
-  EXPECT_EQ(server.dist_stats().peers_rejected, 0u);
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
@@ -1319,7 +1229,7 @@ TEST(DistSweep, OversizedArtifactRepliesStreamAsChunks) {
   std::string serve_error;
   std::thread serve_thread([&] { serve_error = server.Serve(); });
 
-  // v2 stub: upload a 1000-byte artifact, fetch it back, and require the
+  // Stub worker: upload a 1000-byte artifact, fetch it back, and require the
   // reply to arrive as in-order kArtifactChunk slices bounded by the
   // advertised threshold.
   Transport* stub = stub_end.get();
