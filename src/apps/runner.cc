@@ -65,16 +65,6 @@ void AppRun::CaptureBoot() {
   machine_->bus().CaptureMemoryBaseline();
 }
 
-void AppRun::AdoptBootSnapshot(opec_snapshot::Snapshot snapshot) {
-  boot_snapshot_ = std::make_unique<opec_snapshot::Snapshot>(std::move(snapshot));
-  // Full restore first (the snapshot's memory image replaces whatever the
-  // build left), then arm the dirty-page baseline at this — now canonical —
-  // quiescent point so later RestoreBoot() calls ride the fast path.
-  boot_snapshot_->Restore(*machine_);
-  machine_->bus().CaptureMemoryBaseline();
-  ResetRunState();
-}
-
 void AppRun::RestoreBoot() {
   OPEC_CHECK_MSG(boot_snapshot_ != nullptr, "RestoreBoot() without CaptureBoot()");
   if (machine_->bus().has_memory_baseline()) {
@@ -82,10 +72,6 @@ void AppRun::RestoreBoot() {
   } else {
     boot_snapshot_->Restore(*machine_);
   }
-  ResetRunState();
-}
-
-void AppRun::ResetRunState() {
   // The monitor's and engine's pre-run state is entirely constructor-derived
   // (from the immutable policy/module), so fresh objects are equivalent to —
   // and simpler than — rolling back attacks, counters and fault reports. The

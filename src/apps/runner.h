@@ -75,16 +75,6 @@ class AppRun {
   // again (the bytecode VM's lowered module carries over). This is the
   // warm-start path campaign jobs fork from.
   void CaptureBoot();
-  // Adopts a boot snapshot captured by another AppRun of the same (app, mode)
-  // — possibly in another process (the dist artifact cache, DESIGN.md §16) —
-  // instead of capturing one: restores it into this machine, arms the
-  // dirty-page baseline, and rebuilds monitor + engine exactly as RestoreBoot
-  // does. Provenance (board sizes, module entry table) is checked by the
-  // section LoadState methods; a cross-provenance snapshot is an OPEC_CHECK
-  // error, never silent corruption.
-  void AdoptBootSnapshot(opec_snapshot::Snapshot snapshot);
-  bool has_boot_snapshot() const { return boot_snapshot_ != nullptr; }
-  const opec_snapshot::Snapshot& boot_snapshot() const { return *boot_snapshot_; }
   void RestoreBoot();
   // Wraps the engine's supervisor in a RoundTripProbe (fuzz oracle 5): every
   // SVC boundary capture→restores the full state in place. Call before
@@ -127,9 +117,6 @@ class AppRun {
   // Builds the engine of the selected kind (also used by RestoreBoot to
   // recreate it against the restored machine).
   std::unique_ptr<opec_rt::Engine> MakeEngine();
-  // After a boot restore: fresh monitor and engine (keeping the lowered
-  // bytecode), and no per-run instrumentation.
-  void ResetRunState();
 
   const Application& app_;
   BuildMode mode_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -340,12 +341,13 @@ class CountingSink : public opec_obs::Sink {
   uint64_t count_ = 0;
 };
 
-// Warm-start cache: one booted AppRun per (app, mode) per worker thread.
-// Thread-local on purpose — no cross-thread sharing, so jobs stay isolated
-// (TSan-clean) and results stay placement-deterministic. The first use on a
-// thread pays the full cold build and captures the post-boot snapshot; every
-// later job on that thread rewinds to it with RestoreBoot(), skipping
-// BuildModule + CompileOpec + LoadGlobals.
+// Warm-start cache: one booted AppRun per (app, mode, engine) per worker
+// thread — pool threads in-process, and the single thread of each dist worker
+// process. Thread-local on purpose — no cross-thread sharing, so jobs stay
+// isolated (TSan-clean) and results stay placement-deterministic. The first
+// use on a thread pays the full cold build and captures the post-boot
+// snapshot; every later job on that thread rewinds to it with RestoreBoot(),
+// skipping BuildModule + CompileOpec + LoadGlobals and the bytecode lowering.
 opec_apps::AppRun* WarmRun(const opec_apps::AppFactory& factory,
                            opec_apps::BuildMode mode, opec_apps::EngineKind engine) {
   struct Entry {
@@ -391,8 +393,6 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
     app = factory->make();
     cold_run = std::make_unique<opec_apps::AppRun>(*app, spec.mode, spec.engine);
     run_ptr = cold_run.get();
-  } else if (env.warm_provider) {
-    run_ptr = env.warm_provider(*factory, spec.mode, spec.engine);
   } else {
     run_ptr = WarmRun(*factory, spec.mode, spec.engine);
   }
@@ -910,7 +910,6 @@ std::string ResultsJson(const CampaignResult& result, bool with_timing) {
       json << "    \"reconnects\": " << d.reconnects << ",\n";
       json << "    \"peers_rejected\": " << d.peers_rejected << ",\n";
       json << "    \"late_results\": " << d.late_results << ",\n";
-      json << "    \"chunks_sent\": " << d.chunks_sent << ",\n";
       json << "    \"adaptive_units\": " << (d.adaptive_units ? "true" : "false") << ",\n";
       json << "    \"unit_size_min\": " << d.unit_size_min << ",\n";
       json << "    \"unit_size_max\": " << d.unit_size_max << ",\n";
@@ -918,11 +917,7 @@ std::string ResultsJson(const CampaignResult& result, bool with_timing) {
       for (size_t i = 0; i < d.max_inflight.size(); ++i) {
         json << (i == 0 ? "" : ", ") << d.max_inflight[i];
       }
-      json << "],\n";
-      json << "    \"artifacts\": {\"hits\": " << d.artifact_hits
-           << ", \"misses\": " << d.artifact_misses
-           << ", \"evictions\": " << d.artifact_evictions
-           << ", \"digest_mismatches\": " << d.artifact_digest_mismatches << "}\n";
+      json << "]\n";
       json << "  }";
     }
   }

@@ -3,10 +3,11 @@
 //
 // A campaign is a job matrix — apps x build modes x seeds, scenario runs or
 // fault-injection runs — executed by a work-stealing thread pool. Every job
-// builds its own Module/Machine/AppRun from scratch (the harness has no
-// process-global mutable state; the obs Hub is thread-local), so jobs are
-// fully isolated and the aggregated result is bit-identical whether the
-// campaign runs on one thread or many:
+// runs on a Module/Machine/AppRun no other thread touches: built from scratch
+// under cold_boot, else rewound to the post-boot snapshot of its thread's
+// warm pool (the harness has no process-global mutable state; the obs Hub is
+// thread-local), so jobs are fully isolated and the aggregated result is
+// bit-identical whether the campaign runs on one thread or many:
 //   * results are placed by job index, never by completion order;
 //   * each job derives all randomness from a SplitMix64 PRNG seeded by
 //     (campaign seed, job index) — nothing touches global rand();
@@ -21,7 +22,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -203,8 +203,8 @@ const char* OutcomeName(Outcome outcome);
 
 // Distributed-execution statistics (src/dist, DESIGN.md §16). Host-side
 // scheduling observability — queue depth, lease churn, per-worker in-flight
-// peaks, artifact-cache traffic. None of it is modeled data, so it is
-// rendered only by CampaignResult::Json() (the timing report) and never by
+// peaks, refused peers. None of it is modeled data, so it is rendered only by
+// CampaignResult::Json() (the timing report) and never by
 // DeterministicJson(): byte-identity across worker counts is preserved.
 struct DistStats {
   bool active = false;          // a distributed executor produced this result
@@ -214,16 +214,11 @@ struct DistStats {
   uint64_t units_reissued = 0;  // units re-queued after worker death
   uint64_t leases_expired = 0;  // units re-queued after lease timeout
   uint64_t queue_high_water = 0;  // max pending jobs observed
-  uint64_t artifact_hits = 0;     // worker cache hits (snapshots + modules)
-  uint64_t artifact_misses = 0;
-  uint64_t artifact_evictions = 0;
-  uint64_t artifact_digest_mismatches = 0;  // corrupt/mismatched artifacts rejected
-  // Fleet hardening (protocol v2).
+  // Fleet hardening.
   uint64_t links_lost = 0;      // resumable links dropped (leases parked)
   uint64_t reconnects = 0;      // worker ids that rejoined after a drop
   uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
   uint64_t late_results = 0;    // result frames landing without a live lease
-  uint64_t chunks_sent = 0;     // artifact chunk frames streamed
   bool adaptive_units = false;  // EWMA-driven unit sizing was active
   uint64_t unit_size_min = 0;   // smallest/largest unit carved (0 = none)
   uint64_t unit_size_max = 0;
@@ -287,10 +282,10 @@ class Executor {
     uint64_t default_timeout_ms = 0;  // overrides spec.timeout_ms when nonzero
     std::string trace_dir;  // non-empty: per-job Chrome traces written here
     // Warm start (DESIGN.md §13): each worker thread keeps one booted AppRun
-    // per (app, mode) and forks every job from its post-boot snapshot instead
-    // of rebuilding module + compile + image from scratch. Results are
-    // bit-identical to cold boots (campaign_test.cc pins this); set cold_boot
-    // to force the from-scratch path anyway.
+    // per (app, mode, engine) and forks every job from its post-boot snapshot
+    // instead of rebuilding module + compile + image from scratch. Results
+    // are bit-identical to cold boots (campaign_test.cc pins this); set
+    // cold_boot to force the from-scratch path anyway.
     bool cold_boot = false;
     // Non-empty: diverging jobs (outcome other than ok / not-fired / benign)
     // dump their final machine+monitor+engine snapshot here as
@@ -314,16 +309,11 @@ class Executor {
 
 // Executor-level knobs threaded into each job (see Executor::Options).
 struct JobEnv {
-  // Default cold: standalone RunJob() stays fully from-scratch; the executor
-  // and dist workers opt into the warm-start pool explicitly.
+  // Default cold: standalone RunJob() stays fully from-scratch. The executor
+  // and dist workers (from the server's welcome) opt into the thread-local
+  // warm-start pool, one booted AppRun per (app, mode, engine) per thread.
   bool cold_boot = true;
   std::string snapshot_dir;
-  // Non-null: overrides the built-in thread-local warm-run pool. The dist
-  // worker plugs its artifact-cache-backed pool in here. The returned AppRun
-  // must already be rewound to its boot snapshot.
-  std::function<opec_apps::AppRun*(const opec_apps::AppFactory& factory,
-                                   opec_apps::BuildMode mode, opec_apps::EngineKind engine)>
-      warm_provider;
 };
 
 // Fills the derived fields of a job exactly the way Executor::Run does:

@@ -67,7 +67,6 @@ std::string ServeFleet(CampaignServer& server, const FleetOptions& fleet) {
       }
       WorkerOptions options;
       options.name = "w" + std::to_string(i);
-      options.cache_dir = fleet.worker.cache_dir;
       options.token = fleet.worker.token;
       std::string err = RunWorker(*pairs[i].second, options);
       if (!err.empty()) {
@@ -148,11 +147,6 @@ void AddFleetFlags(opec_support::FlagSet& flags, FleetOptions* fleet) {
   });
   flags.Int("--target-unit-ms", &fleet->server.target_unit_ms, 1, 600000);
   flags.Int("--lease-ms", &fleet->server.lease_ms, 1, 3600000);
-  flags.Custom("--cache-dir", [fleet](const std::string& v) {
-    fleet->server.cache_dir = v;
-    fleet->worker.cache_dir = v;
-    return std::string();
-  });
   flags.Custom("--auth-token", [fleet](const std::string& v) {
     fleet->server.auth_token = v;
     fleet->worker.token = v;

@@ -8,11 +8,12 @@
 //   --connect HOST:PORT  one TCP worker; the sweep comes from the server
 //
 // The roles are mutually exclusive. The other fleet flags tune the server
-// (--unit-size N|auto, --target-unit-ms, --lease-ms, --allow CIDR,...), the
-// TCP worker (--worker-id, --reconnect, --reconnect-delay-ms) or both
-// (--cache-dir, --auth-token), and arm the chaos hooks that prove a report
-// survives a killed (--chaos-kill-after R), stalled (--chaos-stop-after R)
-// or disconnected (--chaos-drop-after J) worker.
+// (--unit-size N|auto, --target-unit-ms, --lease-ms, --allow CIDR), the TCP
+// worker (--worker-id, --reconnect, --reconnect-delay-ms) or both
+// (--auth-token), and arm the chaos hooks that prove a report survives a
+// killed (--chaos-kill-after R), stalled (--chaos-stop-after R) or
+// disconnected (--chaos-drop-after J) worker. Every worker warm-starts like
+// an in-process pool thread (worker.h).
 
 #ifndef SRC_DIST_FLEET_H_
 #define SRC_DIST_FLEET_H_
@@ -42,7 +43,7 @@ struct FleetOptions {
   bool distributed() const { return workers > 0 || serve_port > 0 || !connect.empty(); }
 };
 
-// Declares the fifteen fleet flags.
+// Declares the fourteen fleet flags.
 void AddFleetFlags(opec_support::FlagSet& flags, FleetOptions* fleet);
 
 // "" unless more than one role is set.

@@ -45,8 +45,7 @@ CampaignServer::CampaignServer(const opec_campaign::CampaignSpec& spec,
                                const Options& options)
     : options_(options),
       sweep_(SweepKind::kCampaign),
-      campaign_seed_(spec.seed),
-      cache_(options.cache_dir, options.cache_max_bytes) {
+      campaign_seed_(spec.seed) {
   resolved_.reserve(spec.jobs.size());
   for (size_t i = 0; i < spec.jobs.size(); ++i) {
     resolved_.push_back(opec_campaign::ResolveJobSpec(spec.jobs[i], i, spec.seed,
@@ -62,8 +61,7 @@ CampaignServer::CampaignServer(uint64_t fuzz_base_seed, uint64_t fuzz_count,
                                const Options& options)
     : options_(options),
       sweep_(SweepKind::kFuzz),
-      fuzz_base_seed_(fuzz_base_seed),
-      cache_(options.cache_dir, options.cache_max_bytes) {
+      fuzz_base_seed_(fuzz_base_seed) {
   BuildQueue(static_cast<size_t>(fuzz_count));
   case_results_.resize(total_);
 }
@@ -356,9 +354,6 @@ void CampaignServer::RecordResult(size_t wi, const ResultMsg& msg) {
   if (!w.hello_done) {
     return;
   }
-  Session& session = sessions_[w.session_key];
-  session.cache = msg.cache;  // cumulative sample; latest wins
-
   auto lease_it = leases_.find(msg.unit_id);
   bool own_lease = lease_it != leases_.end() && !lease_it->second.parked &&
                    lease_it->second.worker == wi;
@@ -536,7 +531,6 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
   welcome.sweep = sweep_;
   welcome.cold_boot = options_.cold_boot;
   welcome.snapshot_dir = options_.snapshot_dir;
-  welcome.chunk_threshold = options_.chunk_threshold;
   EnqueueFrame(wi, MakeFrame(FrameType::kWelcome,
                              [&](opec_hw::StateWriter& sw) { WriteWelcome(sw, welcome); }));
   return !workers_[wi].dead;
@@ -662,84 +656,10 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       RecordResult(wi, msg);
       return true;
     }
-    case FrameType::kArtifactQuery: {
-      ArtifactQueryMsg q = ReadArtifactQuery(r);
-      ArtifactInfoMsg info;
-      info.key = q.key;
-      auto it = artifact_keys_.find(q.key);
-      if (it != artifact_keys_.end()) {
-        info.known = true;
-        info.digest = it->second;
-      }
-      EnqueueFrame(wi, MakeFrame(FrameType::kArtifactInfo, [&](opec_hw::StateWriter& sw) {
-                     WriteArtifactInfo(sw, info);
-                   }));
-      return !workers_[wi].dead;
-    }
-    case FrameType::kArtifactFetch: {
-      ArtifactFetchMsg f = ReadArtifactFetch(r);
-      std::vector<uint8_t> bytes;
-      bool found = cache_.Get(f.digest, &bytes);
-      uint32_t threshold =
-          options_.chunk_threshold == 0 ? kDefaultChunkThreshold : options_.chunk_threshold;
-      if (found && bytes.size() > threshold) {
-        // Stream in bounded slices: the outbox interleaves fairness at frame
-        // granularity, so one snapshot-sized reply never monopolizes a link.
-        uint64_t total = bytes.size();
-        for (uint64_t off = 0; off < total && !workers_[wi].dead; off += threshold) {
-          ArtifactChunkMsg chunk;
-          chunk.digest = f.digest;
-          chunk.total = total;
-          chunk.offset = off;
-          uint64_t end = std::min<uint64_t>(off + threshold, total);
-          chunk.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(off),
-                             bytes.begin() + static_cast<ptrdiff_t>(end));
-          EnqueueFrame(wi, MakeFrame(FrameType::kArtifactChunk,
-                                     [&](opec_hw::StateWriter& sw) {
-                                       WriteArtifactChunk(sw, chunk);
-                                     }));
-          ++stats_.chunks_sent;
-        }
-      } else {
-        ArtifactDataMsg data;
-        data.digest = f.digest;
-        data.found = found;
-        data.bytes = std::move(bytes);
-        EnqueueFrame(wi, MakeFrame(FrameType::kArtifactData, [&](opec_hw::StateWriter& sw) {
-                       WriteArtifactData(sw, data);
-                     }));
-      }
-      return !workers_[wi].dead;
-    }
-    case FrameType::kArtifactAnnounce: {
-      ArtifactAnnounceMsg a = ReadArtifactAnnounce(r);
-      if (a.with_bytes) {
-        uint64_t actual = cache_.Put(a.bytes);
-        if (actual != a.digest) {
-          // Announced digest does not match the content: refuse to register
-          // the key (the bytes are cached under their true digest, harmless).
-          ++stats_.artifact_digest_mismatches;
-          return true;
-        }
-      }
-      // First announcement wins: every worker derives the artifact from the
-      // same deterministic build, so later digests must agree; a disagreement
-      // is recorded and the original mapping kept.
-      auto it = artifact_keys_.find(a.key);
-      if (it == artifact_keys_.end()) {
-        artifact_keys_[a.key] = a.digest;
-      } else if (it->second != a.digest) {
-        ++stats_.artifact_digest_mismatches;
-      }
-      return true;
-    }
     case FrameType::kWelcome:
     case FrameType::kAssign:
     case FrameType::kNoWork:
     case FrameType::kShutdown:
-    case FrameType::kArtifactInfo:
-    case FrameType::kArtifactData:
-    case FrameType::kArtifactChunk:
       break;
   }
   KillWorker(wi, "unexpected frame from worker");
@@ -764,9 +684,6 @@ std::string CampaignServer::Serve() {
         return fail("campaign output directory unusable: " + err);
       }
     }
-  }
-  if (!cache_.ok()) {
-    return fail(cache_.error());
   }
   stats_.active = true;
 
@@ -965,12 +882,7 @@ std::string CampaignServer::Serve() {
   // Fold per-session counters (they survive reconnects: one entry per worker
   // id, or per connection for anonymous workers) into the stats.
   for (const std::string& key : session_order_) {
-    const Session& s = sessions_[key];
-    stats_.max_inflight.push_back(s.max_inflight);
-    stats_.artifact_hits += s.cache.hits;
-    stats_.artifact_misses += s.cache.misses;
-    stats_.artifact_evictions += s.cache.evictions;
-    stats_.artifact_digest_mismatches += s.cache.digest_mismatches;
+    stats_.max_inflight.push_back(sessions_[key].max_inflight);
   }
   return "";
 }

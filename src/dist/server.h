@@ -1,5 +1,7 @@
 // The campaign server (DESIGN.md §16): owns the sharded job queue, leases
 // work units to connected workers, and reassembles results index-ordered.
+// It ships resolved job specs only; each worker builds and warm-starts its
+// apps itself (worker.h).
 //
 // Single-threaded by construction — one poll() loop multiplexes every worker
 // transport (and, optionally, a TCP accept socket). There is no shared
@@ -57,7 +59,6 @@
 #include <vector>
 
 #include "src/campaign/campaign.h"
-#include "src/dist/cache.h"
 #include "src/dist/transport.h"
 #include "src/dist/wire.h"
 #include "src/fuzz/oracles.h"
@@ -73,12 +74,9 @@ class CampaignServer {
     size_t max_unit_size = 64;      // adaptive: hard cap on jobs per unit
     uint64_t lease_ms = 30000;  // lease expiry; 0 = leases never expire
     uint32_t retry_ms = 20;   // kNoWork retry hint to idle workers
-    std::string cache_dir;    // server-side artifact bytes ("" = in-memory)
-    uint64_t cache_max_bytes = 0;
     // Fleet hardening.
     std::string auth_token;   // "" = no auth; else hellos must present it
     std::vector<Cidr> allow;  // TCP peer allow-list; empty = accept any
-    uint32_t chunk_threshold = kDefaultChunkThreshold;  // artifact chunking
     uint64_t outbox_max_bytes = 128ull << 20;  // kill a peer stalled past this
     uint64_t drain_ms = 10000;  // post-sweep straggler drain deadline
     // Job environment shipped in kWelcome / baked into resolved specs.
@@ -165,7 +163,6 @@ class CampaignServer {
   // reconnects; folded into DistStats after the sweep.
   struct Session {
     uint64_t max_inflight = 0;
-    CacheCounters cache;  // latest cumulative sample
   };
 
   void BuildQueue(size_t total);
@@ -220,9 +217,6 @@ class CampaignServer {
   std::unordered_map<std::string, Session> sessions_;
   int listen_fd_ = -1;
   std::function<void(size_t, size_t)> on_progress_;
-
-  ArtifactCache cache_;
-  std::unordered_map<std::string, uint64_t> artifact_keys_;  // key -> digest
 
   opec_campaign::DistStats stats_;
 };

@@ -180,7 +180,7 @@ int FdTransport::TryExtract(Frame* frame) {
     error_ = "frame payload too large";
     return -1;
   }
-  if (h[4] > static_cast<uint8_t>(FrameType::kArtifactChunk)) {
+  if (h[4] > static_cast<uint8_t>(FrameType::kShutdown)) {
     error_ = "unknown frame type";
     return -1;
   }

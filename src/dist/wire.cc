@@ -19,7 +19,6 @@ void WriteU64Vec(StateWriter& w, const std::vector<uint64_t>& v) {
 std::vector<uint64_t> ReadU64Vec(StateReader& r) {
   uint64_t n = r.U64();
   std::vector<uint64_t> v;
-  v.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     v.push_back(r.U64());
   }
@@ -44,18 +43,6 @@ const char* FrameTypeName(FrameType type) {
       return "result";
     case FrameType::kShutdown:
       return "shutdown";
-    case FrameType::kArtifactQuery:
-      return "artifact-query";
-    case FrameType::kArtifactInfo:
-      return "artifact-info";
-    case FrameType::kArtifactFetch:
-      return "artifact-fetch";
-    case FrameType::kArtifactData:
-      return "artifact-data";
-    case FrameType::kArtifactAnnounce:
-      return "artifact-announce";
-    case FrameType::kArtifactChunk:
-      return "artifact-chunk";
   }
   return "?";
 }
@@ -103,7 +90,6 @@ void WriteWelcome(StateWriter& w, const WelcomeMsg& m) {
   w.U8(static_cast<uint8_t>(m.sweep));
   w.Bool(m.cold_boot);
   w.Str(m.snapshot_dir);
-  w.U32(m.chunk_threshold);
 }
 
 WelcomeMsg ReadWelcome(StateReader& r) {
@@ -114,7 +100,6 @@ WelcomeMsg ReadWelcome(StateReader& r) {
   m.sweep = static_cast<SweepKind>(sweep);
   m.cold_boot = r.Bool();
   m.snapshot_dir = r.Str();
-  m.chunk_threshold = r.U32();
   return m;
 }
 
@@ -225,7 +210,6 @@ opec_fuzz::CaseResult ReadCaseResult(StateReader& r) {
   result.summary = r.Str();
   result.digest = r.Str();
   uint64_t n = r.U64();
-  result.divergences.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     opec_fuzz::Divergence d;
     uint8_t oracle = r.U8();
@@ -256,7 +240,6 @@ AssignMsg ReadAssign(StateReader& r, SweepKind sweep) {
   m.indexes = ReadU64Vec(r);
   if (sweep == SweepKind::kCampaign) {
     uint64_t n = r.U64();
-    m.jobs.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       m.jobs.push_back(ReadJobSpec(r));
     }
@@ -280,10 +263,6 @@ void WriteResult(StateWriter& w, SweepKind sweep, const ResultMsg& m) {
       WriteCaseResult(w, result);
     }
   }
-  w.U64(m.cache.hits);
-  w.U64(m.cache.misses);
-  w.U64(m.cache.evictions);
-  w.U64(m.cache.digest_mismatches);
 }
 
 ResultMsg ReadResult(StateReader& r, SweepKind sweep) {
@@ -292,234 +271,15 @@ ResultMsg ReadResult(StateReader& r, SweepKind sweep) {
   m.indexes = ReadU64Vec(r);
   uint64_t n = r.U64();
   if (sweep == SweepKind::kCampaign) {
-    m.jobs.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       m.jobs.push_back(ReadJobResult(r));
     }
   } else {
-    m.cases.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       m.cases.push_back(ReadCaseResult(r));
     }
   }
-  m.cache.hits = r.U64();
-  m.cache.misses = r.U64();
-  m.cache.evictions = r.U64();
-  m.cache.digest_mismatches = r.U64();
   return m;
-}
-
-void WriteArtifactQuery(StateWriter& w, const ArtifactQueryMsg& m) { w.Str(m.key); }
-
-ArtifactQueryMsg ReadArtifactQuery(StateReader& r) {
-  ArtifactQueryMsg m;
-  m.key = r.Str();
-  return m;
-}
-
-void WriteArtifactInfo(StateWriter& w, const ArtifactInfoMsg& m) {
-  w.Str(m.key);
-  w.Bool(m.known);
-  w.U64(m.digest);
-  w.U64(m.size);
-}
-
-ArtifactInfoMsg ReadArtifactInfo(StateReader& r) {
-  ArtifactInfoMsg m;
-  m.key = r.Str();
-  m.known = r.Bool();
-  m.digest = r.U64();
-  m.size = r.U64();
-  return m;
-}
-
-void WriteArtifactFetch(StateWriter& w, const ArtifactFetchMsg& m) { w.U64(m.digest); }
-
-ArtifactFetchMsg ReadArtifactFetch(StateReader& r) {
-  ArtifactFetchMsg m;
-  m.digest = r.U64();
-  return m;
-}
-
-void WriteArtifactData(StateWriter& w, const ArtifactDataMsg& m) {
-  w.U64(m.digest);
-  w.Bool(m.found);
-  w.Blob(m.bytes);
-}
-
-ArtifactDataMsg ReadArtifactData(StateReader& r) {
-  ArtifactDataMsg m;
-  m.digest = r.U64();
-  m.found = r.Bool();
-  m.bytes = r.Blob();
-  return m;
-}
-
-void WriteArtifactChunk(StateWriter& w, const ArtifactChunkMsg& m) {
-  w.U64(m.digest);
-  w.U64(m.total);
-  w.U64(m.offset);
-  w.Blob(m.bytes);
-}
-
-ArtifactChunkMsg ReadArtifactChunk(StateReader& r) {
-  ArtifactChunkMsg m;
-  m.digest = r.U64();
-  m.total = r.U64();
-  m.offset = r.U64();
-  m.bytes = r.Blob();
-  return m;
-}
-
-void WriteArtifactAnnounce(StateWriter& w, const ArtifactAnnounceMsg& m) {
-  w.Str(m.key);
-  w.U64(m.digest);
-  w.Bool(m.with_bytes);
-  if (m.with_bytes) {
-    w.Blob(m.bytes);
-  }
-}
-
-ArtifactAnnounceMsg ReadArtifactAnnounce(StateReader& r) {
-  ArtifactAnnounceMsg m;
-  m.key = r.Str();
-  m.digest = r.U64();
-  m.with_bytes = r.Bool();
-  if (m.with_bytes) {
-    m.bytes = r.Blob();
-  }
-  return m;
-}
-
-// Field-by-field (not memcpy of the POD): the wire format must be
-// byte-identical across hosts regardless of endianness or struct padding —
-// artifact digests are compared across processes.
-void WriteBytecodeArtifact(StateWriter& w, const opec_rt::bytecode::BytecodeModule& bc,
-                           const opec_rt::CostModel& costs) {
-  w.U64(costs.op);
-  w.U64(costs.memory);
-  w.U64(costs.branch);
-  w.U64(costs.call);
-  w.U64(costs.ret);
-  w.U64(costs.svc);
-  w.U64(bc.code.size());
-  for (const opec_rt::bytecode::Insn& ins : bc.code) {
-    w.U8(static_cast<uint8_t>(ins.op));
-    w.U8(ins.sub);
-    w.U32(ins.a);
-    w.U32(ins.b);
-    w.U32(ins.c);
-    w.U32(ins.stmt);
-    w.U32(ins.imm);
-    w.U32(ins.imm2);
-    w.U64(ins.charge);
-  }
-  w.U64(bc.funcs.size());
-  for (const opec_rt::bytecode::BytecodeFunction& fn : bc.funcs) {
-    w.U32(fn.entry);
-    w.U32(fn.nregs);
-  }
-  w.U64(bc.arg_pool.size());
-  for (uint16_t reg : bc.arg_pool) {
-    w.U32(reg);
-  }
-  w.U64(bc.messages.size());
-  for (const std::string& msg : bc.messages) {
-    w.Str(msg);
-  }
-  w.U64(bc.acct.size());
-  for (const auto& [offset, length] : bc.acct) {
-    w.U32(offset);
-    w.U32(length);
-  }
-  w.U64(bc.acct_pool.size());
-  for (int64_t entry : bc.acct_pool) {
-    w.U64(static_cast<uint64_t>(entry));
-  }
-  w.U32(bc.max_regs);
-}
-
-bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
-                          opec_rt::CostModel* costs) {
-  costs->op = r.U64();
-  costs->memory = r.U64();
-  costs->branch = r.U64();
-  costs->call = r.U64();
-  costs->ret = r.U64();
-  costs->svc = r.U64();
-  uint64_t ncode = r.U64();
-  bc->code.clear();
-  bc->code.reserve(ncode);
-  for (uint64_t i = 0; i < ncode; ++i) {
-    opec_rt::bytecode::Insn ins;
-    uint8_t op = r.U8();
-    if (op > static_cast<uint8_t>(opec_rt::bytecode::Op::kAbort)) {
-      return false;
-    }
-    ins.op = static_cast<opec_rt::bytecode::Op>(op);
-    ins.sub = r.U8();
-    uint32_t a = r.U32(), b = r.U32(), c = r.U32(), stmt = r.U32();
-    if (a > 0xFFFF || b > 0xFFFF || c > 0xFFFF || stmt > 0xFFFF) {
-      return false;
-    }
-    ins.a = static_cast<uint16_t>(a);
-    ins.b = static_cast<uint16_t>(b);
-    ins.c = static_cast<uint16_t>(c);
-    ins.stmt = static_cast<uint16_t>(stmt);
-    ins.imm = r.U32();
-    ins.imm2 = r.U32();
-    ins.charge = r.U64();
-    bc->code.push_back(ins);
-  }
-  uint64_t nfuncs = r.U64();
-  bc->funcs.clear();
-  bc->funcs.reserve(nfuncs);
-  for (uint64_t i = 0; i < nfuncs; ++i) {
-    opec_rt::bytecode::BytecodeFunction fn;
-    fn.entry = r.U32();
-    uint32_t nregs = r.U32();
-    if (nregs > 0xFFFF) {
-      return false;
-    }
-    fn.nregs = static_cast<uint16_t>(nregs);
-    bc->funcs.push_back(fn);
-  }
-  uint64_t nargs = r.U64();
-  bc->arg_pool.clear();
-  bc->arg_pool.reserve(nargs);
-  for (uint64_t i = 0; i < nargs; ++i) {
-    uint32_t reg = r.U32();
-    if (reg > 0xFFFF) {
-      return false;
-    }
-    bc->arg_pool.push_back(static_cast<uint16_t>(reg));
-  }
-  uint64_t nmsgs = r.U64();
-  bc->messages.clear();
-  bc->messages.reserve(nmsgs);
-  for (uint64_t i = 0; i < nmsgs; ++i) {
-    bc->messages.push_back(r.Str());
-  }
-  uint64_t nacct = r.U64();
-  bc->acct.clear();
-  bc->acct.reserve(nacct);
-  for (uint64_t i = 0; i < nacct; ++i) {
-    uint32_t offset = r.U32();
-    uint32_t length = r.U32();
-    bc->acct.emplace_back(offset, length);
-  }
-  uint64_t npool = r.U64();
-  bc->acct_pool.clear();
-  bc->acct_pool.reserve(npool);
-  for (uint64_t i = 0; i < npool; ++i) {
-    bc->acct_pool.push_back(static_cast<int64_t>(r.U64()));
-  }
-  uint32_t max_regs = r.U32();
-  if (max_regs > 0xFFFF) {
-    return false;
-  }
-  bc->max_regs = static_cast<uint16_t>(max_regs);
-  return true;
 }
 
 }  // namespace opec_dist

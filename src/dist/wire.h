@@ -13,17 +13,17 @@
 //
 // The protocol is deliberately small and worker-driven: workers request work
 // units, the server leases them out, results flow back keyed by job index.
-// Artifact messages implement the content-addressed cache handshake — keys
-// map to Fnv1a64 digests server-side, bytes live in per-host cache
-// directories and can be streamed through the server for cache-cold hosts.
+// Nothing else crosses the wire — each worker builds and warm-starts its apps
+// locally through the executor's own pool (campaign.h, JobEnv). A decoded
+// count never sizes an allocation up front: elements are read one by one, so
+// a hostile count fails on truncation with growth bounded by its payload.
 //
 // Versioning: both ends ship from this tree, so there is one dialect. The
 // hello frame leads with `u32 version`; a server hangs up on a hello whose
 // version is not kProtocolVersion before it sends a single byte (as it does
 // on a bad auth token), and a worker refuses a welcome from another version.
 // The hello carries the shared auth token and a stable worker id plus resume
-// cursor for reconnect-and-resume; the welcome carries the threshold above
-// which artifact replies stream as kArtifactChunk frames.
+// cursor for reconnect-and-resume.
 
 #ifndef SRC_DIST_WIRE_H_
 #define SRC_DIST_WIRE_H_
@@ -35,24 +35,18 @@
 #include "src/campaign/campaign.h"
 #include "src/fuzz/oracles.h"
 #include "src/hw/state_io.h"
-#include "src/rt/bytecode/bytecode.h"
-#include "src/rt/engine.h"
 
 namespace opec_dist {
 
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 // "No unit" sentinel for HelloMsg::resume_unit.
 inline constexpr uint64_t kNoResumeUnit = ~0ull;
 
-// Frame size cap. The largest real payloads are boot-snapshot artifacts
-// (machine memory images, single-digit MiB); the cap is a defense against
+// Frame size cap. The largest real payloads are result frames (a unit's
+// rows with their detail strings, kilobytes); the cap is a defense against
 // corrupt length prefixes, not a tuning knob.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
-
-// Artifact payloads above this stream as kArtifactChunk frames, so one
-// snapshot-sized reply never monopolizes a link.
-inline constexpr uint32_t kDefaultChunkThreshold = 1u << 20;
 
 enum class FrameType : uint8_t {
   // Handshake.
@@ -62,15 +56,8 @@ enum class FrameType : uint8_t {
   kRequestWork,  // worker -> server
   kAssign,       // server -> worker: one leased unit of resolved jobs
   kNoWork,       // server -> worker: queue momentarily empty, retry after hint
-  kResult,       // worker -> server: completed job results + cache counters
+  kResult,       // worker -> server: completed job results
   kShutdown,     // server -> worker: sweep complete, disconnect
-  // Content-addressed artifact cache.
-  kArtifactQuery,     // worker -> server: key -> digest?
-  kArtifactInfo,      // server -> worker: key, known?, digest, size
-  kArtifactFetch,     // worker -> server: digest -> bytes?
-  kArtifactData,      // server -> worker: digest, found?, bytes
-  kArtifactAnnounce,  // worker -> server: key, digest, optional bytes upload
-  kArtifactChunk,     // server -> worker: one bounded slice of a big artifact
 };
 
 const char* FrameTypeName(FrameType type);
@@ -116,8 +103,6 @@ struct WelcomeMsg {
   SweepKind sweep = SweepKind::kCampaign;
   bool cold_boot = false;
   std::string snapshot_dir;
-  // Artifact replies larger than this arrive as kArtifactChunk frames.
-  uint32_t chunk_threshold = kDefaultChunkThreshold;
 };
 
 struct NoWorkMsg {
@@ -135,60 +120,11 @@ struct AssignMsg {
   std::vector<uint64_t> fuzz_seeds;          // fuzz sweeps
 };
 
-// Worker-side artifact-cache counters, cumulative for the worker session
-// (they survive reconnects); the server keeps the latest sample per worker id
-// and sums them into DistStats.
-struct CacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t digest_mismatches = 0;
-};
-
 struct ResultMsg {
   uint64_t unit_id = 0;
   std::vector<uint64_t> indexes;
   std::vector<opec_campaign::JobResult> jobs;  // campaign sweeps
   std::vector<opec_fuzz::CaseResult> cases;    // fuzz sweeps
-  CacheCounters cache;
-};
-
-struct ArtifactQueryMsg {
-  std::string key;
-};
-
-struct ArtifactInfoMsg {
-  std::string key;
-  bool known = false;
-  uint64_t digest = 0;
-  uint64_t size = 0;
-};
-
-struct ArtifactFetchMsg {
-  uint64_t digest = 0;
-};
-
-struct ArtifactDataMsg {
-  uint64_t digest = 0;
-  bool found = false;
-  std::vector<uint8_t> bytes;
-};
-
-// One slice of an oversized artifact reply. Slices arrive in order; the
-// reply is complete when offset + bytes.size() == total. total == 0 with
-// offset == 0 signals "not found" (the chunked analogue of found=false).
-struct ArtifactChunkMsg {
-  uint64_t digest = 0;
-  uint64_t total = 0;
-  uint64_t offset = 0;
-  std::vector<uint8_t> bytes;
-};
-
-struct ArtifactAnnounceMsg {
-  std::string key;
-  uint64_t digest = 0;
-  bool with_bytes = false;
-  std::vector<uint8_t> bytes;
 };
 
 void WriteHello(opec_hw::StateWriter& w, const HelloMsg& m);
@@ -201,18 +137,6 @@ void WriteAssign(opec_hw::StateWriter& w, SweepKind sweep, const AssignMsg& m);
 AssignMsg ReadAssign(opec_hw::StateReader& r, SweepKind sweep);
 void WriteResult(opec_hw::StateWriter& w, SweepKind sweep, const ResultMsg& m);
 ResultMsg ReadResult(opec_hw::StateReader& r, SweepKind sweep);
-void WriteArtifactQuery(opec_hw::StateWriter& w, const ArtifactQueryMsg& m);
-ArtifactQueryMsg ReadArtifactQuery(opec_hw::StateReader& r);
-void WriteArtifactInfo(opec_hw::StateWriter& w, const ArtifactInfoMsg& m);
-ArtifactInfoMsg ReadArtifactInfo(opec_hw::StateReader& r);
-void WriteArtifactFetch(opec_hw::StateWriter& w, const ArtifactFetchMsg& m);
-ArtifactFetchMsg ReadArtifactFetch(opec_hw::StateReader& r);
-void WriteArtifactData(opec_hw::StateWriter& w, const ArtifactDataMsg& m);
-ArtifactDataMsg ReadArtifactData(opec_hw::StateReader& r);
-void WriteArtifactChunk(opec_hw::StateWriter& w, const ArtifactChunkMsg& m);
-ArtifactChunkMsg ReadArtifactChunk(opec_hw::StateReader& r);
-void WriteArtifactAnnounce(opec_hw::StateWriter& w, const ArtifactAnnounceMsg& m);
-ArtifactAnnounceMsg ReadArtifactAnnounce(opec_hw::StateReader& r);
 
 // Single-struct serialization shared by AssignMsg/ResultMsg and the tests.
 void WriteJobSpec(opec_hw::StateWriter& w, const opec_campaign::JobSpec& spec);
@@ -221,14 +145,6 @@ void WriteJobResult(opec_hw::StateWriter& w, const opec_campaign::JobResult& res
 opec_campaign::JobResult ReadJobResult(opec_hw::StateReader& r);
 void WriteCaseResult(opec_hw::StateWriter& w, const opec_fuzz::CaseResult& result);
 opec_fuzz::CaseResult ReadCaseResult(opec_hw::StateReader& r);
-
-// Compiled-module artifact payload: a lowered bytecode module together with
-// the cost model baked into it (VM::AdoptBytecode refuses a model mismatch).
-void WriteBytecodeArtifact(opec_hw::StateWriter& w,
-                           const opec_rt::bytecode::BytecodeModule& bc,
-                           const opec_rt::CostModel& costs);
-bool ReadBytecodeArtifact(opec_hw::StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
-                          opec_rt::CostModel* costs);
 
 // Helper: encode a payload-writing closure into a Frame.
 template <typename Fn>

@@ -5,20 +5,15 @@
 // forks one process per worker, and each `campaign --connect HOST:PORT` or
 // `fuzz --connect HOST:PORT` invocation runs one remote worker.
 //
-// Warm starts ride the content-addressed artifact cache: the worker's warm
-// pool resolves `boot/<app>/<mode>` (post-boot machine snapshot) and
-// `bcmod/<app>/<mode>` (lowered bytecode module + cost model) through the
-// local cache first, then the server; on a miss it builds cold, captures the
-// artifact, and announces it so every later worker skips the work. Adopted
-// artifacts are verified by digest and by the adoption preconditions
-// (snapshot provenance checks, VM::AdoptBytecode's module/cost-model match);
-// any rejection falls back to the cold path — wrong bytes can slow a worker
-// down, never change its results. A warm entry lowers at most once: every
-// RestoreBoot hands the lowered module to the rebuilt VM.
+// Warm starts are the executor's own: unless the welcome says cold_boot, the
+// worker's one thread keeps one booted AppRun per (app, mode, engine) in
+// RunJobImpl's thread-local pool, built and captured on first use and
+// rewound (RestoreBoot, sharing the lowered bytecode) for every later job.
+// No build product crosses the wire, so no peer can hand a worker code.
 //
 // Reconnect-and-resume: a worker with a stable `worker_id`
-// that loses the link mid-unit keeps its session state — warm pool, cache,
-// and the rows of the current unit it already finished — redials through
+// that loses the link mid-unit keeps its session state — the warm pool and
+// the rows of the current unit it already finished — redials through
 // RunWorkerLoop, presents its resume cursor in the hello, delivers the
 // partial result, and the server re-assigns only the remainder under the
 // original unit id.
@@ -38,8 +33,6 @@ namespace opec_dist {
 
 struct WorkerOptions {
   std::string name;       // for server logs
-  std::string cache_dir;  // local artifact cache ("" = in-memory, per-process)
-  uint64_t cache_max_bytes = 0;
   // Fleet hardening.
   std::string token;      // shared secret; must match the server's --auth-token
   std::string worker_id;  // stable across reconnects; "" = not resumable
@@ -62,8 +55,8 @@ struct WorkerOptions {
 std::string RunWorker(Transport& transport, const WorkerOptions& options);
 
 // Runs the worker loop with reconnect-and-resume: `connect` dials the server
-// (returns nullptr on failure). Session state — artifact cache, warm pool,
-// partially-executed unit — survives across connections. Returns "" after a
+// (returns nullptr on failure). Session state — warm pool, partially-executed
+// unit — survives across connections. Returns "" after a
 // server shutdown, else the last error once `reconnect_max` is exhausted.
 std::string RunWorkerLoop(const std::function<std::unique_ptr<Transport>()>& connect,
                           const WorkerOptions& options);

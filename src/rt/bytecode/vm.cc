@@ -93,23 +93,9 @@ void VM::EnsureLowered() {
   Install(std::make_shared<const BytecodeModule>(Lowerer::Lower(*this, costs_)), costs_);
 }
 
-bool VM::AdoptBytecode(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs) {
-  if (bc == nullptr || !(costs == costs_) ||
-      bc->funcs.size() != module_.functions().size() || bc->acct.size() != bc->code.size()) {
-    return false;
-  }
-  for (const BytecodeFunction& fn : bc->funcs) {
-    if (fn.entry >= bc->code.size()) {
-      return false;
-    }
-  }
-  Install(std::move(bc), costs);
-  return true;
-}
-
 void VM::ShareBytecode(VM& next) const {
   if (bc_ != nullptr) {
-    next.AdoptBytecode(bc_, lowered_costs_);
+    next.Install(bc_, lowered_costs_);
   }
 }
 

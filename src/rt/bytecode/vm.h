@@ -44,18 +44,11 @@ class VM : public Engine {
   // Whether a lowered module is installed yet (lowering is lazy).
   bool lowered() const { return bc_ != nullptr; }
 
-  // Adopts a pre-lowered module, shared rather than copied: the distributed
-  // artifact cache (DESIGN.md §16) ships these between workers, and a VM
-  // rebuilt over the same module and layout takes over its predecessor's
-  // (ShareBytecode). Refused (returns false) unless `costs` equals this
-  // engine's current cost model and the function table matches this module;
-  // lowering is deterministic, so an accepted adoption executes
-  // bit-identically to EnsureLowered()'s own output. The verdict cache starts
-  // empty either way.
-  bool AdoptBytecode(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs);
   // Hands this VM's lowered module, if any, to `next`: a fresh VM over the
   // same module and layout (AppRun::RestoreBoot), which then runs without
-  // lowering again.
+  // lowering again. The module is shared, not copied, and `next`'s verdict
+  // cache starts empty. Should `next` run under another cost model,
+  // EnsureLowered() lowers afresh.
   void ShareBytecode(VM& next) const;
 
  private:

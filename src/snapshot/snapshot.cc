@@ -43,7 +43,6 @@ SnapshotDelta SnapshotDelta::Deserialize(const std::vector<uint8_t>& bytes) {
   d.target_size = r.U64();
   d.target_digest = r.U64();
   uint64_t n = r.U64();
-  d.patches.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Patch p;
     p.offset = r.U64();
@@ -146,7 +145,6 @@ Snapshot Snapshot::Deserialize(const uint8_t* data, size_t size) {
                      std::to_string(kVersion) + ")");
   Snapshot s;
   uint64_t n = r.U64();
-  s.sections_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Section sec;
     sec.name = r.Str();

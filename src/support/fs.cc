@@ -1,12 +1,10 @@
 #include "src/support/fs.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <unistd.h>
 
 #include "src/support/text.h"
 
@@ -48,48 +46,6 @@ std::string EnsureDirs(const std::string& path) {
                      path.c_str());
   }
   return "";
-}
-
-std::string WriteFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes) {
-  // The temp name carries the pid so two processes racing to publish the same
-  // content-addressed artifact never clobber each other's partial writes; the
-  // final rename is atomic either way.
-  std::string tmp = StrPrintf("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return ErrnoMessage("cannot open for writing", tmp);
-  }
-  size_t written = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  int close_err = std::fclose(f);
-  if (written != bytes.size() || close_err != 0) {
-    std::remove(tmp.c_str());
-    return StrPrintf("short write to '%s'", tmp.c_str());
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::string err = ErrnoMessage("cannot rename into place", path);
-    std::remove(tmp.c_str());
-    return err;
-  }
-  return "";
-}
-
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  out->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  uint8_t buf[65536];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    out->clear();
-  }
-  return ok;
 }
 
 }  // namespace opec_support

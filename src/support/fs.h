@@ -1,15 +1,12 @@
-// Small filesystem helpers shared by the campaign executor and the
-// distributed artifact cache (src/dist). These return error strings instead
-// of firing OPEC_CHECK: an unwritable output directory is an environment
-// problem the caller should surface as a clean CLI/API error, not a host
-// logic error.
+// Small filesystem helpers shared by the campaign executor and the dist
+// server and worker (src/dist). These return error strings instead of firing
+// OPEC_CHECK: an unwritable output directory is an environment problem the
+// caller should surface as a clean CLI/API error, not a host logic error.
 
 #ifndef SRC_SUPPORT_FS_H_
 #define SRC_SUPPORT_FS_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace opec_support {
 
@@ -17,16 +14,6 @@ namespace opec_support {
 // on success (including when the directory already exists), otherwise a
 // message naming the failing path and the errno cause. Never aborts.
 std::string EnsureDirs(const std::string& path);
-
-// Writes `bytes` to `path` atomically: a unique temp file in the same
-// directory, fsync-free write, then rename into place — concurrent readers
-// (and concurrent writers of the same content-addressed name) never observe a
-// torn file. Returns an empty string on success, else an error message.
-std::string WriteFileAtomic(const std::string& path, const std::vector<uint8_t>& bytes);
-
-// Reads the whole file into `out`. Returns false (with `out` cleared) when
-// the file cannot be opened or read.
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
 }  // namespace opec_support
 

@@ -58,11 +58,14 @@ expect 2 "$figure9" --jobs
 # Switches take no value.
 expect 2 "$campaign" --deterministic=yes
 
-# Flags folded into the fleet roles no longer exist.
+# Flags folded into the fleet roles, or gone with the artifact cache, no
+# longer exist.
 expect 2 "$campaign" --worker
 expect 2 "$campaign" --listen 47000
 expect 2 "$fuzz" --fuzz-count 3
 expect 2 "$fuzz" --fuzz-seed 1
+expect 2 "$campaign" --cache-dir c
+expect 2 "$fuzz" --cache-dir c
 
 # One fleet role at a time; the traffic load spec never crosses the wire.
 expect 2 "$campaign" --workers 2 --connect h:1

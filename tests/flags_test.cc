@@ -195,14 +195,11 @@ TEST(FleetFlags, RolesAreMutuallyExclusive) {
 
 TEST(FleetFlags, SharedFlagsReachServerAndWorker) {
   opec_dist::FleetOptions fleet;
-  EXPECT_EQ(ParseFleet(&fleet, {"--unit-size", "auto", "--lease-ms=2000", "--cache-dir", "c",
-                                "--auth-token", "tok", "--allow", "127.0.0.1,10.0.0.0/8",
-                                "--chaos-drop-after", "5"}),
+  EXPECT_EQ(ParseFleet(&fleet, {"--unit-size", "auto", "--lease-ms=2000", "--auth-token", "tok",
+                                "--allow", "127.0.0.1,10.0.0.0/8", "--chaos-drop-after", "5"}),
             "");
   EXPECT_TRUE(fleet.server.adaptive_units);
   EXPECT_EQ(fleet.server.lease_ms, 2000u);
-  EXPECT_EQ(fleet.server.cache_dir, "c");
-  EXPECT_EQ(fleet.worker.cache_dir, "c");
   EXPECT_EQ(fleet.server.auth_token, "tok");
   EXPECT_EQ(fleet.worker.token, "tok");
   EXPECT_EQ(fleet.server.allow.size(), 2u);

@@ -152,6 +152,26 @@ TEST(Snapshot, MagicAndVersionAreChecked) {
   EXPECT_THROW(Snapshot::Deserialize(bad_version), opec_support::CheckError);
 }
 
+// A count read from a .snap or delta file sizes nothing up front: a 2^40
+// claim in a few bytes is the same CheckError as any truncation, not a
+// terabyte-sized reservation or std::bad_alloc.
+TEST(Snapshot, HugeClaimedCountsAreCheckErrors) {
+  opec_support::ScopedCheckThrow guard;
+  constexpr uint64_t kClaim = 1ull << 40;
+  StateWriter snap;
+  snap.U32(Snapshot::kMagic);
+  snap.U32(Snapshot::kVersion);
+  snap.U64(kClaim);  // sections
+  EXPECT_THROW(Snapshot::Deserialize(snap.data()), opec_support::CheckError);
+
+  StateWriter delta;
+  delta.U64(0);  // base digest
+  delta.U64(0);  // target size
+  delta.U64(0);  // target digest
+  delta.U64(kClaim);  // patches
+  EXPECT_THROW(SnapshotDelta::Deserialize(delta.data()), opec_support::CheckError);
+}
+
 TEST(Snapshot, DeltaReconstructsAndRejectsWrongBaseline) {
   Machine machine(Board::kStm32F4Discovery);
   Snapshot base = Snapshot::Capture(machine);
