@@ -15,9 +15,10 @@
 //            [--workers N | --serve PORT | --connect HOST:PORT] [fleet flags]
 //
 //   --engine        execution tier for every job (default interp); modeled
-//                   outputs are bit-identical across tiers, so
-//                   --deterministic reports compare byte-equal between
-//                   `--engine interp` and `--engine bytecode` campaigns
+//                   outputs are bit-identical across tiers, so the
+//                   --deterministic reports of `--engine interp` and
+//                   `--engine bytecode` differ only in the `"engine":
+//                   "bytecode"` field every bytecode row carries
 //   --rv            runtime-verification monitors on every job (default on);
 //                   `report` also prints the per-automaton aggregate
 //   --spec FILE     line-oriented campaign spec (see CampaignSpec::ParseFile)
@@ -27,9 +28,12 @@
 //   --fault-sweep N N fault-injection jobs round-robined over the app pool
 //   --fault-class   stack-bit-flip | shadow-bit-flip | svc-arg | icall-forge |
 //                   any (default)
-//   --figures       instead of a job campaign, regenerate Figures 9, 10 and
-//                   11 through the shared generators, fanned out over --jobs;
-//                   output is bit-identical to the standalone drivers
+//   --figures       instead of a job campaign, print Figures 9, 10 and 11,
+//                   Tables 1, 2 and 3 and the two ablations (bench/
+//                   figures_lib.h); the figures and ablations fan out over
+//                   --jobs, and the text does not depend on it. Table 3's
+//                   Time(s) column is host time, the only text that varies
+//                   from run to run
 //   --report-json   write the full report (with timing); with --deterministic
 //                   write the timing-free report (byte-identical across
 //                   thread counts)
@@ -156,6 +160,11 @@ int main(int argc, char** argv) {
     std::fputs(opec_bench::Figure9Text(jobs).c_str(), stdout);
     std::fputs(opec_bench::Figure10Text(jobs).c_str(), stdout);
     std::fputs(opec_bench::Figure11Text(jobs).c_str(), stdout);
+    std::fputs(opec_bench::Table1Text().c_str(), stdout);
+    std::fputs(opec_bench::Table2Text().c_str(), stdout);
+    std::fputs(opec_bench::Table3Text().c_str(), stdout);
+    std::fputs(opec_bench::AblationShadowSyncText(jobs).c_str(), stdout);
+    std::fputs(opec_bench::AblationSwitchFrequencyText(jobs).c_str(), stdout);
     return 0;
   }
 

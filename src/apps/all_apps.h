@@ -33,7 +33,7 @@ std::vector<AppFactory> TrafficApps();
 
 // Canonical app key: lower-case, '-' folded to '_'. "TCP-Echo-Load",
 // "tcp_echo_load" and "tcp-echo-load" all name the same app; the CLIs accept
-// any of them, and host_speed metric keys use this form.
+// any of them, and campaign's snapshot and trace file names use this form.
 std::string AppKey(const std::string& name);
 
 // Looks up `name` (exact or by AppKey) across AllApps() ∪ TrafficApps().

@@ -1,4 +1,4 @@
-// Fixed-width table rendering for the bench binaries that regenerate the
+// Fixed-width table rendering for `campaign --figures`, which regenerates the
 // paper's tables and figures on the console. The implementation lives in
 // src/support/table.h so layers below metrics (observability) can render the
 // same tables; this alias keeps the historical opec_metrics::Table name.

@@ -1,5 +1,5 @@
 // Command-line flags shared by every CLI in the repository (campaign, fuzz,
-// runner, host_speed, warm_start, figure9_load and the figure drivers).
+// runner and figure9_load).
 //
 // Each flag is declared once on a FlagSet, together with its destination.
 // Parse() accepts both `--flag value` and `--flag=value`. Numbers parse

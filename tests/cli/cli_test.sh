@@ -2,11 +2,11 @@
 # The CLI front-end contract (src/support/flags.h): every CLI exits 2 with
 # exactly one line on stderr for junk numbers, unknown or removed flags and
 # missing values; the fleet roles are mutually exclusive; --traffic refuses
-# every fleet role; host_speed checks its --baseline file before measuring.
+# every fleet role.
 #
-#   cli_test.sh CAMPAIGN FUZZ RUNNER HOST_SPEED WARM_START FIGURE9_LOAD FIGURE9_OVERHEAD
+#   cli_test.sh CAMPAIGN FUZZ RUNNER FIGURE9_LOAD
 
-campaign=$1 fuzz=$2 runner=$3 host_speed=$4 warm_start=$5 figure9_load=$6 figure9=$7
+campaign=$1 fuzz=$2 runner=$3 figure9_load=$4
 status=0
 
 # expect CODE COMMAND [ARGS...]: COMMAND must exit CODE and, when CODE is 2,
@@ -24,7 +24,7 @@ expect() {
   fi
 }
 
-for cli in "$campaign" "$fuzz" "$runner" "$host_speed" "$warm_start" "$figure9_load" "$figure9"; do
+for cli in "$campaign" "$fuzz" "$runner" "$figure9_load"; do
   expect 2 "$cli" --bogus
   expect 2 "$cli" --bogus=1
   expect 2 "$cli" stray
@@ -38,10 +38,8 @@ expect 2 "$fuzz" --count 12x
 expect 2 "$fuzz" --seed 18446744073709551616
 expect 2 "$fuzz" --jobs=+2
 expect 2 "$runner" --engine jit
-expect 2 "$host_speed" --iters -1
-expect 2 "$warm_start" --iters=abc
 expect 2 "$figure9_load" --requests 0
-expect 2 "$figure9" --jobs x
+expect 2 "$campaign" --figures --jobs x
 expect 2 "$campaign" --workers 257
 expect 2 "$fuzz" --serve 65536
 
@@ -50,10 +48,7 @@ expect 2 "$campaign" --jobs
 expect 2 "$campaign" --report-json=
 expect 2 "$fuzz" --seed
 expect 2 "$runner" --app
-expect 2 "$host_speed" --baseline
-expect 2 "$warm_start" --out
 expect 2 "$figure9_load" --engine
-expect 2 "$figure9" --jobs
 
 # Switches take no value.
 expect 2 "$campaign" --deterministic=yes
@@ -74,9 +69,5 @@ expect 2 "$fuzz" --workers 2 --connect h:1
 expect 2 "$campaign" --workers 2 --traffic rate=1000,conns=2,seed=1
 expect 2 "$campaign" --connect 127.0.0.1:1 --traffic rate=1000,conns=2,seed=1
 expect 2 "$campaign" --workers 2 --figures
-
-# A missing or metric-less baseline fails before any measurement.
-expect 2 "$host_speed" --iters 5 --baseline /nonexistent/baseline.json
-expect 2 "$host_speed" --iters 5 --baseline "$0"
 
 exit $status

@@ -1,0 +1,69 @@
+#!/bin/sh
+# Modeled-output goldens: modeled cycles and statements, the deterministic
+# campaign reports and the text of every table and figure must not move.
+# Each output below must equal its file in tests/goldens/ byte for byte:
+#
+#   scenarios.json    campaign --apps all --modes both --deterministic
+#                     (the --report-json file), and the same sweep with
+#                     --engine bytecode once its "engine" fields are removed
+#   fault_sweep.json  campaign --apps PinLock,Animation --fault-sweep 24
+#                     --deterministic (the --report-json file)
+#   figures.txt       campaign --figures, with the digits of Table 3's
+#                     Time(s) column (host time) masked as '#'
+#   figure9_load.txt  figure9_load --requests 24 --engine both
+#
+# A change that moves a modeled number on purpose says why and regenerates
+# the goldens from the outputs this script leaves in WORKDIR (from the
+# repository root, build tree in build/):
+#
+#   ctest --test-dir build -R golden_test
+#   for f in scenarios.json fault_sweep.json figures.txt figure9_load.txt; do
+#     cp build/tests/golden_test/$f tests/goldens/
+#   done
+#
+#   golden_test.sh CAMPAIGN FIGURE9_LOAD GOLDEN_DIR WORKDIR
+
+campaign=$1 figure9_load=$2 goldens=$3 work=$4
+mkdir -p "$work" && cd "$work" || exit 1
+status=0
+
+# run COMMAND [ARGS...]: COMMAND must exit 0.
+run() {
+  "$@" > /dev/null
+  rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: exit $rc: $*"
+    status=1
+  fi
+}
+
+# check FILE GOLDEN: FILE must equal tests/goldens/GOLDEN.
+check() {
+  if ! cmp "$1" "$goldens/$2"; then
+    echo "FAIL: $1 differs from tests/goldens/$2"
+    status=1
+  fi
+}
+
+scenarios="--apps all --modes both --deterministic"
+run "$campaign" $scenarios --report-json scenarios.json
+check scenarios.json scenarios.json
+run "$campaign" $scenarios --engine bytecode --report-json bytecode.json
+grep -q '"engine": "bytecode"' bytecode.json || { echo "FAIL: no bytecode rows"; status=1; }
+sed 's/, "engine": "bytecode"//' bytecode.json > bytecode_unlabeled.json
+check bytecode_unlabeled.json scenarios.json
+
+run "$campaign" --apps PinLock,Animation --fault-sweep 24 --deterministic \
+  --report-json fault_sweep.json
+check fault_sweep.json fault_sweep.json
+
+"$campaign" --figures > figures_raw.txt || { echo "FAIL: campaign --figures"; status=1; }
+awk -F'|' -v OFS='|' '/^Table 3:/ { t = 1 } /^$/ { t = 0 }
+  t && /^\|/ && $5 !~ /Time/ { gsub(/[0-9]/, "#", $5) } 1' figures_raw.txt > figures.txt
+check figures.txt figures.txt
+
+"$figure9_load" --requests 24 --engine both > figure9_load.txt \
+  || { echo "FAIL: figure9_load"; status=1; }
+check figure9_load.txt figure9_load.txt
+
+exit $status

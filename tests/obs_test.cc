@@ -2,10 +2,12 @@
 // modeled cycles, Chrome-trace / JSONL exporter well-formedness (golden +
 // mini-parser validation), fault forensics on the denied PinLock attack, the
 // Monitor::Stats-vs-event-stream agreement check on every app workload, and
-// the zero-modeled-cost contract of attached sinks.
+// the zero-modeled-cost contract of attached sinks on every app, mode and
+// engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -503,29 +505,39 @@ TEST(Profiler, TableRendersForAllAppWorkloads) {
   }
 }
 
-// The zero-modeled-cost contract, at unit level: an attached sink must not
-// change cycles or statements.
+// The zero-modeled-cost contract (DESIGN.md §9) on every app workload, both
+// build modes and both engines: a run with a counting sink attached matches
+// the plain run in cycles and statements, and a Recorder sized to the counted
+// stream drops nothing (a truncated trace must never pass as complete).
 TEST(Overhead, AttachedSinkLeavesModeledOutputsIdentical) {
-  PinLockApp app(3);
-  uint64_t cycles_plain = 0;
-  uint64_t statements_plain = 0;
-  {
-    AppRun run(app, BuildMode::kOpec);
-    opec_rt::RunResult r = run.Execute();
-    ASSERT_TRUE(r.ok);
-    cycles_plain = r.cycles;
-    statements_plain = r.statements;
-  }
-  {
-    AppRun run(app, BuildMode::kOpec);
-    run.EnableEventRecording();
-    StatsSink sink;
-    run.AttachSink(&sink);
-    opec_rt::RunResult r = run.Execute();
-    ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.cycles, cycles_plain);
-    EXPECT_EQ(r.statements, statements_plain);
-    EXPECT_GT(run.recorder()->total(), 0u);
+  for (const opec_apps::AppFactory& factory : opec_apps::AllApps()) {
+    std::unique_ptr<opec_apps::Application> app = factory.make();
+    for (BuildMode mode : {BuildMode::kVanilla, BuildMode::kOpec}) {
+      for (opec_apps::EngineKind engine :
+           {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
+        std::string label = factory.name + (mode == BuildMode::kOpec ? "/opec/" : "/vanilla/") +
+                            opec_apps::EngineKindName(engine);
+        AppRun plain(*app, mode, engine);
+        opec_rt::RunResult r = plain.Execute();
+        ASSERT_TRUE(r.ok) << label << ": " << r.violation;
+
+        AppRun counted(*app, mode, engine);
+        Recorder counter(1);  // counts every event in total(), keeps one
+        counted.AttachSink(&counter);
+        opec_rt::RunResult observed = counted.Execute();
+        ASSERT_TRUE(observed.ok) << label;
+        EXPECT_EQ(observed.cycles, r.cycles) << label;
+        EXPECT_EQ(observed.statements, r.statements) << label;
+        EXPECT_GT(counter.total(), 0u) << label;
+
+        AppRun recorded(*app, mode, engine);
+        recorded.EnableEventRecording(
+            std::max<size_t>(Recorder::kDefaultCapacity, counter.total()));
+        ASSERT_TRUE(recorded.Execute().ok) << label;
+        EXPECT_EQ(recorded.recorder()->total(), counter.total()) << label;
+        EXPECT_EQ(recorded.recorder()->dropped(), 0u) << label;
+      }
+    }
   }
 }
 
