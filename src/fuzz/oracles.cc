@@ -1,6 +1,7 @@
 #include "src/fuzz/oracles.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <utility>
 
@@ -508,8 +509,65 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
     uint32_t base = kBases[rng.Below(4)];
     return base + (rng.Next32() & 0x000FFFFFu);
   };
-  for (int step = 0; step < 300; ++step) {
-    uint64_t action = rng.Below(8);
+  using RegionSet = std::array<opec_hw::MpuRegionConfig, opec_hw::Mpu::kNumRegions>;
+  auto live_set = [&mpu]() {
+    RegionSet set;
+    for (int i = 0; i < opec_hw::Mpu::kNumRegions; ++i) {
+      set[static_cast<size_t>(i)] = mpu.region(i);
+    }
+    return set;
+  };
+  std::vector<RegionSet> installed;  // every region set the sequence built
+  // A model of the bytecode tier's verdict cache: the last 64 AllowedRange
+  // answers, kept under the region_set() id they were taken for. Whenever
+  // that id is live again, each answer must still hold across its interval —
+  // the id is sound only if equal ids mean equal verdicts.
+  struct KeptVerdict {
+    uint64_t set;
+    opec_hw::AccessKind kind;
+    bool priv;
+    uint32_t lo;
+    uint32_t hi;
+    bool verdict;
+  };
+  std::vector<KeptVerdict> kept;
+  // Steps [0, kSteps) draw from the original configure/probe mix. The
+  // revisit steps appended after them (so pinned seeds replay their original
+  // sequence) add three actions: reinstall a region set built earlier, so
+  // the caches meet a set again under its interned id; change one AP or SRD
+  // bit of the live set, a near miss that an inexact id would confuse with
+  // the set the caches were just filled under; and toggle the enable bit.
+  constexpr int kSteps = 300;
+  constexpr int kRevisitSteps = 200;
+  for (int step = 0; step < kSteps + kRevisitSteps; ++step) {
+    uint64_t action = rng.Below(step < kSteps ? 8 : 11);
+    if (action == 8 || action == 9) {
+      if (!installed.empty()) {
+        RegionSet set = action == 8 ? installed[rng.Below(installed.size())] : live_set();
+        if (action == 9) {
+          // The first enabled region from a random start: a disabled one's
+          // fields decide nothing.
+          size_t i = rng.Below(opec_hw::Mpu::kNumRegions);
+          for (size_t k = 0; k < set.size() && !set[i].enabled; ++k) {
+            i = (i + 1) % set.size();
+          }
+          opec_hw::MpuRegionConfig& r = set[i];
+          if (r.size_log2 >= 8 && rng.Below(2) == 0) {
+            r.srd = static_cast<uint8_t>(r.srd ^ (1u << rng.Below(8)));
+          } else {
+            r.ap = static_cast<opec_hw::AccessPerm>((static_cast<int>(r.ap) + 1) % 6);
+          }
+        }
+        for (int i = 0; i < opec_hw::Mpu::kNumRegions; ++i) {
+          mpu.ConfigureRegion(i, set[static_cast<size_t>(i)]);
+        }
+      }
+      continue;
+    }
+    if (action == 10) {
+      mpu.set_enabled(!mpu.enabled());
+      continue;
+    }
     if (action == 0) {
       opec_hw::MpuRegionConfig cfg;
       cfg.enabled = true;
@@ -521,11 +579,38 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       cfg.ap = static_cast<opec_hw::AccessPerm>(rng.Below(6));
       cfg.xn = rng.Below(2) == 0;
       mpu.ConfigureRegion(static_cast<int>(rng.Below(8)), cfg);
+      installed.push_back(live_set());
       continue;
     }
     if (action == 1) {
       mpu.DisableRegion(static_cast<int>(rng.Below(8)));
+      installed.push_back(live_set());
       continue;
+    }
+    // Every kept verdict taken under the live id must still hold across its
+    // interval: checked at eight evenly spaced points and the top, one in
+    // each sub-region of a region-sized interval. No random draws, so the
+    // original sequence is unchanged.
+    const uint64_t live = mpu.region_set();
+    for (const KeptVerdict& k : kept) {
+      if (k.set != live) {
+        continue;
+      }
+      const uint64_t span = static_cast<uint64_t>(k.hi) - k.lo + 1;
+      for (uint64_t j = 0; j <= 8; ++j) {
+        uint32_t at = j == 8 ? k.hi : k.lo + static_cast<uint32_t>(span * j / 8);
+        if (mpu.CheckAccessUncached(at, 1, k.kind, k.priv) != k.verdict) {
+          divs.push_back(
+              {Oracle::kMpuCache,
+               StrPrintf("step %d: verdict %d kept for [%s, %s] under region set %llu, but "
+                         "the uncached walk at %s now says %d under the same id",
+                         step, k.verdict ? 1 : 0, opec_support::HexAddr(k.lo).c_str(),
+                         opec_support::HexAddr(k.hi).c_str(),
+                         static_cast<unsigned long long>(live),
+                         opec_support::HexAddr(at).c_str(), k.verdict ? 0 : 1)});
+          break;
+        }
+      }
     }
     // Probe. Half the probes aim near an enabled region's boundaries, where
     // window transitions (and bugs) live.
@@ -559,6 +644,10 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       uint32_t hi = 0;
       bool range_verdict = mpu.AllowedRange(addr, kind, priv, &lo, &hi);
       bool byte_direct = mpu.CheckAccessUncached(addr, 1, kind, priv);
+      if (kept.size() == 64) {
+        kept.erase(kept.begin());
+      }
+      kept.push_back({mpu.region_set(), kind, priv, lo, hi, range_verdict});
       if (range_verdict != byte_direct || lo > addr || hi < addr) {
         divs.push_back(
             {Oracle::kMpuCache,

@@ -407,8 +407,7 @@ void Bus::LoadState(StateReader& r, bool skip_memory) {
     OPEC_CHECK_MSG(name == range.device->name(),
                    "snapshot device order/name mismatch: expected " + range.device->name() +
                        ", found " + name);
-    std::vector<uint8_t> payload = r.Blob();
-    StateReader dr(payload);
+    StateReader dr = r.BlobReader();
     range.device->LoadState(dr);
     OPEC_CHECK_MSG(dr.AtEnd(), "device '" + name + "' left unread snapshot state");
   }

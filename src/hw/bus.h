@@ -81,7 +81,7 @@ class Bus {
 
   // Verdict-cached engine fast path (src/rt/bytecode): raw backing access for
   // plain-memory accesses whose MPU verdict the caller has already established
-  // and cached against Mpu::generation(). Behavioral twins of the Read/Write
+  // and cached against Mpu::region_set(). Behavioral twins of the Read/Write
   // fast paths minus the MPU check; dirty-page tracking stays exact. Callers
   // must have checked InSram/InFlash for the same (addr, size) first.
   bool InSram(uint32_t addr, uint32_t size) const {

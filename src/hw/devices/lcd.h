@@ -49,10 +49,8 @@ class Lcd : public MmioDevice {
     w.Blob(brightness_history_);
   }
   void LoadState(StateReader& r) override {
-    framebuffer_.resize(r.U64());
-    for (uint32_t& px : framebuffer_) {
-      px = r.U32();
-    }
+    OPEC_CHECK_MSG(r.U64() == kWidth * kHeight, "LCD snapshot framebuffer size mismatch");
+    r.U32s(framebuffer_.data(), framebuffer_.size());
     x_ = r.U32();
     y_ = r.U32();
     configured_ = r.Bool();

@@ -57,7 +57,7 @@ void Mpu::ConfigureRegion(int index, const MpuRegionConfig& config) {
   }
   regions_[static_cast<size_t>(index)] = config;
   ++config_writes_;
-  InvalidateCache();
+  set_id_ = 0;
   OPEC_OBS_EVENT(opec_obs::EventKind::kMpuReconfig, cycles_ != nullptr ? *cycles_ : 0,
                  opec_obs::Event::kNoOperation, 0, static_cast<uint32_t>(index), config.base,
                  opec_obs::PackMpuConfig(config.enabled, config.size_log2, config.srd,
@@ -69,7 +69,7 @@ void Mpu::DisableRegion(int index) {
   MpuRegionConfig& r = regions_[static_cast<size_t>(index)];
   r.enabled = false;
   ++config_writes_;
-  InvalidateCache();
+  set_id_ = 0;
   OPEC_OBS_EVENT(opec_obs::EventKind::kMpuReconfig, cycles_ != nullptr ? *cycles_ : 0,
                  opec_obs::Event::kNoOperation, 0, static_cast<uint32_t>(index), r.base,
                  opec_obs::PackMpuConfig(false, r.size_log2, r.srd,
@@ -99,7 +99,32 @@ int Mpu::DecidingRegion(uint32_t addr) const {
   return -1;
 }
 
+uint64_t Mpu::ResolveRegionSet() const {
+  RegionSetKey key;
+  key[0] = enabled_ ? 1 : 0;
+  for (size_t i = 0; i < regions_.size(); ++i) {
+    const MpuRegionConfig& r = regions_[i];
+    key[i + 1] = r.base | static_cast<uint64_t>(r.size_log2) << 32 |
+                 static_cast<uint64_t>(r.srd) << 40 | static_cast<uint64_t>(r.ap) << 48 |
+                 static_cast<uint64_t>(r.enabled) << 56 | static_cast<uint64_t>(r.xn) << 57;
+  }
+  auto it = std::find_if(interned_.begin(), interned_.end(),
+                         [&key](const InternedSet& s) { return s.key == key; });
+  if (it != interned_.end()) {
+    set_id_ = it->id;
+  } else {
+    if (interned_.size() == kInternCapacity) {
+      interned_.clear();
+    }
+    set_id_ = next_set_id_++;
+    interned_.push_back({key, set_id_});
+  }
+  set_salt_ = static_cast<uint32_t>((set_id_ * 0x9E3779B97F4A7C15ull) >> 32);
+  return set_id_;
+}
+
 uint8_t Mpu::ComputeAllowMask(uint32_t addr) const {
+  ++region_walks_;
   int idx = DecidingRegion(addr);
   uint8_t mask = 0;
   for (uint32_t priv = 0; priv < 2; ++priv) {
@@ -275,9 +300,9 @@ void Mpu::LoadState(StateReader& r) {
     reg.ap = static_cast<AccessPerm>(r.U8());
     reg.xn = r.Bool();
   }
-  // The restored registers replace whatever configuration the cache was
-  // filled under; without this, MaskFor keeps answering for the old regions.
-  InvalidateCache();
+  // The restored registers replace whatever set the caches were last asked
+  // about; without this, MaskFor keeps answering under the old set's id.
+  set_id_ = 0;
 }
 
 bool Mpu::CheckExec(uint32_t addr, bool privileged) const {

@@ -6,6 +6,15 @@
 // the address wins; a disabled sub-region falls through to lower-numbered
 // regions. With no matching region, privileged access uses the default map
 // (PRIVDEFENA) and unprivileged access faults.
+//
+// Verdict caching. Every verdict is a pure function of the region set: the
+// enable bit plus the eight region registers. The MPU interns each distinct
+// set into a stable 64-bit id (region_set()) that is never reused, and every
+// verdict cache — the per-window decision cache below and the bytecode
+// tier's per-instruction caches — keys on that id. An operation switch
+// rewrites all eight regions, but OPEC apps cycle through only a handful of
+// sets, so verdicts taken under a set are served again when an operation
+// re-enters it instead of being recomputed after every switch.
 
 #ifndef SRC_HW_MPU_H_
 #define SRC_HW_MPU_H_
@@ -13,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/hw/fault.h"
 #include "src/hw/state_io.h"
@@ -57,27 +67,32 @@ class Mpu {
   void DisableRegion(int index);
   const MpuRegionConfig& region(int index) const;
 
-  // Drops every decision-cache entry. Must be called whenever region state
-  // changes by any route other than ConfigureRegion/DisableRegion (which call
-  // it themselves) — in particular LoadState: restoring region registers
-  // around a live cache would leave stale allow-masks from the pre-restore
-  // configuration (see mpu_test.cc, LoadStateInvalidatesDecisionCache).
-  void InvalidateCache() { ++generation_; }
-
-  // Monotonic reconfiguration stamp backing the decision cache. External
-  // verdict caches (the bytecode tier's per-instruction access caches) key
-  // their entries on this: any region change — ConfigureRegion, DisableRegion,
-  // LoadState, explicit InvalidateCache — bumps it, so a stale cached verdict
-  // can never match.
-  uint64_t generation() const { return generation_; }
+  // Id of the live region set (enable bit + all eight region registers):
+  // equal ids mean identical registers, so a verdict cached under an id is
+  // valid whenever region_set() returns that id again. Ids start at 1 and
+  // are never reused, even after the intern table fills and is cleared; a
+  // set seen again after a clear just gets a fresh id. Every route that
+  // changes the set — ConfigureRegion, DisableRegion, set_enabled, LoadState
+  // — marks the id unresolved, and the next call resolves it by exact
+  // content lookup (cold path).
+  uint64_t region_set() const { return set_id_ != 0 ? set_id_ : ResolveRegionSet(); }
+  // False from a region-set change until the next region_set() call. RV rule
+  // 3 checks that every kMpuReconfig event arrives with the id unresolved.
+  bool region_set_resolved() const { return set_id_ != 0; }
 
   // Snapshot support (DESIGN.md §13): enable bit, all eight region registers
-  // and the reconfiguration counter. The decision cache is not serialized —
-  // it is derived state — and LoadState invalidates it.
+  // and the reconfiguration counter. The verdict caches and the intern table
+  // are not serialized — they are derived state — and LoadState marks the
+  // region set unresolved.
   void SaveState(StateWriter& w) const;
   void LoadState(StateReader& r);
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  void set_enabled(bool enabled) {
+    if (enabled != enabled_) {
+      enabled_ = enabled;
+      set_id_ = 0;
+    }
+  }
   bool enabled() const { return enabled_; }
 
   // Returns true when the given access is permitted. Exec permission is
@@ -104,7 +119,7 @@ class Mpu {
   // interval crosses no region boundary and no sub-region boundary of any
   // enabled region, so every byte in it has the same deciding region and the
   // same allow mask. External verdict caches (the bytecode tier) pair the
-  // interval with generation() to skip the region walk for every subsequent
+  // interval with region_set() to skip the region walk for every subsequent
   // access that stays inside it — a streaming copy through a region costs one
   // walk instead of one per 32-byte window. With the MPU disabled the whole
   // address space is one allow interval.
@@ -113,6 +128,9 @@ class Mpu {
 
   // Counts MPU reconfigurations, for the cost model and the benches.
   uint64_t config_writes() const { return config_writes_; }
+  // Host-side count of region walks (ComputeAllowMask calls), the work every
+  // verdict-cache miss pays. Not modeled state: never serialized or restored.
+  uint64_t region_walks() const { return region_walks_; }
 
   // Lets reconfiguration events carry the modeled cycle stamp; wired up by
   // Machine. Null is fine (events stamp cycle 0).
@@ -135,41 +153,64 @@ class Mpu {
   uint8_t ComputeAllowMask(uint32_t addr) const;
   // Cached allow bits for addr's window. The decision is uniform within a
   // 32-byte aligned window (regions and sub-regions are >=32-byte and
-  // size-aligned), so a direct-mapped per-window cache returns the exact
-  // same bits ComputeAllowMask would. Entries are invalidated wholesale by
-  // bumping generation_ on every region reconfiguration.
+  // size-aligned), so a per-window cache keyed on (window, region set)
+  // returns the exact same bits ComputeAllowMask would.
   uint8_t MaskFor(uint32_t addr) const;
   // Decides one probe address: deciding region (or background) + permission.
   bool ProbeAllows(uint32_t addr, AccessKind kind, bool privileged) const;
+  // Cold path of region_set(): looks the live registers up in the intern
+  // table, interning them under a fresh id when absent.
+  uint64_t ResolveRegionSet() const;
+
+  // The live region set as the intern table compares it: the enable bit,
+  // then each region register packed into one word.
+  using RegionSetKey = std::array<uint64_t, kNumRegions + 1>;
+  struct InternedSet {
+    RegionSetKey key;
+    uint64_t id;
+  };
+  // The few sets an app cycles through fit many times over; a table that
+  // fills up is cleared (ids keep counting, so none is ever reused).
+  static constexpr size_t kInternCapacity = 64;
 
   struct DecisionCacheEntry {
-    uint32_t window = 0;      // addr & ~31u
-    uint64_t generation = 0;  // matches generation_ when valid
+    uint64_t set = 0;     // region-set id; 0 never matches (ids start at 1)
+    uint32_t window = 0;  // addr & ~31u
     // Bit (kind<<1)|priv for read (kind 0) and write (kind 1); bits 4|priv
     // for execute. Encodes the full probe outcome so the hot path is one
     // lookup and one bit test.
     uint8_t allow_mask = 0;
   };
-  static constexpr uint32_t kDecisionCacheSize = 256;  // power of two
+  // Direct-mapped, indexed by the window number XOR a per-set salt, so the
+  // same window under different sets lands in different slots and the sets
+  // an app alternates between keep their entries side by side.
+  static constexpr uint32_t kDecisionCacheSize = 1024;  // power of two
 
   std::array<MpuRegionConfig, kNumRegions> regions_{};
   bool enabled_ = false;
   uint64_t config_writes_ = 0;
   const uint64_t* cycles_ = nullptr;
-  // generation_ starts at 1 so zero-initialized cache entries never match.
-  uint64_t generation_ = 1;
+  // Verdict-cache state, all derived from the registers. Written from const
+  // checks, so an Mpu must not be shared across threads.
+  mutable uint64_t set_id_ = 0;  // 0 = unresolved
+  mutable uint32_t set_salt_ = 0;
+  mutable uint64_t next_set_id_ = 1;
+  mutable uint64_t region_walks_ = 0;
+  mutable std::vector<InternedSet> interned_;
   mutable std::array<DecisionCacheEntry, kDecisionCacheSize> decision_cache_{};
 };
 
 inline uint8_t Mpu::MaskFor(uint32_t addr) const {
+  uint64_t set = region_set();  // resolves set_salt_ along with the id
   uint32_t window = addr & ~31u;
-  DecisionCacheEntry& e = decision_cache_[(addr >> 5) & (kDecisionCacheSize - 1)];
-  if (e.generation == generation_ && e.window == window) {
+  DecisionCacheEntry& e =
+      decision_cache_[((addr >> 5) ^ set_salt_) & (kDecisionCacheSize - 1)];
+  if (e.set == set && e.window == window) {
     return e.allow_mask;
   }
   uint8_t mask = ComputeAllowMask(addr);
+  e.set = set;
   e.window = window;
-  e.generation = generation_;
   e.allow_mask = mask;
   return mask;
 }

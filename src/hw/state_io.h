@@ -13,6 +13,7 @@
 #ifndef SRC_HW_STATE_IO_H_
 #define SRC_HW_STATE_IO_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -98,6 +99,19 @@ class StateReader {
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
+  // n little-endian words in one bounds check, the bulk twin of n U32()
+  // calls. On a little-endian host the wire order is the host order.
+  void U32s(uint32_t* out, size_t n) {
+    OPEC_CHECK_MSG(n <= remaining() / 4, "snapshot payload truncated or corrupt");
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, data_ + pos_, n * 4);
+      pos_ += n * 4;
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = U32();
+    }
+  }
   std::vector<uint8_t> Blob() {
     uint64_t n = U64();
     Need(n);
@@ -111,6 +125,15 @@ class StateReader {
     std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return out;
+  }
+  // A reader over a length-prefixed byte string, without copying it: the
+  // returned reader points into this one's buffer, so it must not outlive it.
+  StateReader BlobReader() {
+    uint64_t n = U64();
+    Need(n);
+    StateReader sub(data_ + pos_, n);
+    pos_ += n;
+    return sub;
   }
   // Consume a length-prefixed byte string without copying it out (the
   // warm-start restore path skips memory images it restores from the

@@ -27,7 +27,8 @@
 // Superinstructions. The memory opcodes fuse the interpreter's multi-step
 // load/store sequence — address formation, MPU access check, bus routing,
 // backing access and the memory-cycle charge — into one dispatch, backed by a
-// per-instruction MPU verdict cache (see vm.h) keyed on Mpu::generation().
+// two-way per-instruction MPU verdict cache (see vm.h) keyed on the interned
+// region set (Mpu::region_set()) and the privilege level.
 // The lowerer additionally peephole-fuses pure producers into their sole
 // consumer at emission time: a kConst feeding a kBinary becomes kBinaryImm, a
 // comparison feeding a conditional branch becomes kBrCmp*, and address

@@ -102,7 +102,7 @@ void VM::ShareBytecode(VM& next) const {
 void VM::Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs) {
   bc_ = std::move(bc);
   lowered_costs_ = costs;
-  vcache_.assign(bc_->code.size(), VCache{});
+  vcache_.assign(bc_->code.size(), VSlot{});
   // One register window per possible frame, preallocated so register pointers
   // never move mid-run. Zero-filled once: register values are never
   // observable, but deterministic contents keep any latent read-before-write
@@ -252,39 +252,66 @@ void VM::ReplayAcct(uint32_t pc) {
   OPEC_UNREACHABLE("statement batch crossed the limit but the replay did not");
 }
 
+uint64_t VM::VerdictKey() const {
+  return (machine_.mpu().region_set() << 1) | static_cast<uint64_t>(machine_.privileged());
+}
+
+const VM::VCache* VM::Lookup(VSlot& slot, uint64_t key, uint32_t addr, uint64_t last) {
+  VCache* w = slot.way;
+  if (w[0].key == key && addr >= w[0].lo && last <= w[0].hi) {
+    return &w[0];
+  }
+  if (w[1].key == key && addr >= w[1].lo && last <= w[1].hi) {
+    std::swap(w[0], w[1]);
+    return &w[0];
+  }
+  return nullptr;
+}
+
+void VM::Fill(VSlot& slot, const VCache& v) {
+  slot.way[1] = slot.way[0];
+  slot.way[0] = v;
+}
+
 uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
-  VCache& vc = vcache_[pc_index];
-  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  if (vc.gen == machine_.mpu().generation() && addr >= vc.lo && last <= vc.hi &&
-      vc.priv == static_cast<uint8_t>(machine_.privileged())) {
-    uint32_t v = vc.backing == 0 ? machine_.bus().RawSramRead(addr, size)
-                                 : machine_.bus().RawFlashRead(addr, size);
+  VSlot& slot = vcache_[pc_index];
+  const uint64_t key = VerdictKey();
+  const uint64_t last = addr + static_cast<uint64_t>(size) - 1;
+  const opec_hw::Bus& bus = machine_.bus();
+  if (const VCache* vc = Lookup(slot, key, addr, last)) {
+    uint32_t v = vc->backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
     Charge(costs_.memory);
     return v;
   }
-  // Miss: one region walk decides the verdict and yields the uniform-verdict
-  // interval. An allow whose clipped interval covers the whole access fills
-  // the slot and completes through the raw backing path (same single memory
-  // charge the shared path makes for an allowed plain-memory access). Denies,
-  // devices, PPB and boundary-straddling accesses fall back to MemRead's full
-  // fault/route semantics and are never cached.
-  bool priv = machine_.privileged();
+  // Miss. Only plain memory is ever cached: devices, the PPB and accesses
+  // straddling out of a backing store go straight to MemRead's full
+  // fault/route semantics, without a region walk whose result they could not
+  // keep. For plain memory, one walk decides the verdict and yields the
+  // uniform-verdict interval; an allow whose clipped interval covers the
+  // whole access fills the slot and completes through the raw backing path
+  // (the same single memory charge the shared path makes). Denies fall back
+  // to MemRead and are never cached.
+  uint8_t backing;
+  uint32_t store_lo;
+  uint32_t store_hi;
+  if (bus.InSram(addr, size)) {
+    backing = 0;
+    store_lo = opec_hw::kSramBase;
+    store_hi = bus.sram_end() - 1;
+  } else if (bus.InFlash(addr, size)) {
+    backing = 1;
+    store_lo = opec_hw::kFlashBase;
+    store_hi = bus.flash_end() - 1;
+  } else {
+    return MemRead(addr, size);
+  }
   uint32_t lo = 0;
   uint32_t hi = 0;
-  if (machine_.mpu().AllowedRange(addr, AccessKind::kRead, priv, &lo, &hi)) {
-    const opec_hw::Bus& bus = machine_.bus();
-    uint8_t backing = 2;  // 2 = not plain memory
-    if (bus.InSram(addr, size)) {
-      backing = 0;
-      lo = std::max(lo, opec_hw::kSramBase);
-      hi = std::min<uint64_t>(hi, static_cast<uint64_t>(bus.sram_end()) - 1);
-    } else if (bus.InFlash(addr, size)) {
-      backing = 1;
-      lo = std::max(lo, opec_hw::kFlashBase);
-      hi = std::min<uint64_t>(hi, static_cast<uint64_t>(bus.flash_end()) - 1);
-    }
-    if (backing != 2 && addr >= lo && last <= hi) {
-      vc = VCache{machine_.mpu().generation(), lo, hi, static_cast<uint8_t>(priv), backing};
+  if (machine_.mpu().AllowedRange(addr, AccessKind::kRead, machine_.privileged(), &lo, &hi)) {
+    lo = std::max(lo, store_lo);
+    hi = std::min(hi, store_hi);
+    if (addr >= lo && last <= hi) {
+      Fill(slot, VCache{key, lo, hi, backing});
       uint32_t v = backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
       Charge(costs_.memory);
       return v;
@@ -294,24 +321,24 @@ uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
 }
 
 void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value) {
-  VCache& vc = vcache_[pc_index];
-  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  if (vc.gen == machine_.mpu().generation() && addr >= vc.lo && last <= vc.hi &&
-      vc.priv == static_cast<uint8_t>(machine_.privileged())) {
-    machine_.bus().RawSramWrite(addr, size, value);
+  VSlot& slot = vcache_[pc_index];
+  const uint64_t key = VerdictKey();
+  const uint64_t last = addr + static_cast<uint64_t>(size) - 1;
+  opec_hw::Bus& bus = machine_.bus();
+  if (Lookup(slot, key, addr, last) != nullptr) {
+    bus.RawSramWrite(addr, size, value);
     Charge(costs_.memory);
     return;
   }
-  bool priv = machine_.privileged();
   uint32_t lo = 0;
   uint32_t hi = 0;
-  if (machine_.mpu().AllowedRange(addr, AccessKind::kWrite, priv, &lo, &hi) &&
-      machine_.bus().InSram(addr, size)) {
+  if (bus.InSram(addr, size) &&
+      machine_.mpu().AllowedRange(addr, AccessKind::kWrite, machine_.privileged(), &lo, &hi)) {
     lo = std::max(lo, opec_hw::kSramBase);
-    hi = std::min<uint64_t>(hi, static_cast<uint64_t>(machine_.bus().sram_end()) - 1);
+    hi = std::min(hi, bus.sram_end() - 1);
     if (addr >= lo && last <= hi) {
-      vc = VCache{machine_.mpu().generation(), lo, hi, static_cast<uint8_t>(priv), 0};
-      machine_.bus().RawSramWrite(addr, size, value);
+      Fill(slot, VCache{key, lo, hi, 0});
+      bus.RawSramWrite(addr, size, value);
       Charge(costs_.memory);
       return;
     }

@@ -4,17 +4,22 @@
 // and fault reports (the interpreter remains the differential oracle).
 //
 // Dispatch is direct-threaded (computed goto) on GCC/Clang with a portable
-// switch fallback. Each memory instruction owns an MPU verdict cache slot:
-// after a successful access to plain memory whose verdict is an allow, the
-// maximal uniform-verdict interval around the address (Mpu::AllowedRange,
-// clipped to the backing store) is cached together with the privilege level
-// and backing kind against Mpu::generation(); later executions of the same
-// instruction landing anywhere inside the interval skip the shared bus/MPU
-// path and touch the backing store directly (plus the identical memory-cycle
-// charge). Intervals span whole (sub-)regions, so streaming accesses that
-// walk an array stay cached instead of missing at every 32-byte window. Any
-// MPU reconfiguration bumps the generation, invalidating every cached verdict
-// at once.
+// switch fallback. Each memory instruction owns a two-way MPU verdict cache
+// slot: after a successful access to plain memory whose verdict is an allow,
+// the maximal uniform-verdict interval around the address (Mpu::AllowedRange,
+// clipped to the backing store) is cached together with the backing kind
+// under the (Mpu::region_set(), privilege) pair it was decided for; later
+// executions of the same instruction landing anywhere inside the interval
+// under that same pair skip the shared bus/MPU path and touch the backing
+// store directly (plus the identical memory-cycle charge). Intervals span
+// whole (sub-)regions, so streaming accesses that walk an array stay cached
+// instead of missing at every 32-byte window. Region-set ids name register
+// contents and are never reused, so a verdict stays valid across operation
+// switches: when an operation re-enters its region set, its verdicts hit
+// again. The two ways (most recently used first) keep an instruction shared
+// by two operations cached under both of their sets. A miss checks for plain
+// memory before walking the regions: device and PPB accesses, which are
+// never cached, go straight to the shared path without a walk.
 
 #ifndef SRC_RT_BYTECODE_VM_H_
 #define SRC_RT_BYTECODE_VM_H_
@@ -69,16 +74,18 @@ class VM : public Engine {
     int caller_operation = -1;  // restored on exit and on unwind
   };
 
-  // Per-instruction MPU verdict cache entry: an allow interval [lo, hi]
-  // (inclusive, already clipped to the backing store) valid under one MPU
-  // generation and privilege level. gen 0 never matches (Mpu::generation()
-  // starts at 1).
+  // One way of a per-instruction MPU verdict cache slot: an allow interval
+  // [lo, hi] (inclusive, already clipped to the backing store) valid under
+  // one VerdictKey(). Key 0 never matches (region-set ids start at 1).
   struct VCache {
-    uint64_t gen = 0;
+    uint64_t key = 0;
     uint32_t lo = 0;
     uint32_t hi = 0;
-    uint8_t priv = 0;
     uint8_t backing = 0;  // 0 = SRAM, 1 = flash (loads only)
+  };
+  // Two ways, way[0] most recently used.
+  struct VSlot {
+    VCache way[2];
   };
 
   void EnsureLowered();
@@ -102,6 +109,13 @@ class VM : public Engine {
   void SpillParams(const uint32_t* args, size_t nargs);
   void UnwindAllFrames();
 
+  // (region set << 1) | privilege: the context a cached verdict holds for.
+  uint64_t VerdictKey() const;
+  // The way of `slot` whose interval under `key` covers [addr, last], moved
+  // to way[0]; null on a miss.
+  static const VCache* Lookup(VSlot& slot, uint64_t key, uint32_t addr, uint64_t last);
+  // Installs a verdict as the slot's most recently used way.
+  static void Fill(VSlot& slot, const VCache& v);
   uint32_t CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size);
   void CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value);
 
@@ -113,7 +127,7 @@ class VM : public Engine {
   std::shared_ptr<const BytecodeModule> bc_;  // null until lowered
   CostModel lowered_costs_;
 
-  std::vector<VCache> vcache_;     // one slot per instruction
+  std::vector<VSlot> vcache_;      // one slot per instruction
   std::vector<uint32_t> regs_;     // (kMaxDepth + 1) frame windows
   std::vector<VFrame> frames_;
   std::vector<uint32_t> call_args_;  // scratch; rewritten by OnOperationEnter

@@ -193,26 +193,31 @@ std::unique_ptr<Automaton> BuildShadowIsolation(const RvEnv& env) {
 }
 
 // (3) MPU-reconfig / verdict-cache coherence. At the time a kMpuReconfig is
-// observed the MPU must already have invalidated its decision cache (the
-// generation counter moved since the last reconfig we saw) and the event
-// payload must agree with the live region state.
+// observed the MPU must already have dropped its region-set id (verdict
+// caches key on it, so a set change that left the id resolved would let the
+// old set's verdicts answer for the new registers), its reconfiguration
+// counter must have advanced since the last reconfig we saw (an event without
+// a register write is a replay), and the event payload must agree with the
+// live region state.
 std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
   struct Ctx {
-    uint64_t last_generation = 0;
+    uint64_t last_config_writes = 0;
   };
   auto ctx = std::make_shared<Ctx>();
   const opec_hw::Mpu* mpu = env.mpu;
   auto a = std::make_unique<Automaton>("mpu-cache-coherence");
   const int watch = a->AddState("watch");
+  auto invalidated = [ctx, mpu]() {
+    return !mpu->region_set_resolved() && mpu->config_writes() > ctx->last_config_writes;
+  };
 
   a->AddGuardedRule(watch, EventKind::kMpuReconfig,
-                    [ctx, mpu](const Event& ev) {
+                    [ctx, mpu, invalidated](const Event& ev) {
                       if (mpu == nullptr) return true;  // synthetic stream: nothing to check
                       if (ev.arg0 >= static_cast<uint32_t>(opec_hw::Mpu::kNumRegions)) {
                         return false;
                       }
-                      const uint64_t generation = mpu->generation();
-                      if (generation <= ctx->last_generation) return false;
+                      if (!invalidated()) return false;
                       const opec_hw::MpuRegionConfig& r =
                           mpu->region(static_cast<int>(ev.arg0));
                       if (r.base != ev.arg1 ||
@@ -220,13 +225,13 @@ std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
                                                   static_cast<uint8_t>(r.ap)) != ev.arg2) {
                         return false;
                       }
-                      ctx->last_generation = generation;
+                      ctx->last_config_writes = mpu->config_writes();
                       return true;
                     },
                     watch);
   a->AddGuardedRule(watch, EventKind::kMpuReconfig,
-                    [ctx, mpu](const Event&) {
-                      return mpu != nullptr && mpu->generation() <= ctx->last_generation;
+                    [mpu, invalidated](const Event&) {
+                      return mpu != nullptr && !invalidated();
                     },
                     Automaton::kViolation,
                     "MPU reconfig without a verdict-cache invalidation");
@@ -234,9 +239,9 @@ std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
              "kMpuReconfig payload disagrees with the live MPU region state");
 
   // After a violation, resync so an unrelated later reconfig is judged on
-  // its own generation step, not against the stale watermark.
+  // its own counter step, not against the stale watermark.
   a->SetResetHook([ctx, mpu]() {
-    if (mpu != nullptr) ctx->last_generation = mpu->generation();
+    if (mpu != nullptr) ctx->last_config_writes = mpu->config_writes();
   });
   a->Compile();
   return a;

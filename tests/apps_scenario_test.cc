@@ -79,5 +79,33 @@ TEST(AppScenarios, FatFsOperationCount) {
   EXPECT_GE(run.compile()->policy.FindExternalIndex(run.module().FindGlobal("SDFatFs")), 0);
 }
 
+// Verdicts survive operation switches: both verdict caches key on the
+// interned MPU region set, so a warm run re-enters each operation's set with
+// its verdicts still cached. Dropping every verdict at each reconfiguration
+// costs 11-48 region walks per switch on these runs, well above the bound.
+// Counted in region walks, so no host timing is involved.
+TEST(AppScenarios, MpuVerdictsSurviveOperationSwitches) {
+  const PinLockApp pinlock;
+  const TcpEchoApp tcp_echo;
+  for (const Application* app : {static_cast<const Application*>(&pinlock),
+                                 static_cast<const Application*>(&tcp_echo)}) {
+    for (EngineKind engine : {EngineKind::kInterp, EngineKind::kBytecode}) {
+      std::string label = app->name() + (engine == EngineKind::kInterp ? "/interp" : "/bytecode");
+      AppRun run(*app, BuildMode::kOpec, engine);
+      run.CaptureBoot();
+      ASSERT_TRUE(run.Execute().ok) << label;
+      run.RestoreBoot();
+      const uint64_t walks_before = run.machine().mpu().region_walks();
+      ASSERT_TRUE(run.Execute().ok) << label;
+      EXPECT_EQ(run.Check(), "") << label;
+      const uint64_t walks = run.machine().mpu().region_walks() - walks_before;
+      const uint64_t switches = run.monitor()->stats().operation_switches;
+      ASSERT_GT(switches, 0u) << label;
+      EXPECT_LE(walks, 8 * switches) << label << ": " << walks << " region walks over "
+                                     << switches << " operation switches";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace opec_apps

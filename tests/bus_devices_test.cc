@@ -13,6 +13,7 @@
 #include "src/hw/devices/rcc.h"
 #include "src/hw/devices/uart.h"
 #include "src/hw/machine.h"
+#include "src/support/check.h"
 
 namespace opec_hw {
 namespace {
@@ -153,6 +154,39 @@ TEST(Lcd, PixelCursorAdvancesAndChecksums) {
   uint32_t c1 = lcd.FrameChecksum();
   machine.bus().Write(kLcdBase + 0x0C, 4, 0xEF, true);
   EXPECT_NE(lcd.FrameChecksum(), c1);
+}
+
+TEST(Lcd, StateRoundTripsByteForByte) {
+  Machine machine(Board::kStm32479iEval);
+  Lcd lcd("LCD", kLcdBase);
+  machine.bus().AttachDevice(&lcd);
+  machine.bus().Write(kLcdBase + 0x00, 4, 1, true);
+  machine.bus().Write(kLcdBase + 0x04, 4, Lcd::kWidth - 1, true);
+  machine.bus().Write(kLcdBase + 0x08, 4, Lcd::kHeight - 1, true);
+  machine.bus().Write(kLcdBase + 0x0C, 4, 0x00C0FFEE, true);
+  StateWriter w;
+  lcd.SaveState(w);
+
+  Lcd restored("LCD", kLcdBase);
+  StateReader r(w.data());
+  restored.LoadState(r);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(restored.PixelAt(Lcd::kWidth - 1, Lcd::kHeight - 1), 0x00C0FFEEu);
+  EXPECT_EQ(restored.FrameChecksum(), lcd.FrameChecksum());
+  StateWriter again;
+  restored.SaveState(again);
+  EXPECT_EQ(again.data(), w.data());
+}
+
+// A pixel count read from a snapshot sizes nothing: a claim of 2^40 pixels is
+// a CheckError like any corrupt payload, not a terabyte-sized resize.
+TEST(Lcd, HugeClaimedPixelCountIsACheckError) {
+  opec_support::ScopedCheckThrow guard;
+  Lcd lcd("LCD", kLcdBase);
+  StateWriter w;
+  w.U64(1ull << 40);
+  StateReader r(w.data());
+  EXPECT_THROW(lcd.LoadState(r), opec_support::CheckError);
 }
 
 TEST(Ethernet, FrameQueueRoundTrip) {

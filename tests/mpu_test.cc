@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/hw/mpu.h"
 
 namespace opec_hw {
@@ -205,6 +208,142 @@ TEST(Mpu, LoadStateInvalidatesDecisionCache) {
   EXPECT_EQ(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false),
             mpu.CheckAccessUncached(0x20000010, 4, AccessKind::kWrite, false));
   EXPECT_TRUE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
+}
+
+// While the MPU is off, AllowedRange answers "all of memory, allowed".
+// Turning it on with no region write in between must still change the key
+// verdicts are cached under, or a slot filled while it was off keeps allowing.
+TEST(Mpu, EnablingTheMpuChangesTheVerdictKey) {
+  Mpu mpu;
+  mpu.ConfigureRegion(0, Region(0x20000000, 12, AccessPerm::kPrivRw));
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  ASSERT_TRUE(mpu.AllowedRange(0x20000010, AccessKind::kWrite, false, &lo, &hi));
+  const uint64_t off_key = mpu.region_set();
+  mpu.set_enabled(true);
+  EXPECT_NE(mpu.region_set(), off_key);
+  EXPECT_FALSE(mpu.AllowedRange(0x20000010, AccessKind::kWrite, false, &lo, &hi));
+  EXPECT_EQ(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false),
+            mpu.CheckAccessUncached(0x20000010, 4, AccessKind::kWrite, false));
+  EXPECT_FALSE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
+}
+
+TEST(Mpu, SameRegistersGiveTheSameRegionSet) {
+  const MpuRegionConfig a = Region(0x20000000, 12, AccessPerm::kFullAccess);
+  const MpuRegionConfig b = Region(0x20000000, 12, AccessPerm::kReadOnly);
+  Mpu mpu;
+  mpu.set_enabled(true);
+  mpu.ConfigureRegion(0, a);
+  const uint64_t id = mpu.region_set();
+  EXPECT_TRUE(mpu.region_set_resolved());
+
+  mpu.ConfigureRegion(0, a);  // a rewrite with identical contents
+  EXPECT_FALSE(mpu.region_set_resolved());
+  EXPECT_EQ(mpu.region_set(), id);
+
+  mpu.ConfigureRegion(0, b);
+  EXPECT_NE(mpu.region_set(), id);
+  mpu.ConfigureRegion(0, a);
+  EXPECT_EQ(mpu.region_set(), id);
+
+  // Registers restored from a snapshot are the same set as well.
+  StateWriter w;
+  mpu.SaveState(w);
+  mpu.ConfigureRegion(0, b);
+  ASSERT_NE(mpu.region_set(), id);
+  StateReader r(w.data());
+  mpu.LoadState(r);
+  EXPECT_FALSE(mpu.region_set_resolved());
+  EXPECT_EQ(mpu.region_set(), id);
+}
+
+TEST(Mpu, SetsOneFieldApartAreDistinct) {
+  const MpuRegionConfig base = Region(0x20000000, 10, AccessPerm::kFullAccess);
+  auto install = [](Mpu& mpu, const MpuRegionConfig& r) {
+    mpu.set_enabled(true);
+    mpu.ConfigureRegion(0, Region(0x08000000, 16, AccessPerm::kReadOnly, 0, false));
+    mpu.ConfigureRegion(3, r);
+  };
+  Mpu mpu;
+  install(mpu, base);
+  const uint64_t first = mpu.region_set();
+  std::set<uint64_t> ids = {first};
+  auto expect_new = [&](const char* field) {
+    EXPECT_TRUE(ids.insert(mpu.region_set()).second) << field;
+  };
+  MpuRegionConfig v = base;
+  v.srd = 0x10;
+  install(mpu, v);
+  expect_new("SRD bit");
+  v = base;
+  v.ap = AccessPerm::kPrivRw;
+  install(mpu, v);
+  expect_new("AP");
+  v = base;
+  v.xn = false;
+  install(mpu, v);
+  expect_new("XN");
+  v = base;
+  v.size_log2 = 11;
+  install(mpu, v);
+  expect_new("size");
+  v = base;
+  v.base = 0x20000400;
+  install(mpu, v);
+  expect_new("base");
+  install(mpu, base);
+  mpu.DisableRegion(3);
+  expect_new("region enable");
+  install(mpu, base);
+  mpu.set_enabled(false);
+  expect_new("MPU enable");
+  install(mpu, base);
+  EXPECT_EQ(mpu.region_set(), first);
+}
+
+// A -> B -> A: the decision cache serves A's verdicts on the way back without
+// a single region walk, and they still agree with the uncached walk.
+TEST(Mpu, RevisitedRegionSetNeedsNoRegionWalk) {
+  const MpuRegionConfig a = Region(0x20000000, 12, AccessPerm::kFullAccess);
+  const MpuRegionConfig b = Region(0x20000000, 12, AccessPerm::kPrivRw);
+  const uint32_t probes[] = {0x20000000, 0x20000040, 0x20000800, 0x20000FFC};
+  Mpu mpu;
+  mpu.set_enabled(true);
+  auto probe_all = [&](bool expect) {
+    for (uint32_t addr : probes) {
+      EXPECT_EQ(mpu.CheckAccess(addr, 4, AccessKind::kWrite, false), expect);
+      EXPECT_EQ(mpu.CheckAccessUncached(addr, 4, AccessKind::kWrite, false), expect);
+    }
+  };
+  mpu.ConfigureRegion(0, a);
+  probe_all(true);
+  mpu.ConfigureRegion(0, b);
+  probe_all(false);
+  mpu.ConfigureRegion(0, a);
+  const uint64_t walks = mpu.region_walks();
+  for (uint32_t addr : probes) {
+    EXPECT_TRUE(mpu.CheckAccess(addr, 4, AccessKind::kWrite, false));
+  }
+  EXPECT_EQ(mpu.region_walks(), walks);
+}
+
+// The intern table is bounded and cleared when full; ids keep counting, so
+// no id ever names two different sets, and verdicts stay exact throughout.
+TEST(Mpu, InternTableOverflowNeverReusesAnId) {
+  Mpu mpu;
+  mpu.set_enabled(true);
+  std::map<uint64_t, int> set_of_id;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int i = 0; i < 200; ++i) {
+      const uint32_t base = 0x20000000 + static_cast<uint32_t>(i) * 32;
+      mpu.ConfigureRegion(5, Region(base, 5, AccessPerm::kFullAccess));
+      auto it = set_of_id.emplace(mpu.region_set(), i).first;
+      EXPECT_EQ(it->second, i) << "id " << it->first << " reused (pass " << pass << ")";
+      EXPECT_TRUE(mpu.CheckAccess(base, 4, AccessKind::kWrite, false));
+      EXPECT_FALSE(mpu.CheckAccess(base + 32, 4, AccessKind::kWrite, false));
+    }
+  }
+  EXPECT_GT(set_of_id.size(), 200u);  // the table overflowed and ids kept counting
 }
 
 TEST(MpuDeathTest, RejectsSrdOnSmallRegions) {
