@@ -1,9 +1,9 @@
 // campaign: the parallel campaign-execution CLI (DESIGN.md Section 11).
 //
-// Runs a matrix of isolated scenario and/or fault-injection jobs on the
-// work-stealing pool and prints a deterministic report: modeled outputs and
-// the aggregated JSON are bit-identical across --jobs values; only the wall
-// clock changes.
+// Runs a matrix of isolated scenario and/or fault-injection jobs on
+// ParallelMap's worker threads and prints a deterministic report: modeled
+// outputs and the aggregated JSON are bit-identical across --jobs values;
+// only the wall clock changes.
 //
 // Usage:
 //   campaign [--spec FILE] [--apps a,b|all] [--modes opec|vanilla|both]

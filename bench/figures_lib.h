@@ -4,7 +4,7 @@
 // evaluation (Section 6) or of one ablation (DESIGN.md §3). Per-item work
 // (one application, one buffer size) of the figures and ablations dispatches
 // through opec_campaign::ParallelMap: `jobs <= 1` is the inline serial path,
-// `jobs > 1` fans out over the work-stealing pool — results are assembled in
+// `jobs > 1` fans out over its worker threads — results are assembled in
 // item order either way, so the returned text does not depend on the thread
 // count. The tables run serially.
 

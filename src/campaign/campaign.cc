@@ -895,7 +895,7 @@ std::string ResultsJson(const CampaignResult& result, bool with_timing) {
     json << "    \"parallel_speedup\": " << buf << "\n";
     json << "  }";
     // Distributed-executor scheduling stats (DESIGN.md §16). Timing-report
-    // only: queue depth and in-flight counts depend on worker speed and join
+    // only: issue, reissue and expiry counts depend on worker speed and join
     // order, so they must never appear in the deterministic report.
     if (result.dist.active) {
       const DistStats& d = result.dist;
@@ -905,19 +905,8 @@ std::string ResultsJson(const CampaignResult& result, bool with_timing) {
       json << "    \"units_issued\": " << d.units_issued << ",\n";
       json << "    \"units_reissued\": " << d.units_reissued << ",\n";
       json << "    \"leases_expired\": " << d.leases_expired << ",\n";
-      json << "    \"queue_high_water\": " << d.queue_high_water << ",\n";
-      json << "    \"links_lost\": " << d.links_lost << ",\n";
-      json << "    \"reconnects\": " << d.reconnects << ",\n";
       json << "    \"peers_rejected\": " << d.peers_rejected << ",\n";
-      json << "    \"late_results\": " << d.late_results << ",\n";
-      json << "    \"adaptive_units\": " << (d.adaptive_units ? "true" : "false") << ",\n";
-      json << "    \"unit_size_min\": " << d.unit_size_min << ",\n";
-      json << "    \"unit_size_max\": " << d.unit_size_max << ",\n";
-      json << "    \"max_inflight\": [";
-      for (size_t i = 0; i < d.max_inflight.size(); ++i) {
-        json << (i == 0 ? "" : ", ") << d.max_inflight[i];
-      }
-      json << "]\n";
+      json << "    \"late_results\": " << d.late_results << "\n";
       json << "  }";
     }
   }

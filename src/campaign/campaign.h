@@ -2,7 +2,7 @@
 // instances (DESIGN.md Section 11).
 //
 // A campaign is a job matrix — apps x build modes x seeds, scenario runs or
-// fault-injection runs — executed by a work-stealing thread pool. Every job
+// fault-injection runs — executed by ParallelMap's worker threads. Every job
 // runs on a Module/Machine/AppRun no other thread touches: built from scratch
 // under cold_boot, else rewound to the post-boot snapshot of its thread's
 // warm pool (the harness has no process-global mutable state; the obs Hub is
@@ -20,25 +20,30 @@
 #ifndef SRC_CAMPAIGN_CAMPAIGN_H_
 #define SRC_CAMPAIGN_CAMPAIGN_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
-#include "src/campaign/thread_pool.h"
 
 namespace opec_campaign {
 
 // ---------------------------------------------------------------------------
 // Deterministic parallel map.
 
-// Runs fn(0), ..., fn(count - 1) on `jobs` workers and returns the results in
-// index order. jobs <= 1 runs inline on the calling thread — exactly the
-// serial path, no pool. Exceptions propagate: after all jobs finish, the
+// Runs fn(0), ..., fn(count - 1) and returns the results in index order.
+// jobs <= 1 runs inline on the calling thread — exactly the serial path.
+// Otherwise min(jobs, count, 4 x hardware threads) fresh threads claim
+// indexes from one atomic counter and the caller joins them; every call
+// starts its own threads, so thread-local state (the executor's warm pools)
+// lives for one call. Exceptions propagate: after all jobs finish, the
 // lowest-index captured exception (if any) is rethrown.
 template <typename Fn>
 auto ParallelMap(int jobs, size_t count, Fn&& fn)
@@ -52,18 +57,24 @@ auto ParallelMap(int jobs, size_t count, Fn&& fn)
     return results;
   }
   std::vector<std::exception_ptr> errors(count);
-  {
-    ThreadPool pool(jobs);
-    for (size_t i = 0; i < count; ++i) {
-      pool.Submit([&, i] {
-        try {
-          results[i] = fn(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
+  unsigned hw = std::thread::hardware_concurrency();
+  size_t cap = hw == 0 ? 4 : size_t{hw} * 4;
+  std::vector<std::thread> threads(std::min({static_cast<size_t>(jobs), count, cap}));
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+      try {
+        results[i] = fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
-    pool.Wait();
+  };
+  for (std::thread& t : threads) {
+    t = std::thread(work);
+  }
+  for (std::thread& t : threads) {
+    t.join();
   }
   for (std::exception_ptr& e : errors) {
     if (e != nullptr) {
@@ -208,21 +219,13 @@ const char* OutcomeName(Outcome outcome);
 // DeterministicJson(): byte-identity across worker counts is preserved.
 struct DistStats {
   bool active = false;          // a distributed executor produced this result
-  uint64_t workers = 0;         // distinct workers that ever joined
-  uint64_t workers_died = 0;    // connections lost before shutdown (no resume)
+  uint64_t workers = 0;         // workers that joined (one per connection)
+  uint64_t workers_died = 0;    // connections lost before shutdown
   uint64_t units_issued = 0;    // work-unit leases handed out (incl. re-issues)
   uint64_t units_reissued = 0;  // units re-queued after worker death
   uint64_t leases_expired = 0;  // units re-queued after lease timeout
-  uint64_t queue_high_water = 0;  // max pending jobs observed
-  // Fleet hardening.
-  uint64_t links_lost = 0;      // resumable links dropped (leases parked)
-  uint64_t reconnects = 0;      // worker ids that rejoined after a drop
   uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
   uint64_t late_results = 0;    // result frames landing without a live lease
-  bool adaptive_units = false;  // EWMA-driven unit sizing was active
-  uint64_t unit_size_min = 0;   // smallest/largest unit carved (0 = none)
-  uint64_t unit_size_max = 0;
-  std::vector<uint64_t> max_inflight;       // per worker, peak leased units
 };
 
 struct JobResult {

@@ -134,18 +134,7 @@ void AddFleetFlags(opec_support::FlagSet& flags, FleetOptions* fleet) {
   flags.Int("--workers", &fleet->workers, 1, 256);
   flags.Int("--serve", &fleet->serve_port, 1, 65535);
   flags.Str("--connect", &fleet->connect);
-  flags.Custom("--unit-size", [fleet](const std::string& v) {
-    int n = 0;
-    if (v == "auto") {
-      fleet->server.adaptive_units = true;
-    } else if (opec_support::ParseCount(v.c_str(), 1, 100000, &n)) {
-      fleet->server.unit_size = static_cast<size_t>(n);
-    } else {
-      return std::string("expected an integer in [1, 100000] or auto");
-    }
-    return std::string();
-  });
-  flags.Int("--target-unit-ms", &fleet->server.target_unit_ms, 1, 600000);
+  flags.Int("--unit-size", &fleet->server.unit_size, 1, 100000);
   flags.Int("--lease-ms", &fleet->server.lease_ms, 1, 3600000);
   flags.Custom("--auth-token", [fleet](const std::string& v) {
     fleet->server.auth_token = v;
@@ -159,9 +148,6 @@ void AddFleetFlags(opec_support::FlagSet& flags, FleetOptions* fleet) {
   });
   flags.Int("--chaos-kill-after", &fleet->chaos_kill_after, 1, 1000000);
   flags.Int("--chaos-stop-after", &fleet->chaos_stop_after, 1, 1000000);
-  flags.Str("--worker-id", &fleet->worker.worker_id);
-  flags.Int("--reconnect", &fleet->worker.reconnect_max, 0, 1000000);
-  flags.Int("--reconnect-delay-ms", &fleet->worker.reconnect_delay_ms, 0, 3600000);
   flags.Int("--chaos-drop-after", &fleet->worker.chaos_drop_after, 1, 1000000);
 }
 
@@ -171,19 +157,14 @@ std::string CheckFleetRoles(const FleetOptions& fleet) {
 }
 
 int RunFleetWorker(const FleetOptions& fleet) {
-  WorkerOptions options = fleet.worker;
-  options.name = options.worker_id.empty() ? "tcp-worker" : options.worker_id;
-  std::string err = RunWorkerLoop(
-      [&]() -> std::unique_ptr<Transport> {
-        std::string connect_err;
-        int fd = TcpConnect(fleet.connect, &connect_err);
-        if (fd < 0) {
-          std::fprintf(stderr, "dist: %s\n", connect_err.c_str());
-          return nullptr;
-        }
-        return std::make_unique<FdTransport>(fd);
-      },
-      options);
+  std::string err;
+  int fd = TcpConnect(fleet.connect, &err);
+  if (fd >= 0) {
+    Transport transport(fd);
+    WorkerOptions options = fleet.worker;
+    options.name = "tcp-worker";
+    err = RunWorker(transport, options);
+  }
   if (!err.empty()) {
     std::fprintf(stderr, "dist: worker: %s\n", err.c_str());
     return 2;

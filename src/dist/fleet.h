@@ -8,12 +8,11 @@
 //   --connect HOST:PORT  one TCP worker; the sweep comes from the server
 //
 // The roles are mutually exclusive. The other fleet flags tune the server
-// (--unit-size N|auto, --target-unit-ms, --lease-ms, --allow CIDR), the TCP
-// worker (--worker-id, --reconnect, --reconnect-delay-ms) or both
-// (--auth-token), and arm the chaos hooks that prove a report survives a
-// killed (--chaos-kill-after R), stalled (--chaos-stop-after R) or
-// disconnected (--chaos-drop-after J) worker. Every worker warm-starts like
-// an in-process pool thread (worker.h).
+// (--unit-size N, --lease-ms, --allow CIDR) or both ends (--auth-token), and
+// arm the chaos hooks that prove a report survives a killed
+// (--chaos-kill-after R), stalled (--chaos-stop-after R) or disconnected
+// (--chaos-drop-after J) worker. Every worker warm-starts like an in-process
+// pool thread (worker.h).
 
 #ifndef SRC_DIST_FLEET_H_
 #define SRC_DIST_FLEET_H_
@@ -43,14 +42,14 @@ struct FleetOptions {
   bool distributed() const { return workers > 0 || serve_port > 0 || !connect.empty(); }
 };
 
-// Declares the fourteen fleet flags.
+// Declares the ten fleet flags.
 void AddFleetFlags(opec_support::FlagSet& flags, FleetOptions* fleet);
 
 // "" unless more than one role is set.
 std::string CheckFleetRoles(const FleetOptions& fleet);
 
-// --connect: runs one worker until the server shuts it down, redialing up to
-// --reconnect times. Returns the exit status: 0, or 2 after logging why.
+// --connect: runs one worker until the server shuts it down. Returns the exit
+// status: 0, or 2 after logging why.
 int RunFleetWorker(const FleetOptions& fleet);
 
 // --workers / --serve: runs the sweep through a CampaignServer, forking the

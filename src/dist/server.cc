@@ -14,7 +14,9 @@ namespace opec_dist {
 
 namespace {
 
-constexpr double kEwmaAlpha = 0.3;
+// A peer whose outbox grows past this is not reading; it is killed rather
+// than buffered without bound.
+constexpr uint64_t kOutboxMaxBytes = 128ull << 20;
 
 int DeadlineMs(std::chrono::steady_clock::time_point now,
                std::chrono::steady_clock::time_point deadline) {
@@ -43,9 +45,7 @@ bool TokenEq(const std::string& a, const std::string& b) {
 
 CampaignServer::CampaignServer(const opec_campaign::CampaignSpec& spec,
                                const Options& options)
-    : options_(options),
-      sweep_(SweepKind::kCampaign),
-      campaign_seed_(spec.seed) {
+    : options_(options), sweep_(SweepKind::kCampaign) {
   resolved_.reserve(spec.jobs.size());
   for (size_t i = 0; i < spec.jobs.size(); ++i) {
     resolved_.push_back(opec_campaign::ResolveJobSpec(spec.jobs[i], i, spec.seed,
@@ -70,12 +70,11 @@ CampaignServer::~CampaignServer() = default;
 
 void CampaignServer::BuildQueue(size_t total) {
   total_ = total;
+  unit_size_ = std::max<size_t>(1, options_.unit_size);
   have_.assign(total_, 0);
-  if (total_ > 0) {
-    pending_.push_back(Span{0, total_});
+  for (uint64_t unit = 0; UnitFirst(unit) < total_; ++unit) {
+    pending_.push_back(unit);
   }
-  stats_.queue_high_water = total_;
-  stats_.adaptive_units = options_.adaptive_units;
 }
 
 void CampaignServer::AddWorker(std::unique_ptr<Transport> transport) {
@@ -94,67 +93,13 @@ size_t CampaignServer::AliveWorkers() const {
   return n;
 }
 
-size_t CampaignServer::PendingJobs() const {
-  size_t n = 0;
-  for (const Span& s : pending_) {
-    n += s.count;
-  }
-  return n;
-}
-
-bool CampaignServer::UnitFullyRecorded(const Span& s) const {
-  for (size_t i = s.start; i < s.start + s.count; ++i) {
+bool CampaignServer::UnitRecorded(uint64_t unit) const {
+  for (size_t i = UnitFirst(unit); i < UnitEnd(unit); ++i) {
     if (!have_[i]) {
       return false;
     }
   }
   return true;
-}
-
-std::string CampaignServer::SizeKey(size_t index) const {
-  if (sweep_ == SweepKind::kFuzz) {
-    return "fuzz";
-  }
-  const opec_campaign::JobSpec& spec = resolved_[index];
-  return spec.app + "|" + std::to_string(static_cast<int>(spec.mode)) + "|" +
-         std::to_string(static_cast<int>(spec.engine));
-}
-
-size_t CampaignServer::CarveCount(const Span& s) const {
-  size_t fixed = options_.unit_size == 0 ? 1 : options_.unit_size;
-  if (!options_.adaptive_units) {
-    return std::min(fixed, s.count);
-  }
-  size_t cap = std::min(options_.max_unit_size == 0 ? size_t{1} : options_.max_unit_size,
-                        s.count);
-  double target_ns = static_cast<double>(options_.target_unit_ms) * 1e6;
-  double acc = 0.0;
-  size_t n = 0;
-  while (n < cap) {
-    auto it = ewma_ns_.find(SizeKey(s.start + n));
-    if (it == ewma_ns_.end() || it->second <= 0.0) {
-      // No sample for this job class yet: bootstrap with the fixed size so
-      // the first units still parallelize.
-      if (n == 0) {
-        return std::min(fixed, cap);
-      }
-      break;
-    }
-    if (n > 0 && acc + it->second > target_ns) {
-      break;
-    }
-    acc += it->second;
-    ++n;
-  }
-  return std::max<size_t>(1, n);
-}
-
-void CampaignServer::NoteUnitSize(size_t carved) {
-  uint64_t c = static_cast<uint64_t>(carved);
-  if (stats_.unit_size_min == 0 || c < stats_.unit_size_min) {
-    stats_.unit_size_min = c;
-  }
-  stats_.unit_size_max = std::max(stats_.unit_size_max, c);
 }
 
 void CampaignServer::EnqueueFrame(size_t wi, const Frame& frame) {
@@ -165,7 +110,7 @@ void CampaignServer::EnqueueFrame(size_t wi, const Frame& frame) {
   std::vector<uint8_t> bytes = EncodeFrame(frame);
   w.outbox_bytes += bytes.size();
   w.outbox.push_back(std::move(bytes));
-  if (w.outbox_bytes > options_.outbox_max_bytes) {
+  if (w.outbox_bytes > kOutboxMaxBytes) {
     KillWorker(wi, "outbox overflow (peer not draining)");
     return;
   }
@@ -185,7 +130,7 @@ void CampaignServer::DrainOutbox(size_t wi) {
       return;
     }
     if (n == 0) {
-      return;  // peer's pipe is full; POLLOUT will resume the drain
+      return;  // peer's socket buffer is full; POLLOUT will resume the drain
     }
     w.outbox_off += static_cast<size_t>(n);
     w.outbox_bytes -= static_cast<uint64_t>(n);
@@ -196,138 +141,47 @@ void CampaignServer::DrainOutbox(size_t wi) {
   }
 }
 
+void CampaignServer::Hangup(size_t wi) {
+  WorkerState& w = workers_[wi];
+  w.dead = true;
+  w.transport->Close();
+  w.outbox.clear();
+  w.outbox_off = 0;
+  w.outbox_bytes = 0;
+}
+
 void CampaignServer::KillWorker(size_t wi, const char* why) {
   WorkerState& w = workers_[wi];
   if (w.dead) {
     return;
   }
-  w.dead = true;
-  w.transport->Close();
-  w.outbox.clear();
-  w.outbox_off = 0;
-  w.outbox_bytes = 0;
+  Hangup(wi);
   if (!w.shutdown_sent) {
     ++stats_.workers_died;
     std::fprintf(stderr, "dist: worker %zu (%s) lost: %s\n", wi,
                  w.name.empty() ? "?" : w.name.c_str(), why);
   }
-  RequeueWorkerUnits(wi);
-}
-
-void CampaignServer::DropConnection(size_t wi, const char* why) {
-  WorkerState& w = workers_[wi];
-  if (w.dead) {
-    return;
-  }
-  if (!w.resumable || !w.hello_done || w.shutdown_sent) {
-    KillWorker(wi, why);
-    return;
-  }
-  // A resumable worker's link dropped: park its leases under its worker id.
-  // If it reconnects before the lease clock runs out it resumes in place;
-  // otherwise ExpireLeases falls back to the plain requeue path.
-  w.dead = true;
-  w.transport->Close();
-  w.outbox.clear();
-  w.outbox_off = 0;
-  w.outbox_bytes = 0;
-  ++stats_.links_lost;
-  std::fprintf(stderr, "dist: worker %zu (%s) link lost: %s; leases parked\n", wi,
-               w.name.empty() ? "?" : w.name.c_str(), why);
-  ParkWorkerUnits(wi);
-}
-
-void CampaignServer::RequeueUnit(uint64_t unit_id, bool expired) {
-  auto issued_it = issued_.find(unit_id);
-  auto lease_it = leases_.find(unit_id);
-  if (lease_it != leases_.end()) {
-    const Lease& lease = lease_it->second;
-    if (!lease.parked && lease.worker != kNoWorker && lease.worker < workers_.size()) {
-      WorkerState& holder = workers_[lease.worker];
-      if (holder.inflight > 0) {
-        --holder.inflight;
-      }
-    }
-    leases_.erase(lease_it);
-  }
-  if (issued_it == issued_.end()) {
-    return;
-  }
-  Span s = issued_it->second;
-  issued_.erase(issued_it);
-  if (UnitFullyRecorded(s)) {
-    // A late/duplicate delivery already recorded every row: the unit is done,
-    // not lost — erase it silently so the stats never double-count it.
-    return;
-  }
-  pending_.push_front(s);
-  if (expired) {
-    ++stats_.leases_expired;
-  } else {
-    ++stats_.units_reissued;
-  }
-  stats_.queue_high_water =
-      std::max(stats_.queue_high_water, static_cast<uint64_t>(PendingJobs()));
-}
-
-void CampaignServer::RequeueWorkerUnits(size_t wi) {
-  std::vector<uint64_t> requeue;
-  for (const auto& [unit_id, lease] : leases_) {
-    if (!lease.parked && lease.worker == wi) {
-      requeue.push_back(unit_id);
-    }
-  }
   // Recovery work goes to the *front* of the queue so the sweep's tail is not
-  // stuck behind untouched units. Requeue in descending span order so the
-  // front ends up sorted ascending — a deterministic reissue order.
-  std::sort(requeue.begin(), requeue.end(), [&](uint64_t a, uint64_t b) {
-    return issued_[a].start > issued_[b].start;
-  });
-  for (uint64_t unit_id : requeue) {
-    RequeueUnit(unit_id, /*expired=*/false);
-  }
-  workers_[wi].inflight = 0;
-}
-
-void CampaignServer::ParkWorkerUnits(size_t wi) {
-  WorkerState& w = workers_[wi];
+  // stuck behind untouched units.
   std::vector<uint64_t> held;
-  for (const auto& [unit_id, lease] : leases_) {
-    if (!lease.parked && lease.worker == wi) {
-      held.push_back(unit_id);
+  for (const auto& [unit, lease] : leases_) {
+    if (lease.worker == wi) {
+      held.push_back(unit);
     }
   }
-  for (uint64_t unit_id : held) {
-    auto issued_it = issued_.find(unit_id);
-    if (issued_it == issued_.end() || UnitFullyRecorded(issued_it->second)) {
-      if (issued_it != issued_.end()) {
-        issued_.erase(issued_it);
-      }
-      leases_.erase(unit_id);
-      continue;
-    }
-    Lease& lease = leases_[unit_id];
-    lease.parked = true;
-    lease.worker = kNoWorker;
-    lease.worker_id = w.worker_id;
-  }
-  w.inflight = 0;
+  RequeueUnits(held, /*expired=*/false);
 }
 
-void CampaignServer::AdoptParkedLeases(size_t wi) {
-  WorkerState& w = workers_[wi];
-  Clock::time_point now = Clock::now();
-  for (auto& [unit_id, lease] : leases_) {
-    if (!lease.parked || lease.worker_id != w.worker_id) {
+void CampaignServer::RequeueUnits(const std::vector<uint64_t>& units, bool expired) {
+  for (auto it = units.rbegin(); it != units.rend(); ++it) {
+    leases_.erase(*it);
+    if (UnitRecorded(*it)) {
+      // A late/duplicate delivery already recorded every row: the unit is
+      // done, not lost — drop it silently so the stats never double-count it.
       continue;
     }
-    lease.parked = false;
-    lease.worker = wi;
-    lease.needs_resend = true;
-    if (options_.lease_ms != 0) {
-      lease.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-    }
-    ++w.inflight;
+    pending_.push_front(*it);
+    ++(expired ? stats_.leases_expired : stats_.units_reissued);
   }
 }
 
@@ -336,73 +190,32 @@ void CampaignServer::ExpireLeases(Clock::time_point now) {
     return;
   }
   std::vector<uint64_t> expired;
-  for (const auto& [unit_id, lease] : leases_) {
+  for (const auto& [unit, lease] : leases_) {
     if (lease.deadline <= now) {
-      expired.push_back(unit_id);
+      expired.push_back(unit);
     }
   }
-  std::sort(expired.begin(), expired.end(), [&](uint64_t a, uint64_t b) {
-    return issued_[a].start > issued_[b].start;
-  });
-  for (uint64_t unit_id : expired) {
-    RequeueUnit(unit_id, /*expired=*/true);
-  }
+  RequeueUnits(expired, /*expired=*/true);
 }
 
 void CampaignServer::RecordResult(size_t wi, const ResultMsg& msg) {
-  WorkerState& w = workers_[wi];
-  if (!w.hello_done) {
-    return;
-  }
-  auto lease_it = leases_.find(msg.unit_id);
-  bool own_lease = lease_it != leases_.end() && !lease_it->second.parked &&
-                   lease_it->second.worker == wi;
+  auto lease = leases_.find(msg.unit_id);
+  bool own_lease = lease != leases_.end() && lease->second.worker == wi;
   if (!own_lease) {
-    // The lease expired (and was requeued/re-carved) or belongs to a prior
-    // incarnation: the rows still count via first-write-wins below, but the
-    // delivery itself is late.
+    // The lease expired (and the unit was requeued or reissued): the rows
+    // still count via first-write-wins below, but the delivery is late.
     ++stats_.late_results;
   }
 
-  Clock::time_point now = Clock::now();
-  if (own_lease && sweep_ == SweepKind::kFuzz && lease_it->second.rows > 0) {
-    double elapsed_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now - lease_it->second.issued_at)
-            .count());
-    double per_row = elapsed_ns / static_cast<double>(lease_it->second.rows);
-    double& e = ewma_ns_["fuzz"];
-    e = e <= 0.0 ? per_row : (1.0 - kEwmaAlpha) * e + kEwmaAlpha * per_row;
-  }
-
-  size_t rows = msg.indexes.size();
-  for (size_t k = 0; k < rows; ++k) {
+  for (size_t k = 0; k < msg.indexes.size(); ++k) {
     size_t index = static_cast<size_t>(msg.indexes[k]);
-    if (index >= total_) {
-      continue;  // malformed row; drop rather than corrupt the table
-    }
-    if (sweep_ == SweepKind::kCampaign && k < msg.jobs.size() && msg.jobs[k].wall_ns > 0) {
-      // Feed the sizing model from every executed row, duplicates included —
-      // they are real observations of this job class's wall time.
-      const opec_campaign::JobSpec& spec = msg.jobs[k].spec;
-      std::string key = spec.app + "|" + std::to_string(static_cast<int>(spec.mode)) +
-                        "|" + std::to_string(static_cast<int>(spec.engine));
-      double x = static_cast<double>(msg.jobs[k].wall_ns);
-      double& e = ewma_ns_[key];
-      e = e <= 0.0 ? x : (1.0 - kEwmaAlpha) * e + kEwmaAlpha * x;
-    }
-    if (have_[index]) {
-      continue;  // duplicate delivery of a re-issued unit; first write wins
+    if (index >= total_ || have_[index]) {
+      continue;  // malformed row, or a duplicate delivery; first write wins
     }
     if (sweep_ == SweepKind::kCampaign) {
-      if (k >= msg.jobs.size()) {
-        continue;
-      }
       job_results_[index] = msg.jobs[k];
       job_results_[index].index = index;
     } else {
-      if (k >= msg.cases.size()) {
-        continue;
-      }
       case_results_[index] = msg.cases[k];
     }
     have_[index] = 1;
@@ -412,46 +225,18 @@ void CampaignServer::RecordResult(size_t wi, const ResultMsg& msg) {
     }
   }
 
-  auto issued_it = issued_.find(msg.unit_id);
-  bool complete = issued_it == issued_.end() || UnitFullyRecorded(issued_it->second);
-  if (own_lease) {
-    if (complete) {
-      leases_.erase(msg.unit_id);
-      if (issued_it != issued_.end()) {
-        issued_.erase(issued_it);
-      }
-      if (w.inflight > 0) {
-        --w.inflight;
-      }
-    } else {
-      // Partial delivery (resume flow): the worker still owns the remainder;
-      // give it a fresh lease clock.
-      if (options_.lease_ms != 0) {
-        lease_it->second.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-      }
-    }
-  } else if (complete && issued_it != issued_.end()) {
-    // A late delivery finished a unit someone else still holds: cancel the
-    // surviving lease silently — the unit is done, nothing was lost.
-    auto live = leases_.find(msg.unit_id);
-    if (live != leases_.end()) {
-      if (!live->second.parked && live->second.worker != kNoWorker &&
-          live->second.worker < workers_.size()) {
-        WorkerState& holder = workers_[live->second.worker];
-        if (holder.inflight > 0) {
-          --holder.inflight;
-        }
-      }
-      leases_.erase(live);
-    }
-    issued_.erase(issued_it);
+  // The holder's delivery ends its lease; rows it left out go back to the
+  // queue. A late delivery that completed a unit someone else now holds
+  // cancels that lease silently — nothing was lost.
+  if (own_lease || (lease != leases_.end() && UnitRecorded(msg.unit_id))) {
+    RequeueUnits({msg.unit_id}, /*expired=*/false);
   }
 }
 
-bool CampaignServer::SendAssign(size_t wi, uint64_t unit_id, const Span& span) {
+void CampaignServer::SendAssign(size_t wi, uint64_t unit) {
   AssignMsg assign;
-  assign.unit_id = unit_id;
-  for (size_t i = span.start; i < span.start + span.count; ++i) {
+  assign.unit_id = unit;
+  for (size_t i = UnitFirst(unit); i < UnitEnd(unit); ++i) {
     if (have_[i]) {
       continue;
     }
@@ -462,13 +247,9 @@ bool CampaignServer::SendAssign(size_t wi, uint64_t unit_id, const Span& span) {
       assign.fuzz_seeds.push_back(fuzz_base_seed_ + i);
     }
   }
-  if (assign.indexes.empty()) {
-    return false;
-  }
   EnqueueFrame(wi, MakeFrame(FrameType::kAssign, [&](opec_hw::StateWriter& sw) {
                  WriteAssign(sw, sweep_, assign);
                }));
-  return true;
 }
 
 bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
@@ -480,11 +261,7 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     ++stats_.peers_rejected;
     std::fprintf(stderr, "dist: peer '%s' rejected: %s\n",
                  hello.worker_name.empty() ? "?" : hello.worker_name.c_str(), why);
-    w.dead = true;
-    w.transport->Close();
-    w.outbox.clear();
-    w.outbox_off = 0;
-    w.outbox_bytes = 0;
+    Hangup(wi);
     return false;
   };
   if (w.hello_done) {
@@ -498,35 +275,8 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     return reject("bad auth token");
   }
   w.name = hello.worker_name;
-  w.worker_id = hello.worker_id;
-  w.resumable = hello.resumable && !hello.worker_id.empty();
   w.hello_done = true;
-  if (!w.worker_id.empty()) {
-    // A live connection claiming the same id is stale (the worker gave up on
-    // it and redialed): park it and let the new connection adopt.
-    for (size_t j = 0; j < workers_.size(); ++j) {
-      if (j != wi && !workers_[j].dead && workers_[j].hello_done &&
-          workers_[j].worker_id == w.worker_id) {
-        DropConnection(j, "superseded by reconnect");
-      }
-    }
-    w.session_key = w.worker_id;
-    if (seen_ids_.insert(w.worker_id).second) {
-      ++stats_.workers;
-      session_order_.push_back(w.session_key);
-      sessions_[w.session_key];
-    } else {
-      ++stats_.reconnects;
-    }
-  } else {
-    w.session_key = "conn#" + std::to_string(wi);
-    ++stats_.workers;
-    session_order_.push_back(w.session_key);
-    sessions_[w.session_key];
-  }
-  if (w.resumable) {
-    AdoptParkedLeases(wi);
-  }
+  ++stats_.workers;
   WelcomeMsg welcome;
   welcome.sweep = sweep_;
   welcome.cold_boot = options_.cold_boot;
@@ -548,102 +298,23 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         KillWorker(wi, "work request before hello");
         return false;
       }
-      Clock::time_point now = Clock::now();
-      // Adopted leases first: re-assign the remainder of a unit that survived
-      // a link drop, under its original unit id.
-      for (;;) {
-        uint64_t resume_id = 0;
-        bool have_resume = false;
-        for (const auto& [unit_id, lease] : leases_) {
-          if (!lease.parked && lease.worker == wi && lease.needs_resend &&
-              (!have_resume || unit_id < resume_id)) {
-            resume_id = unit_id;
-            have_resume = true;
-          }
-        }
-        if (!have_resume) {
-          break;
-        }
-        Lease& lease = leases_[resume_id];
-        lease.needs_resend = false;
-        auto issued_it = issued_.find(resume_id);
-        if (issued_it == issued_.end() || UnitFullyRecorded(issued_it->second)) {
-          // Everything in it was recorded while the link was down.
-          if (issued_it != issued_.end()) {
-            issued_.erase(issued_it);
-          }
-          leases_.erase(resume_id);
-          if (w.inflight > 0) {
-            --w.inflight;
-          }
-          continue;
-        }
-        if (options_.lease_ms != 0) {
-          lease.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-        }
-        lease.rows = 0;
-        for (size_t i = issued_it->second.start;
-             i < issued_it->second.start + issued_it->second.count; ++i) {
-          if (!have_[i]) {
-            ++lease.rows;
-          }
-        }
-        SendAssign(wi, resume_id, issued_it->second);
-        return true;
-      }
-      // Advance the front span past rows recorded by late/duplicate
-      // deliveries — re-issuing them would burn a worker on jobs that cannot
+      // Skip units that late/duplicate deliveries recorded while they were
+      // queued — re-issuing them would burn a worker on jobs that cannot
       // advance done_count_ (with a tiny --lease-ms that livelocks the sweep).
-      while (!pending_.empty()) {
-        Span& front = pending_.front();
-        while (front.count > 0 && have_[front.start]) {
-          ++front.start;
-          --front.count;
-        }
-        if (front.count == 0) {
-          pending_.pop_front();
-        } else {
-          break;
-        }
+      while (!pending_.empty() && UnitRecorded(pending_.front())) {
+        pending_.pop_front();
       }
       if (!pending_.empty()) {
-        Span& front = pending_.front();
-        size_t take = CarveCount(front);
-        Span unit{front.start, take};
-        front.start += take;
-        front.count -= take;
-        if (front.count == 0) {
-          pending_.pop_front();
-        }
-        uint64_t unit_id = next_unit_id_++;
-        issued_[unit_id] = unit;
-        Lease lease;
-        lease.worker = wi;
-        lease.worker_id = w.worker_id;
-        lease.issued_at = now;
-        lease.deadline = now + std::chrono::milliseconds(
-                                   options_.lease_ms == 0 ? 0 : options_.lease_ms);
-        lease.rows = 0;
-        for (size_t i = unit.start; i < unit.start + unit.count; ++i) {
-          if (!have_[i]) {
-            ++lease.rows;
-          }
-        }
-        leases_[unit_id] = lease;
+        uint64_t unit = pending_.front();
+        pending_.pop_front();
+        leases_[unit] = Lease{wi, Clock::now() + std::chrono::milliseconds(options_.lease_ms)};
         ++stats_.units_issued;
-        ++w.inflight;
-        Session& session = sessions_[w.session_key];
-        session.max_inflight = std::max(session.max_inflight, w.inflight);
-        NoteUnitSize(take);
-        SendAssign(wi, unit_id, unit);
+        SendAssign(wi, unit);
       } else if (Done()) {
         w.shutdown_sent = true;
         EnqueueFrame(wi, MakeFrame(FrameType::kShutdown));
       } else {
-        NoWorkMsg nw;
-        nw.retry_ms = options_.retry_ms;
-        EnqueueFrame(wi, MakeFrame(FrameType::kNoWork,
-                                   [&](opec_hw::StateWriter& sw) { WriteNoWork(sw, nw); }));
+        EnqueueFrame(wi, MakeFrame(FrameType::kNoWork));
       }
       return !workers_[wi].dead;
     }
@@ -652,8 +323,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         KillWorker(wi, "result before hello");
         return false;
       }
-      ResultMsg msg = ReadResult(r, sweep_);
-      RecordResult(wi, msg);
+      RecordResult(wi, ReadResult(r, sweep_));
       return true;
     }
     case FrameType::kWelcome:
@@ -671,9 +341,8 @@ std::string CampaignServer::Serve() {
   // children block in Recv waiting for kWelcome, and the parent waitpid()s
   // them — without the EOF they would deadlock against each other.
   auto fail = [&](std::string err) {
-    for (WorkerState& w : workers_) {
-      w.dead = true;
-      w.transport->Close();
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      Hangup(i);
     }
     return err;
   };
@@ -698,11 +367,11 @@ std::string CampaignServer::Serve() {
       bool got = false;
       Transport::Status st = workers_[wi].transport->RecvAsync(&frame, &got);
       if (st == Transport::Status::kEof) {
-        DropConnection(wi, "disconnected");
+        KillWorker(wi, "disconnected");
         return false;
       }
       if (st == Transport::Status::kError) {
-        DropConnection(wi, workers_[wi].transport->error().c_str());
+        KillWorker(wi, workers_[wi].transport->error().c_str());
         return false;
       }
       if (!got) {
@@ -777,7 +446,7 @@ std::string CampaignServer::Serve() {
                          (peer_ip >> 8) & 0xff, peer_ip & 0xff);
             ::close(cfd);
           } else {
-            AddWorker(std::make_unique<FdTransport>(cfd));
+            AddWorker(std::make_unique<Transport>(cfd));
           }
         }
         continue;
@@ -806,9 +475,7 @@ std::string CampaignServer::Serve() {
       workers_[i].shutdown_sent = true;
       EnqueueFrame(i, MakeFrame(FrameType::kShutdown));
     } else if (!workers_[i].dead) {
-      // Connected but never said hello; nothing to drain.
-      workers_[i].dead = true;
-      workers_[i].transport->Close();
+      Hangup(i);  // connected but never said hello; nothing to drain
     }
   }
   Clock::time_point drain_deadline =
@@ -849,8 +516,7 @@ std::string CampaignServer::Serve() {
         bool got = false;
         Transport::Status st = workers_[wi].transport->RecvAsync(&frame, &got);
         if (st != Transport::Status::kOk) {
-          workers_[wi].dead = true;  // orderly exit after shutdown
-          workers_[wi].transport->Close();
+          Hangup(wi);  // orderly exit after shutdown
           break;
         }
         if (!got) {
@@ -860,16 +526,14 @@ std::string CampaignServer::Serve() {
           opec_support::ScopedCheckThrow capture;
           if (frame.type == FrameType::kResult) {
             opec_hw::StateReader r(frame.payload);
-            ResultMsg msg = ReadResult(r, sweep_);
-            RecordResult(wi, msg);
+            RecordResult(wi, ReadResult(r, sweep_));
           } else if (frame.type == FrameType::kRequestWork) {
             workers_[wi].shutdown_sent = true;
             EnqueueFrame(wi, MakeFrame(FrameType::kShutdown));
           }
           // Anything else during drain is ignorable.
         } catch (const std::exception&) {
-          workers_[wi].dead = true;
-          workers_[wi].transport->Close();
+          Hangup(wi);
           break;
         }
         if (workers_[wi].dead) {
@@ -877,12 +541,6 @@ std::string CampaignServer::Serve() {
         }
       }
     }
-  }
-
-  // Fold per-session counters (they survive reconnects: one entry per worker
-  // id, or per connection for anonymous workers) into the stats.
-  for (const std::string& key : session_order_) {
-    stats_.max_inflight.push_back(sessions_[key].max_inflight);
   }
   return "";
 }

@@ -16,46 +16,39 @@
 //     time, before any frame is read.
 //   * Backpressure: every send goes through a per-peer outbox drained with
 //     POLLOUT via non-blocking partial writes — a peer that stops reading
-//     stalls only itself (and is killed when its outbox exceeds
-//     `outbox_max_bytes`), never the fleet. Reads are equally non-blocking
+//     stalls only itself (and is killed when its outbox exceeds 128 MiB),
+//     never the fleet. Reads are equally non-blocking
 //     (Transport::RecvAsync), so a peer dribbling half a frame cannot stall
 //     the loop either.
-//   * Reconnect-and-resume: a resumable worker (stable worker id) that loses
-//     its link gets its leases *parked* rather than requeued; when it
-//     reconnects, the server adopts the parked leases and re-assigns only the
-//     still-unrecorded indexes under the original unit id. Parked leases
-//     still expire on the normal lease clock, so a worker that never returns
-//     degrades to the plain requeue path.
-//   * Adaptive unit sizing: with `adaptive_units`, units are carved from the
-//     pending queue to hit `target_unit_ms` of predicted work using an EWMA
-//     of observed per-job wall time keyed by app×mode×engine. Sizing feeds
-//     only scheduling and the Json() "dist" stats block; the recorded rows —
-//     and therefore DeterministicJson() — are byte-identical to any fixed
-//     unit size.
+//
+// Units: the sweep is carved once, at construction, into fixed units of
+// `unit_size` consecutive indexes; unit id u covers indexes
+// [u * unit_size, (u + 1) * unit_size).
 //
 // Fault tolerance: each issued unit carries a lease (worker + deadline).
-// A non-resumable worker that disconnects (EOF/error) or any lease that
-// expires gets its units requeued at the *front* of the queue, so recovery
-// work is reissued before untouched work. Because every job is a pure
-// function of its resolved spec, a re-executed unit reproduces byte-identical
-// rows and the first-write-wins rule makes duplicate deliveries harmless —
-// the final DeterministicJson is unchanged by worker count, join order,
-// mid-sweep death, or reconnects (tests/dist_test.cc pins all of these).
-// A unit whose rows were all recorded by a late/duplicate delivery is erased
-// silently wherever it is still tracked: it never bumps units_reissued or
-// leases_expired a second time.
+// There is one recovery path. A worker whose link ends (EOF, I/O error,
+// SIGKILL, a dropped TCP connection) and any lease that expires get their
+// units requeued at the *front* of the queue, so recovery work is reissued
+// before untouched work. Because every job is a pure function of its
+// resolved spec, a re-executed unit reproduces byte-identical rows and the
+// first-write-wins rule makes duplicate deliveries harmless — the final
+// DeterministicJson is unchanged by worker count, join order or mid-sweep
+// death (tests/dist_test.cc pins all of these). A unit whose rows were all
+// recorded by a late/duplicate delivery is dropped silently wherever it is
+// still tracked: it never bumps units_reissued or leases_expired a second
+// time.
 
 #ifndef SRC_DIST_SERVER_H_
 #define SRC_DIST_SERVER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -68,16 +61,11 @@ namespace opec_dist {
 class CampaignServer {
  public:
   struct Options {
-    size_t unit_size = 4;       // jobs per leased work unit (fixed sizing)
-    bool adaptive_units = false;  // size units from observed per-job wall time
-    uint64_t target_unit_ms = 250;  // adaptive: predicted wall time per unit
-    size_t max_unit_size = 64;      // adaptive: hard cap on jobs per unit
+    size_t unit_size = 4;       // jobs per leased work unit
     uint64_t lease_ms = 30000;  // lease expiry; 0 = leases never expire
-    uint32_t retry_ms = 20;   // kNoWork retry hint to idle workers
     // Fleet hardening.
     std::string auth_token;   // "" = no auth; else hellos must present it
     std::vector<Cidr> allow;  // TCP peer allow-list; empty = accept any
-    uint64_t outbox_max_bytes = 128ull << 20;  // kill a peer stalled past this
     uint64_t drain_ms = 10000;  // post-sweep straggler drain deadline
     // Job environment shipped in kWelcome / baked into resolved specs.
     bool cold_boot = false;
@@ -123,46 +111,21 @@ class CampaignServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  static constexpr size_t kNoWorker = static_cast<size_t>(-1);
-
-  // A contiguous run of not-yet-issued job indexes. The pending queue is a
-  // deque of spans; units are carved off the front span at issue time, which
-  // is what lets the adaptive scheduler pick a fresh size per lease.
-  struct Span {
-    size_t start = 0;
-    size_t count = 0;
-  };
-
   struct Lease {
-    size_t worker = kNoWorker;  // connection index; kNoWorker while parked
-    std::string worker_id;      // non-empty for resumable holders
-    bool parked = false;        // link lost; waiting for the id to return
-    bool needs_resend = false;  // adopted after reconnect; re-assign remainder
+    size_t worker = 0;  // connection index
     Clock::time_point deadline;
-    Clock::time_point issued_at;
-    size_t rows = 0;  // unrecorded jobs at issue (fuzz wall-time estimate)
   };
 
   struct WorkerState {
     std::unique_ptr<Transport> transport;
     std::string name;
-    std::string worker_id;    // "" = anonymous (never resumed)
-    std::string session_key;  // worker_id, or a per-connection key
-    bool resumable = false;
     bool hello_done = false;
     bool dead = false;
     bool shutdown_sent = false;
-    uint64_t inflight = 0;
     // Outbox: encoded frames awaiting a writable peer; drained by POLLOUT.
     std::deque<std::vector<uint8_t>> outbox;
     size_t outbox_off = 0;    // bytes of outbox.front() already written
     uint64_t outbox_bytes = 0;
-  };
-
-  // Per-worker-id (or per-anonymous-connection) counters that survive
-  // reconnects; folded into DistStats after the sweep.
-  struct Session {
-    uint64_t max_inflight = 0;
   };
 
   void BuildQueue(size_t total);
@@ -170,41 +133,33 @@ class CampaignServer {
   bool HandleHello(size_t wi, const HelloMsg& hello);
   void EnqueueFrame(size_t wi, const Frame& frame);
   void DrainOutbox(size_t wi);
+  // Closes the connection and drops its unsent frames.
+  void Hangup(size_t wi);
+  // Hangs up on a joined worker and requeues every unit it holds.
   void KillWorker(size_t wi, const char* why);
-  void DropConnection(size_t wi, const char* why);
-  // Returns the unit's span to the front of the pending queue — unless every
-  // row is already recorded, in which case the unit is erased silently (no
-  // stat double-count). Erases the lease and the issued_ entry either way.
-  void RequeueUnit(uint64_t unit_id, bool expired);
-  void RequeueWorkerUnits(size_t wi);
-  void ParkWorkerUnits(size_t wi);
-  void AdoptParkedLeases(size_t wi);
+  // Ends the unit's lease and returns it to the front of the queue — unless
+  // every row is already recorded, in which case it is dropped silently (no
+  // stat double-count). `units` is ascending, so the front stays ascending.
+  void RequeueUnits(const std::vector<uint64_t>& units, bool expired);
   void ExpireLeases(Clock::time_point now);
   void RecordResult(size_t wi, const ResultMsg& msg);
-  bool SendAssign(size_t wi, uint64_t unit_id, const Span& span);
-  // Adaptive sizing: jobs to carve off the front of `s` for one unit.
-  size_t CarveCount(const Span& s) const;
-  std::string SizeKey(size_t index) const;
-  void NoteUnitSize(size_t carved);
-  bool UnitFullyRecorded(const Span& s) const;
-  size_t PendingJobs() const;
+  void SendAssign(size_t wi, uint64_t unit);
+  // Index range [first, end) of a unit.
+  size_t UnitFirst(uint64_t unit) const { return static_cast<size_t>(unit) * unit_size_; }
+  size_t UnitEnd(uint64_t unit) const { return std::min(UnitFirst(unit) + unit_size_, total_); }
+  bool UnitRecorded(uint64_t unit) const;
   size_t AliveWorkers() const;
   bool Done() const { return done_count_ == total_; }
 
   Options options_;
   SweepKind sweep_;
-  uint64_t campaign_seed_ = 0;
   std::vector<opec_campaign::JobSpec> resolved_;  // campaign sweeps
   uint64_t fuzz_base_seed_ = 0;                   // fuzz sweeps
 
   size_t total_ = 0;
-  std::deque<Span> pending_;  // un-issued spans; carved from the front
-  std::unordered_map<uint64_t, Span> issued_;  // unit id -> its span
-  std::unordered_map<uint64_t, Lease> leases_;
-  uint64_t next_unit_id_ = 0;
-
-  // Observed per-job wall time (ns) keyed by SizeKey(); drives CarveCount.
-  std::unordered_map<std::string, double> ewma_ns_;
+  size_t unit_size_ = 1;
+  std::deque<uint64_t> pending_;      // unit ids not leased; issued from the front
+  std::map<uint64_t, Lease> leases_;  // unit id -> its live lease
 
   std::vector<opec_campaign::JobResult> job_results_;
   std::vector<opec_fuzz::CaseResult> case_results_;
@@ -212,9 +167,6 @@ class CampaignServer {
   size_t done_count_ = 0;
 
   std::vector<WorkerState> workers_;
-  std::unordered_set<std::string> seen_ids_;  // resumable ids that ever joined
-  std::vector<std::string> session_order_;    // fold order for stats
-  std::unordered_map<std::string, Session> sessions_;
   int listen_fd_ = -1;
   std::function<void(size_t, size_t)> on_progress_;
 

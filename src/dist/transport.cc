@@ -1,7 +1,6 @@
 #include "src/dist/transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -18,60 +17,26 @@ namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
 
-// Runs read()/write() with O_NONBLOCK temporarily set — the fallback for
-// stream fds that reject send()/recv() with ENOTSOCK (plain pipes).
-ssize_t NonBlockingFdIo(int fd, void* buf, size_t n, bool is_read) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) {
-    return -1;
-  }
-  bool toggle = (flags & O_NONBLOCK) == 0;
-  if (toggle) {
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  ssize_t rc = is_read ? ::read(fd, buf, n) : ::write(fd, buf, n);
-  int saved_errno = errno;
-  if (toggle) {
-    ::fcntl(fd, F_SETFL, flags);
-  }
-  errno = saved_errno;
-  return rc;
-}
-
 }  // namespace
 
-FdTransport::FdTransport(int fd, uint32_t max_payload)
+Transport::Transport(int fd, uint32_t max_payload)
     : fd_(fd), max_payload_(max_payload) {}
 
-FdTransport::~FdTransport() { Close(); }
+Transport::~Transport() { Close(); }
 
-void FdTransport::Close() {
+void Transport::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-bool FdTransport::WriteAll(const uint8_t* data, size_t n) {
+bool Transport::WriteAll(const uint8_t* data, size_t n) {
   size_t off = 0;
   while (off < n) {
     ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) {
-        continue;
-      }
-      // Pipes from socketpair(AF_UNIX) accept send(); plain fds would need
-      // write() — keep a fallback so FdTransport works on any stream fd.
-      if (errno == ENOTSOCK) {
-        ssize_t pw = ::write(fd_, data + off, n - off);
-        if (pw < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          error_ = std::string("write: ") + std::strerror(errno);
-          return false;
-        }
-        off += static_cast<size_t>(pw);
         continue;
       }
       error_ = std::string("send: ") + std::strerror(errno);
@@ -82,7 +47,7 @@ bool FdTransport::WriteAll(const uint8_t* data, size_t n) {
   return true;
 }
 
-int FdTransport::SendSome(const uint8_t* data, size_t n) {
+int Transport::SendSome(const uint8_t* data, size_t n) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return -1;
@@ -101,26 +66,12 @@ int FdTransport::SendSome(const uint8_t* data, size_t n) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return 0;
     }
-    if (errno == ENOTSOCK) {
-      ssize_t pw = NonBlockingFdIo(fd_, const_cast<uint8_t*>(data), n, /*is_read=*/false);
-      if (pw >= 0) {
-        return static_cast<int>(pw);
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return 0;
-      }
-      error_ = std::string("write: ") + std::strerror(errno);
-      return -1;
-    }
     error_ = std::string("send: ") + std::strerror(errno);
     return -1;
   }
 }
 
-int FdTransport::FillBuffer(bool blocking) {
+int Transport::FillBuffer(bool blocking) {
   // Compact the consumed prefix before growing the buffer.
   if (rpos_ > 0 && (rpos_ == rbuf_.size() || rpos_ >= kReadChunk)) {
     rbuf_.erase(rbuf_.begin(), rbuf_.begin() + static_cast<ptrdiff_t>(rpos_));
@@ -136,25 +87,6 @@ int FdTransport::FillBuffer(bool blocking) {
       if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         return -2;
       }
-      if (errno == ENOTSOCK) {
-        ssize_t pr = blocking ? ::read(fd_, tmp, sizeof(tmp))
-                              : NonBlockingFdIo(fd_, tmp, sizeof(tmp), /*is_read=*/true);
-        if (pr < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            return -2;
-          }
-          error_ = std::string("read: ") + std::strerror(errno);
-          return -1;
-        }
-        if (pr == 0) {
-          return 0;
-        }
-        rbuf_.insert(rbuf_.end(), tmp, tmp + pr);
-        return 1;
-      }
       error_ = std::string("recv: ") + std::strerror(errno);
       return -1;
     }
@@ -166,7 +98,7 @@ int FdTransport::FillBuffer(bool blocking) {
   }
 }
 
-int FdTransport::TryExtract(Frame* frame) {
+int Transport::TryExtract(Frame* frame) {
   size_t avail = rbuf_.size() - rpos_;
   if (avail < 5) {
     return 0;
@@ -193,7 +125,7 @@ int FdTransport::TryExtract(Frame* frame) {
   return 1;
 }
 
-Transport::Status FdTransport::Send(const Frame& frame) {
+Transport::Status Transport::Send(const Frame& frame) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return Status::kError;
@@ -218,7 +150,7 @@ Transport::Status FdTransport::Send(const Frame& frame) {
   return Status::kOk;
 }
 
-Transport::Status FdTransport::Recv(Frame* frame) {
+Transport::Status Transport::Recv(Frame* frame) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return Status::kError;
@@ -245,7 +177,7 @@ Transport::Status FdTransport::Recv(Frame* frame) {
   }
 }
 
-Transport::Status FdTransport::RecvAsync(Frame* frame, bool* got) {
+Transport::Status Transport::RecvAsync(Frame* frame, bool* got) {
   *got = false;
   if (fd_ < 0) {
     error_ = "transport closed";
@@ -282,7 +214,7 @@ std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> LocalPair() {
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return {nullptr, nullptr};
   }
-  return {std::make_unique<FdTransport>(fds[0]), std::make_unique<FdTransport>(fds[1])};
+  return {std::make_unique<Transport>(fds[0]), std::make_unique<Transport>(fds[1])};
 }
 
 bool ParseCidrList(const std::string& list, std::vector<Cidr>* out, std::string* error) {

@@ -1,10 +1,9 @@
-// Frame transports for the dist protocol (src/dist/wire.h).
+// The frame transport of the dist protocol (src/dist/wire.h).
 //
-// A Transport moves whole frames: Send() writes the 5-byte header plus the
-// payload; Recv() reads exactly one frame or reports a clean error. The only
-// implementation is FdTransport over a stream file descriptor — a socketpair
-// end (self-hosted workers, in-process tests) or a TCP socket (remote
-// workers); the server and worker code are transport-agnostic.
+// A Transport moves whole frames over one stream socket it owns: a
+// socketpair end (self-hosted workers, in-process tests) or a TCP socket
+// (remote workers). Send() writes the 5-byte header plus the payload;
+// Recv() reads exactly one frame or reports a clean error.
 //
 // Two I/O disciplines share one internal receive buffer:
 //   - Recv() blocks until a full frame (worker side: one synchronous peer).
@@ -14,8 +13,8 @@
 //     fleet. SendSome() is the matching non-blocking partial write the
 //     server's per-peer outbox drains through POLLOUT.
 // The buffer lives on the transport, i.e. per *connection*: a frame
-// truncated by a dropped link dies with its FdTransport and can never leak
-// into a successor connection from the same worker id.
+// truncated by a dropped link dies with its Transport and can never leak
+// into another connection.
 //
 // Error model: Recv()/RecvAsync() distinguish orderly EOF *between* frames
 // (kEof — the peer hung up cleanly) from EOF *inside* a frame or a malformed
@@ -44,42 +43,30 @@ class Transport {
     kError,  // I/O error, truncated frame, or oversized length prefix
   };
 
-  virtual ~Transport() = default;
+  // Takes ownership of the socket `fd`. `max_payload` exists so tests can
+  // exercise the oversized-frame rejection without allocating 64 MiB.
+  explicit Transport(int fd, uint32_t max_payload = kMaxFramePayload);
+  ~Transport();
 
-  virtual Status Send(const Frame& frame) = 0;
-  virtual Status Recv(Frame* frame) = 0;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
+
+  Status Send(const Frame& frame);
+  Status Recv(Frame* frame);
   // Non-blocking receive: drains available bytes into the internal buffer
   // and extracts at most one complete frame. Sets *got=true when `frame` was
   // filled; kOk with *got=false means "no complete frame yet". Callers loop
   // until *got stays false to consume back-to-back frames.
-  virtual Status RecvAsync(Frame* frame, bool* got) = 0;
+  Status RecvAsync(Frame* frame, bool* got);
   // Non-blocking partial write for outbox draining: returns bytes written
-  // (possibly 0 when the peer's pipe is full), or -1 on error (error() set).
-  virtual int SendSome(const uint8_t* data, size_t n) = 0;
-  virtual void Close() = 0;
+  // (possibly 0 when the peer's socket buffer is full), or -1 on error
+  // (error() set).
+  int SendSome(const uint8_t* data, size_t n);
+  void Close();
   // Last kError description, for logs.
-  virtual const std::string& error() const = 0;
+  const std::string& error() const { return error_; }
   // Underlying fd for poll()-based multiplexing (-1 once closed).
-  virtual int fd() const = 0;
-};
-
-class FdTransport : public Transport {
- public:
-  // Takes ownership of `fd`. `max_payload` exists so tests can exercise the
-  // oversized-frame rejection without allocating 64 MiB.
-  explicit FdTransport(int fd, uint32_t max_payload = kMaxFramePayload);
-  ~FdTransport() override;
-
-  FdTransport(const FdTransport&) = delete;
-  FdTransport& operator=(const FdTransport&) = delete;
-
-  Status Send(const Frame& frame) override;
-  Status Recv(Frame* frame) override;
-  Status RecvAsync(Frame* frame, bool* got) override;
-  int SendSome(const uint8_t* data, size_t n) override;
-  void Close() override;
-  const std::string& error() const override { return error_; }
-  int fd() const override { return fd_; }
+  int fd() const { return fd_; }
 
  private:
   // Full write with EINTR retry (blocking sends from workers).
@@ -103,7 +90,7 @@ class FdTransport : public Transport {
 // process closes the other end).
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> LocalPair();
 
-// IPv4 allow-listing for --listen. addr/bits in host byte order;
+// IPv4 allow-listing for --serve. addr/bits in host byte order;
 // "a.b.c.d" (exact host) and "a.b.c.d/nn" accepted.
 struct Cidr {
   uint32_t addr = 0;

@@ -25,6 +25,13 @@ std::vector<uint64_t> ReadU64Vec(StateReader& r) {
   return v;
 }
 
+// Row k of an assign or result belongs to index k, so the two counts must
+// match: a peer's receiver indexes one list by the other.
+void CheckRowCount(size_t indexes, size_t rows) {
+  OPEC_CHECK_MSG(rows == indexes, "frame carries " + std::to_string(rows) + " rows for " +
+                                      std::to_string(indexes) + " indexes");
+}
+
 }  // namespace
 
 const char* FrameTypeName(FrameType type) {
@@ -64,10 +71,6 @@ void WriteHello(StateWriter& w, const HelloMsg& m) {
   w.U32(m.version);
   w.Str(m.worker_name);
   w.Str(m.token);
-  w.Str(m.worker_id);
-  w.Bool(m.resumable);
-  w.U64(m.resume_unit);
-  w.U64(m.resume_done);
 }
 
 HelloMsg ReadHello(StateReader& r) {
@@ -78,10 +81,6 @@ HelloMsg ReadHello(StateReader& r) {
   }
   m.worker_name = r.Str();
   m.token = r.Str();
-  m.worker_id = r.Str();
-  m.resumable = r.Bool();
-  m.resume_unit = r.U64();
-  m.resume_done = r.U64();
   return m;
 }
 
@@ -100,14 +99,6 @@ WelcomeMsg ReadWelcome(StateReader& r) {
   m.sweep = static_cast<SweepKind>(sweep);
   m.cold_boot = r.Bool();
   m.snapshot_dir = r.Str();
-  return m;
-}
-
-void WriteNoWork(StateWriter& w, const NoWorkMsg& m) { w.U32(m.retry_ms); }
-
-NoWorkMsg ReadNoWork(StateReader& r) {
-  NoWorkMsg m;
-  m.retry_ms = r.U32();
   return m;
 }
 
@@ -246,6 +237,7 @@ AssignMsg ReadAssign(StateReader& r, SweepKind sweep) {
   } else {
     m.fuzz_seeds = ReadU64Vec(r);
   }
+  CheckRowCount(m.indexes.size(), m.jobs.size() + m.fuzz_seeds.size());
   return m;
 }
 
@@ -279,6 +271,7 @@ ResultMsg ReadResult(StateReader& r, SweepKind sweep) {
       m.cases.push_back(ReadCaseResult(r));
     }
   }
+  CheckRowCount(m.indexes.size(), m.jobs.size() + m.cases.size());
   return m;
 }
 

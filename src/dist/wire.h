@@ -22,8 +22,8 @@
 // hello frame leads with `u32 version`; a server hangs up on a hello whose
 // version is not kProtocolVersion before it sends a single byte (as it does
 // on a bad auth token), and a worker refuses a welcome from another version.
-// The hello carries the shared auth token and a stable worker id plus resume
-// cursor for reconnect-and-resume.
+// Past the version the hello carries only the worker's name and the shared
+// auth token.
 
 #ifndef SRC_DIST_WIRE_H_
 #define SRC_DIST_WIRE_H_
@@ -38,10 +38,7 @@
 
 namespace opec_dist {
 
-inline constexpr uint32_t kProtocolVersion = 3;
-
-// "No unit" sentinel for HelloMsg::resume_unit.
-inline constexpr uint64_t kNoResumeUnit = ~0ull;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 // Frame size cap. The largest real payloads are result frames (a unit's
 // rows with their detail strings, kilobytes); the cap is a defense against
@@ -50,12 +47,12 @@ inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
 enum class FrameType : uint8_t {
   // Handshake.
-  kHello,    // worker -> server: protocol version, auth token, worker id
+  kHello,    // worker -> server: protocol version, worker name, auth token
   kWelcome,  // server -> worker: protocol version, sweep kind, environment
   // Work loop.
   kRequestWork,  // worker -> server
   kAssign,       // server -> worker: one leased unit of resolved jobs
-  kNoWork,       // server -> worker: queue momentarily empty, retry after hint
+  kNoWork,       // server -> worker: queue momentarily empty, ask again shortly
   kResult,       // worker -> server: completed job results
   kShutdown,     // server -> worker: sweep complete, disconnect
 };
@@ -81,21 +78,15 @@ enum class SweepKind : uint8_t {
 
 // ---------------------------------------------------------------------------
 // Message payloads. Each Write* appends to a StateWriter; each Read* consumes
-// from a StateReader and OPEC_CHECKs on truncation (callers run decode under
+// from a StateReader and OPEC_CHECKs on truncation, or on an assign/result
+// whose row count differs from its index count (callers run decode under
 // ScopedCheckThrow and turn failures into connection errors).
 
 struct HelloMsg {
   // ReadHello decodes nothing past a version other than kProtocolVersion.
   uint32_t version = kProtocolVersion;
   std::string worker_name;
-  std::string token;      // shared secret; must match the server's --auth-token
-  std::string worker_id;  // stable across reconnects ("" = not resumable)
-  bool resumable = false;
-  // Resume cursor: the unit this worker was executing when its link dropped
-  // and how many of its jobs it had finished. Informational — the server
-  // derives the authoritative remainder from its own recorded rows.
-  uint64_t resume_unit = kNoResumeUnit;
-  uint64_t resume_done = 0;
+  std::string token;  // shared secret; must match the server's --auth-token
 };
 
 struct WelcomeMsg {
@@ -105,14 +96,10 @@ struct WelcomeMsg {
   std::string snapshot_dir;
 };
 
-struct NoWorkMsg {
-  uint32_t retry_ms = 20;
-};
-
 // One leased work unit: job indexes with their payloads, fully resolved
 // server-side (seeds, timeouts, trace paths) so every worker executes exactly
-// what `campaign --jobs 1` would. A resume assign re-uses the original
-// unit_id with only the still-unrecorded indexes.
+// what `campaign --jobs 1` would. Row k (jobs[k] or fuzz_seeds[k]) belongs
+// to indexes[k].
 struct AssignMsg {
   uint64_t unit_id = 0;
   std::vector<uint64_t> indexes;
@@ -131,8 +118,6 @@ void WriteHello(opec_hw::StateWriter& w, const HelloMsg& m);
 HelloMsg ReadHello(opec_hw::StateReader& r);
 void WriteWelcome(opec_hw::StateWriter& w, const WelcomeMsg& m);
 WelcomeMsg ReadWelcome(opec_hw::StateReader& r);
-void WriteNoWork(opec_hw::StateWriter& w, const NoWorkMsg& m);
-NoWorkMsg ReadNoWork(opec_hw::StateReader& r);
 void WriteAssign(opec_hw::StateWriter& w, SweepKind sweep, const AssignMsg& m);
 AssignMsg ReadAssign(opec_hw::StateReader& r, SweepKind sweep);
 void WriteResult(opec_hw::StateWriter& w, SweepKind sweep, const ResultMsg& m);

@@ -15,10 +15,6 @@ void RoundTripProbe::OnProgramStart(opec_rt::EngineControl* engine) {
   if (monitor_ != nullptr) {
     monitor_->OnProgramStart(engine);
   }
-  // Baseline after monitor init: the post-boot state warm-start campaigns
-  // fork from; mid-run probes delta against it.
-  baseline_ = Snapshot::Capture(machine_, monitor_, engine_);
-  have_baseline_ = true;
   Probe("program-start", -1);
 }
 
@@ -66,29 +62,13 @@ void RoundTripProbe::Probe(const char* where, int op_id) {
   std::string at = std::string(where) + " op=" + std::to_string(op_id) +
                    " cycle=" + std::to_string(machine_.cycles());
 
-  Snapshot before = Snapshot::Capture(machine_, monitor_, engine_);
-  uint64_t want = before.Digest();
-
   // Full round trip through the wire format, then restore in place.
-  std::vector<uint8_t> bytes = before.Serialize();
-  full_bytes_ += bytes.size();
-  Snapshot reloaded = Snapshot::Deserialize(bytes);
-  reloaded.Restore(machine_, monitor_, engine_);
+  std::vector<uint8_t> bytes = Snapshot::Capture(machine_, monitor_, engine_).Serialize();
+  uint64_t want = opec_hw::Fnv1a64(bytes.data(), bytes.size());
+  Snapshot::Deserialize(bytes).Restore(machine_, monitor_, engine_);
 
-  Snapshot after = Snapshot::Capture(machine_, monitor_, engine_);
-  if (after.Digest() != want) {
+  if (Snapshot::Capture(machine_, monitor_, engine_).Digest() != want) {
     errors_.push_back("round-trip digest mismatch at " + at);
-  }
-
-  // Delta round trip against the program-start baseline.
-  if (have_baseline_) {
-    SnapshotDelta delta = before.DeltaFrom(baseline_);
-    delta_bytes_ += delta.PayloadBytes();
-    SnapshotDelta rewire = SnapshotDelta::Deserialize(delta.Serialize());
-    Snapshot rebuilt = Snapshot::ApplyDelta(baseline_, rewire);
-    if (rebuilt.Digest() != want) {
-      errors_.push_back("delta round-trip digest mismatch at " + at);
-    }
   }
 }
 

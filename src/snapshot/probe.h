@@ -7,10 +7,6 @@
 // and because the machine really was torn down and rebuilt from bytes, a bug
 // would also perturb the rest of the run, which the fuzz harness's fifth
 // oracle (probed run vs plain run observation compare) detects.
-//
-// Each probe also round-trips a delta against the program-start baseline
-// (DeltaFrom → Serialize → Deserialize → ApplyDelta), covering the warm-start
-// campaign path's delta mode on real mid-run states.
 
 #ifndef SRC_SNAPSHOT_PROBE_H_
 #define SRC_SNAPSHOT_PROBE_H_
@@ -55,10 +51,6 @@ class RoundTripProbe : public opec_rt::Supervisor {
   // Results.
   uint64_t probes() const { return probes_; }
   const std::vector<std::string>& errors() const { return errors_; }
-  // Cumulative delta payload bytes vs. cumulative full-image bytes — how much
-  // the delta encoding saves on real mid-run states.
-  uint64_t delta_bytes() const { return delta_bytes_; }
-  uint64_t full_bytes() const { return full_bytes_; }
 
  private:
   void Probe(const char* where, int op_id);
@@ -67,12 +59,7 @@ class RoundTripProbe : public opec_rt::Supervisor {
   opec_monitor::Monitor* monitor_;
   opec_rt::Engine* engine_;
 
-  bool have_baseline_ = false;
-  Snapshot baseline_;
-
   uint64_t probes_ = 0;
-  uint64_t delta_bytes_ = 0;
-  uint64_t full_bytes_ = 0;
   std::vector<std::string> errors_;
 };
 

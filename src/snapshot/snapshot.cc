@@ -1,7 +1,6 @@
 #include "src/snapshot/snapshot.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "src/hw/machine.h"
 #include "src/monitor/monitor.h"
@@ -12,48 +11,6 @@ namespace opec_snapshot {
 
 using opec_hw::StateReader;
 using opec_hw::StateWriter;
-
-// --- SnapshotDelta ---
-
-size_t SnapshotDelta::PayloadBytes() const {
-  size_t n = 0;
-  for (const Patch& p : patches) {
-    n += p.bytes.size();
-  }
-  return n;
-}
-
-std::vector<uint8_t> SnapshotDelta::Serialize() const {
-  StateWriter w;
-  w.U64(base_digest);
-  w.U64(target_size);
-  w.U64(target_digest);
-  w.U64(patches.size());
-  for (const Patch& p : patches) {
-    w.U64(p.offset);
-    w.Blob(p.bytes);
-  }
-  return w.Take();
-}
-
-SnapshotDelta SnapshotDelta::Deserialize(const std::vector<uint8_t>& bytes) {
-  StateReader r(bytes);
-  SnapshotDelta d;
-  d.base_digest = r.U64();
-  d.target_size = r.U64();
-  d.target_digest = r.U64();
-  uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    Patch p;
-    p.offset = r.U64();
-    p.bytes = r.Blob();
-    d.patches.push_back(std::move(p));
-  }
-  OPEC_CHECK_MSG(r.AtEnd(), "snapshot delta has trailing bytes");
-  return d;
-}
-
-// --- Snapshot ---
 
 Snapshot Snapshot::Capture(const opec_hw::Machine& machine,
                            const opec_monitor::Monitor* monitor,
@@ -158,59 +115,6 @@ Snapshot Snapshot::Deserialize(const uint8_t* data, size_t size) {
 uint64_t Snapshot::Digest() const {
   std::vector<uint8_t> bytes = Serialize();
   return opec_hw::Fnv1a64(bytes.data(), bytes.size());
-}
-
-SnapshotDelta Snapshot::DeltaFrom(const Snapshot& base) const {
-  std::vector<uint8_t> from = base.Serialize();
-  std::vector<uint8_t> to = Serialize();
-
-  SnapshotDelta d;
-  d.base_digest = opec_hw::Fnv1a64(from.data(), from.size());
-  d.target_size = to.size();
-  d.target_digest = opec_hw::Fnv1a64(to.data(), to.size());
-
-  // Chunk-by-chunk compare over the common prefix; everything past the base's
-  // end (when the target grew) is one final patch. Adjacent differing chunks
-  // coalesce into a single patch.
-  size_t common = std::min(from.size(), to.size());
-  size_t i = 0;
-  while (i < common) {
-    size_t len = std::min<size_t>(SnapshotDelta::kChunk, common - i);
-    if (std::memcmp(from.data() + i, to.data() + i, len) != 0) {
-      size_t start = i;
-      while (i < common) {
-        size_t l = std::min<size_t>(SnapshotDelta::kChunk, common - i);
-        if (std::memcmp(from.data() + i, to.data() + i, l) == 0) {
-          break;
-        }
-        i += l;
-      }
-      d.patches.push_back({start, {to.begin() + static_cast<ptrdiff_t>(start),
-                                   to.begin() + static_cast<ptrdiff_t>(i)}});
-    } else {
-      i += len;
-    }
-  }
-  if (to.size() > common) {
-    d.patches.push_back(
-        {common, {to.begin() + static_cast<ptrdiff_t>(common), to.end()}});
-  }
-  return d;
-}
-
-Snapshot Snapshot::ApplyDelta(const Snapshot& base, const SnapshotDelta& delta) {
-  std::vector<uint8_t> bytes = base.Serialize();
-  OPEC_CHECK_MSG(opec_hw::Fnv1a64(bytes.data(), bytes.size()) == delta.base_digest,
-                 "snapshot delta applied to the wrong baseline");
-  bytes.resize(delta.target_size);
-  for (const SnapshotDelta::Patch& p : delta.patches) {
-    OPEC_CHECK_MSG(p.offset + p.bytes.size() <= bytes.size(),
-                   "snapshot delta patch out of range");
-    std::memcpy(bytes.data() + p.offset, p.bytes.data(), p.bytes.size());
-  }
-  OPEC_CHECK_MSG(opec_hw::Fnv1a64(bytes.data(), bytes.size()) == delta.target_digest,
-                 "snapshot delta reconstruction digest mismatch");
-  return Deserialize(bytes);
 }
 
 void Snapshot::WriteFile(const std::string& path) const {

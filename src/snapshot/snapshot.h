@@ -18,10 +18,8 @@
 // (the monitor's policy is immutable compile output and is not serialized).
 // Cross-provenance restores fail an OPEC_CHECK rather than corrupting state.
 //
-// Delta mode: DeltaFrom(base) encodes this snapshot as a chunked binary diff
-// against a baseline's serialized bytes — the warm-start campaign path stores
-// one post-boot baseline per (app, mode) and per-job crash states as small
-// deltas instead of megabyte full images.
+// Warm-start campaigns rewind with RestoreFast over the bus's dirty-page
+// baseline; `--snapshot-dir` writes full containers (WriteFile).
 
 #ifndef SRC_SNAPSHOT_SNAPSHOT_H_
 #define SRC_SNAPSHOT_SNAPSHOT_H_
@@ -43,28 +41,6 @@ class Engine;
 }
 
 namespace opec_snapshot {
-
-// Chunked binary diff between two serialized snapshots. Self-describing:
-// carries the base digest (so ApplyTo can detect a wrong baseline) and the
-// target size (deltas may grow or shrink the image).
-struct SnapshotDelta {
-  static constexpr uint32_t kChunk = 64;  // diff granularity, bytes
-
-  uint64_t base_digest = 0;    // Fnv1a64 of the base serialized bytes
-  uint64_t target_size = 0;    // serialized size of the target snapshot
-  uint64_t target_digest = 0;  // Fnv1a64 of the target serialized bytes
-  struct Patch {
-    uint64_t offset = 0;
-    std::vector<uint8_t> bytes;
-  };
-  std::vector<Patch> patches;
-
-  // Total patch payload bytes — the "size" of the delta for accounting.
-  size_t PayloadBytes() const;
-
-  std::vector<uint8_t> Serialize() const;
-  static SnapshotDelta Deserialize(const std::vector<uint8_t>& bytes);
-};
 
 class Snapshot {
  public:
@@ -114,10 +90,6 @@ class Snapshot {
   // FNV-1a 64 of Serialize() — the snapshot's identity. Two snapshots with
   // equal digests restore to indistinguishable states.
   uint64_t Digest() const;
-
-  // Delta mode (see header comment).
-  SnapshotDelta DeltaFrom(const Snapshot& base) const;
-  static Snapshot ApplyDelta(const Snapshot& base, const SnapshotDelta& delta);
 
   // File I/O (the container wire format, verbatim). WriteFile is atomic-ish:
   // writes `path`.tmp then renames, so concurrent readers never see a torn

@@ -1,5 +1,5 @@
 // Tests for the parallel campaign-execution subsystem (src/campaign):
-// thread pool mechanics, ParallelMap ordering and exception propagation,
+// ParallelMap coverage, ordering and exception propagation,
 // OPEC_CHECK capture, cross-thread determinism of campaign reports, per-job
 // failure isolation, fault-injection outcome classification, observability
 // invariance under concurrency, and wall-clock timeouts.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/campaign/thread_pool.h"
 #include "src/support/check.h"
 
 namespace {
@@ -29,30 +28,6 @@ using opec_campaign::JobSpec;
 using opec_campaign::Outcome;
 using opec_campaign::ParallelMap;
 using opec_campaign::SplitMix64;
-using opec_campaign::ThreadPool;
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 500);
-  EXPECT_EQ(pool.threads(), 4);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { ++count; });
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 3);
-}
 
 TEST(ParallelMapTest, ResultsAreInIndexOrderOnAnyThreadCount) {
   for (int jobs : {1, 2, 8}) {
@@ -138,36 +113,33 @@ TEST(ScopedCheckThrowTest, ConvertsCheckFailureIntoException) {
 // Thread-safety audit of the CHECK capture machinery (src/support/check.cc):
 // the capture depth is a thread_local, so concurrent jobs each convert their
 // own CHECK failures without observing another thread's guard. This test
-// hammers that from many pool threads — including nested guards — and relies
-// on the OPEC_SANITIZE=thread CI configuration to flag any regression to
-// shared state.
+// hammers that from many ParallelMap threads — including nested guards — and
+// relies on the OPEC_SANITIZE=thread CI configuration to flag any regression
+// to shared state.
 TEST(ScopedCheckThrowTest, CaptureIsThreadLocalUnderConcurrency) {
-  ThreadPool pool(8);
   std::atomic<int> caught{0};
   std::atomic<int> wrong{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&caught, &wrong] {
-      opec_support::ScopedCheckThrow outer;
-      {
-        opec_support::ScopedCheckThrow inner;
-        try {
-          OPEC_CHECK_MSG(false, "worker failure");
-          wrong.fetch_add(1, std::memory_order_relaxed);
-        } catch (const opec_support::CheckError&) {
-          caught.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // The outer guard on this thread still captures after the inner one
-      // unwound, regardless of what other threads' guards are doing.
+  ParallelMap(8, 200, [&caught, &wrong](size_t) {
+    opec_support::ScopedCheckThrow outer;
+    {
+      opec_support::ScopedCheckThrow inner;
       try {
-        OPEC_CHECK_MSG(1 + 1 == 3, "outer failure");
+        OPEC_CHECK_MSG(false, "worker failure");
         wrong.fetch_add(1, std::memory_order_relaxed);
       } catch (const opec_support::CheckError&) {
         caught.fetch_add(1, std::memory_order_relaxed);
       }
-    });
-  }
-  pool.Wait();
+    }
+    // The outer guard on this thread still captures after the inner one
+    // unwound, regardless of what other threads' guards are doing.
+    try {
+      OPEC_CHECK_MSG(1 + 1 == 3, "outer failure");
+      wrong.fetch_add(1, std::memory_order_relaxed);
+    } catch (const opec_support::CheckError&) {
+      caught.fetch_add(1, std::memory_order_relaxed);
+    }
+    return 0;
+  });
   EXPECT_EQ(caught.load(), 400);
   EXPECT_EQ(wrong.load(), 0);
 }

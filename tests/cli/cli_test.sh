@@ -62,6 +62,14 @@ expect 2 "$fuzz" --fuzz-seed 1
 expect 2 "$campaign" --cache-dir c
 expect 2 "$fuzz" --cache-dir c
 
+# Gone with reconnect-and-resume and adaptive unit sizing: a dropped link
+# requeues like a dead worker, and units have one fixed size.
+expect 2 "$campaign" --connect 127.0.0.1:1 --worker-id w1
+expect 2 "$campaign" --connect 127.0.0.1:1 --reconnect 10
+expect 2 "$fuzz" --connect 127.0.0.1:1 --reconnect-delay-ms 20
+expect 2 "$campaign" --workers 2 --target-unit-ms 20
+expect 2 "$fuzz" --workers 2 --unit-size auto
+
 # One fleet role at a time; the traffic load spec never crosses the wire.
 expect 2 "$campaign" --workers 2 --connect h:1
 expect 2 "$campaign" --serve 47000 --workers 2

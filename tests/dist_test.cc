@@ -3,8 +3,9 @@
 // handling, bounded decoding of hostile counts, and — the load-bearing
 // property — byte-identity of the distributed executor's DeterministicJson
 // against the in-process serial executor across worker counts, worker death
-// mid-sweep, lease expiry, a stalled peer and reconnects. Workers warm-start
-// through the executor's own thread-local pool, so these sweeps cover it too.
+// mid-sweep, lease expiry, a stalled peer and a dropped TCP link. Workers
+// warm-start through the executor's own thread-local pool, so these sweeps
+// cover it too.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -32,13 +33,11 @@
 namespace {
 
 using opec_dist::CampaignServer;
-using opec_dist::FdTransport;
 using opec_dist::Frame;
 using opec_dist::FrameType;
 using opec_dist::LocalPair;
 using opec_dist::MakeFrame;
 using opec_dist::RunWorker;
-using opec_dist::RunWorkerLoop;
 using opec_dist::SweepKind;
 using opec_dist::Transport;
 using opec_dist::WorkerOptions;
@@ -94,8 +93,8 @@ TEST(DistTransport, MaxSizePayloadAcceptedOversizedRejected) {
   constexpr uint32_t kCap = 256;
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport sender(fds[0]);  // default cap: large payloads leave fine
-  FdTransport receiver(fds[1], kCap);
+  Transport sender(fds[0]);  // default cap: large payloads leave fine
+  Transport receiver(fds[1], kCap);
 
   Frame f;
   f.type = FrameType::kResult;
@@ -114,8 +113,8 @@ TEST(DistTransport, MaxSizePayloadAcceptedOversizedRejected) {
 TEST(DistTransport, SenderRefusesOversizedPayload) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport sender(fds[0], 16);
-  FdTransport receiver(fds[1]);
+  Transport sender(fds[0], 16);
+  Transport receiver(fds[1]);
   Frame f;
   f.type = FrameType::kResult;
   f.payload.assign(17, 0);
@@ -126,7 +125,7 @@ TEST(DistTransport, SenderRefusesOversizedPayload) {
 TEST(DistTransport, TruncatedHeaderIsCleanError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   // Three header bytes, then hang up: EOF inside a frame.
   uint8_t partial[3] = {5, 0, 0};
   ASSERT_EQ(::send(fds[0], partial, sizeof(partial), 0), 3);
@@ -139,7 +138,7 @@ TEST(DistTransport, TruncatedHeaderIsCleanError) {
 TEST(DistTransport, TruncatedPayloadIsCleanError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   // Full header claiming 10 payload bytes, only 4 delivered.
   uint8_t header[5] = {10, 0, 0, 0, static_cast<uint8_t>(FrameType::kResult)};
   uint8_t body[4] = {1, 2, 3, 4};
@@ -154,7 +153,7 @@ TEST(DistTransport, TruncatedPayloadIsCleanError) {
 TEST(DistTransport, UnknownFrameTypeRejected) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   uint8_t header[5] = {0, 0, 0, 0, 0xEE};
   ASSERT_EQ(::send(fds[0], header, sizeof(header), 0), 5);
   ::close(fds[0]);
@@ -321,6 +320,43 @@ TEST(DistWire, HugeClaimedCountsAreCheckErrorsNotAllocations) {
   expect_check_error(divergences, [](StateReader& r) { opec_dist::ReadCaseResult(r); });
 }
 
+// Row k of an assign or result belongs to index k, and a worker indexes its
+// job list by its index list: a frame whose counts differ (2 indexes, 1 row)
+// is a decode error, never an out-of-bounds read at the receiver.
+TEST(DistWire, RowCountMustMatchIndexCount) {
+  opec_support::ScopedCheckThrow capture;
+  auto decode = [](auto write, auto read) {
+    StateWriter w;
+    write(w);
+    StateReader r(w.data());
+    read(r);
+  };
+  for (SweepKind sweep : {SweepKind::kCampaign, SweepKind::kFuzz}) {
+    opec_dist::AssignMsg assign;
+    assign.indexes = {0, 1};
+    opec_dist::ResultMsg result;
+    result.indexes = {0, 1};
+    if (sweep == SweepKind::kCampaign) {
+      assign.jobs.emplace_back();
+      result.jobs.emplace_back();
+    } else {
+      assign.fuzz_seeds = {5};
+      result.cases.emplace_back();
+    }
+    auto write_assign = [&](StateWriter& w) { opec_dist::WriteAssign(w, sweep, assign); };
+    auto read_assign = [&](StateReader& r) { opec_dist::ReadAssign(r, sweep); };
+    auto write_result = [&](StateWriter& w) { opec_dist::WriteResult(w, sweep, result); };
+    auto read_result = [&](StateReader& r) { opec_dist::ReadResult(r, sweep); };
+    EXPECT_THROW(decode(write_assign, read_assign), opec_support::CheckError);
+    EXPECT_THROW(decode(write_result, read_result), opec_support::CheckError);
+    // Equal counts decode.
+    assign.indexes.pop_back();
+    result.indexes.pop_back();
+    EXPECT_NO_THROW(decode(write_assign, read_assign));
+    EXPECT_NO_THROW(decode(write_result, read_result));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Unwritable output directories fail fast with a clear message (never an
 // OPEC_CHECK abort). Regression: Executor::Run used to OPEC_CHECK-abort mid-
@@ -458,7 +494,7 @@ TEST(DistSweep, WorkerDeathMidSweepReissuesAndReportUnchanged) {
   CampaignServer::Options options;
   options.unit_size = 2;
   std::vector<WorkerOptions> worker_options(2);
-  worker_options[0].die_after_jobs = 1;  // dies mid-unit, result never sent
+  worker_options[0].chaos_drop_after = 1;  // hangs up mid-unit, result never sent
   DistRun run = RunDistCampaign(spec, 2, options, worker_options);
   ASSERT_EQ(run.serve_error, "");
   EXPECT_EQ(run.result.DeterministicJson(), serial);
@@ -559,18 +595,13 @@ TEST(DistSweep, FuzzSweepMatchesSerialRunCase) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet hardening: version refusal, auth, CIDR
-// allow-listing, truncation hygiene, streaming backpressure,
-// reconnect-and-resume, adaptive unit sizing.
+// Fleet hardening: version refusal, auth, CIDR allow-listing, truncation
+// hygiene, streaming backpressure, a dropped TCP link.
 
 TEST(DistWire, HelloRoundTrip) {
   opec_dist::HelloMsg hello;
   hello.worker_name = "w7";
   hello.token = "sesame";
-  hello.worker_id = "host7#3";
-  hello.resumable = true;
-  hello.resume_unit = 42;
-  hello.resume_done = 3;
   StateWriter w;
   opec_dist::WriteHello(w, hello);
   std::vector<uint8_t> bytes = w.Take();
@@ -579,10 +610,7 @@ TEST(DistWire, HelloRoundTrip) {
   EXPECT_EQ(got.version, opec_dist::kProtocolVersion);
   EXPECT_EQ(got.worker_name, "w7");
   EXPECT_EQ(got.token, "sesame");
-  EXPECT_EQ(got.worker_id, "host7#3");
-  EXPECT_TRUE(got.resumable);
-  EXPECT_EQ(got.resume_unit, 42u);
-  EXPECT_EQ(got.resume_done, 3u);
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST(DistTransport, CidrParseAndMatch) {
@@ -613,15 +641,11 @@ TEST(DistTransport, CidrParseAndMatch) {
 TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
   // Sweep a hello and a campaign result frame: EOF at any byte offset
   // inside the frame must surface as a clean "truncated frame", and a fresh
-  // transport (what a reconnect from the same worker id gets — the receive
-  // buffer is per connection) must decode the full frame untainted.
+  // transport (what any later connection gets — the receive buffer is per
+  // connection) must decode the full frame untainted.
   opec_dist::HelloMsg hello;
   hello.worker_name = "w-trunc";
   hello.token = "sesame";
-  hello.worker_id = "alpha";
-  hello.resumable = true;
-  hello.resume_unit = 3;
-  hello.resume_done = 1;
   Frame hello_frame = MakeFrame(FrameType::kHello,
                                 [&](StateWriter& w) { opec_dist::WriteHello(w, hello); });
 
@@ -642,7 +666,7 @@ TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
     for (size_t cut = 0; cut < encoded.size(); ++cut) {
       int fds[2] = {-1, -1};
       ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-      FdTransport receiver(fds[1]);
+      Transport receiver(fds[1]);
       if (cut > 0) {
         ASSERT_EQ(::send(fds[0], encoded.data(), cut, 0), static_cast<ssize_t>(cut));
       }
@@ -717,8 +741,9 @@ TEST(DistAuth, BadTokenHungUpOnBeforeAnyBytes) {
 }
 
 // Both ends ship from one tree, so a hello from any other protocol version
-// is refused like a bad token: version 1 (version + worker name), and
-// version 2, whose welcome and result frames carried artifact-cache fields.
+// is refused like a bad token: version 1 (version + worker name), version 2,
+// whose welcome and result frames carried artifact-cache fields, and
+// version 3, whose hello carried a worker id and a resume cursor.
 TEST(DistAuth, OtherProtocolVersionHungUpOnBeforeAnyBytes) {
   ExpectRefusedBeforeAnyBytes("", MakeFrame(FrameType::kHello, [](StateWriter& w) {
                                 w.U32(1);
@@ -729,6 +754,15 @@ TEST(DistAuth, OtherProtocolVersionHungUpOnBeforeAnyBytes) {
   v2.worker_name = "previous-release";
   ExpectRefusedBeforeAnyBytes("", MakeFrame(FrameType::kHello, [&](StateWriter& w) {
                                 opec_dist::WriteHello(w, v2);
+                              }));
+  ExpectRefusedBeforeAnyBytes("", MakeFrame(FrameType::kHello, [](StateWriter& w) {
+                                w.U32(3);
+                                w.Str("resumer");
+                                w.Str("");       // token
+                                w.Str("alpha");  // worker id
+                                w.Bool(true);    // resumable
+                                w.U64(~0ull);    // resume unit
+                                w.U64(0);        // resume done
                               }));
 }
 
@@ -760,7 +794,7 @@ TEST(DistAuth, TcpPeerOutsideAllowListRefusedAtAccept) {
   std::string connect_error;
   int cfd = opec_dist::TcpConnect("127.0.0.1:" + std::to_string(port), &connect_error);
   ASSERT_GE(cfd, 0) << connect_error;
-  FdTransport refused(cfd);
+  Transport refused(cfd);
   Frame f;
   EXPECT_EQ(refused.Recv(&f), Transport::Status::kEof);
 
@@ -838,10 +872,10 @@ TEST(DistSweep, StalledPeerDoesNotBlockTheFleet) {
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
-// Regression (lease/reconnect stats race): a full result that lands *after*
-// its lease expired completes the unit; the copy some other worker still
-// holds must be cancelled silently. Pre-fix the holder's EOF re-queued the
-// already-complete unit and units_reissued double-counted the recovery.
+// Regression (lease stats race): a full result that lands *after* its lease
+// expired completes the unit; the copy some other worker still holds must be
+// cancelled silently. Pre-fix the holder's EOF re-queued the already-complete
+// unit and units_reissued double-counted the recovery.
 TEST(DistSweep, LateResultAfterLeaseExpiryCountedOnce) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(2);
   opec_campaign::Executor::Options serial_options;
@@ -928,12 +962,11 @@ TEST(DistSweep, LateResultAfterLeaseExpiryCountedOnce) {
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
-// Tentpole end-to-end: real TCP on 127.0.0.1, two authenticated workers, one
-// of which drops its link mid-unit and redials. The server parks the lease,
-// adopts it on reconnect, re-assigns only the remainder under the original
-// unit id — nothing is re-queued, and the report is byte-identical to
-// `campaign --jobs 1`.
-TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
+// Real TCP on 127.0.0.1, two authenticated workers, one of which drops its
+// link mid-unit and exits. A dropped link is a dead worker: the server
+// requeues the unit at the front, the other worker re-runs it, and the report
+// is byte-identical to `campaign --jobs 1`.
+TEST(DistSweep, TcpDroppedLinkRequeuesLikeDeadWorker) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(12);
   std::string serial = SerialJson(spec);
 
@@ -952,34 +985,29 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
   std::string serve_error;
   std::thread serve_thread([&] { serve_error = server.Serve(); });
 
-  auto connect = [port]() -> std::unique_ptr<Transport> {
+  auto run_worker = [port](WorkerOptions wo) {
     std::string error;
     int fd = opec_dist::TcpConnect("127.0.0.1:" + std::to_string(port), &error);
     if (fd < 0) {
-      return nullptr;
+      return error;
     }
-    return std::make_unique<FdTransport>(fd);
+    Transport transport(fd);
+    return RunWorker(transport, wo);
   };
-  std::string alpha_error;
+  std::string alpha_error = "not run";
   std::thread alpha([&] {
     WorkerOptions wo;
     wo.name = "alpha";
     wo.token = "sesame";
-    wo.worker_id = "alpha";
-    wo.reconnect_max = 5;
-    wo.reconnect_delay_ms = 20;
-    wo.chaos_drop_after = 1;  // drop mid-unit, once; resume on redial
-    alpha_error = RunWorkerLoop(connect, wo);
+    wo.chaos_drop_after = 1;  // hang up mid-unit and exit
+    alpha_error = run_worker(wo);
   });
-  std::string beta_error;
+  std::string beta_error = "not run";
   std::thread beta([&] {
     WorkerOptions wo;
     wo.name = "beta";
     wo.token = "sesame";
-    wo.worker_id = "beta";
-    wo.reconnect_max = 5;
-    wo.reconnect_delay_ms = 20;
-    beta_error = RunWorkerLoop(connect, wo);
+    beta_error = run_worker(wo);
   });
   serve_thread.join();
   alpha.join();
@@ -990,38 +1018,10 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
   EXPECT_EQ(alpha_error, "");
   EXPECT_EQ(beta_error, "");
   const opec_campaign::DistStats& d = server.dist_stats();
-  EXPECT_EQ(d.workers, 2u);  // distinct ids, not connections
-  EXPECT_GE(d.links_lost, 1u);
-  EXPECT_GE(d.reconnects, 1u);
-  EXPECT_EQ(d.units_reissued, 0u);  // resumed in place, never re-queued
-  EXPECT_EQ(d.leases_expired, 0u);
+  EXPECT_EQ(d.workers, 2u);
+  EXPECT_GE(d.workers_died, 1u);
+  EXPECT_GE(d.units_reissued, 1u);
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
-}
-
-TEST(DistSweep, AdaptiveUnitSizingKeepsReportByteIdentical) {
-  opec_campaign::CampaignSpec spec = SmallFaultSweep(10);
-  std::string serial = SerialJson(spec);
-
-  CampaignServer::Options options;
-  options.adaptive_units = true;
-  options.target_unit_ms = 2;  // tiny target: forces per-lease re-sizing
-  options.max_unit_size = 4;
-  for (size_t n : {1u, 2u}) {
-    DistRun run = RunDistCampaign(spec, n, options);
-    ASSERT_EQ(run.serve_error, "") << "workers=" << n;
-    for (const std::string& we : run.worker_errors) {
-      EXPECT_EQ(we, "");
-    }
-    EXPECT_EQ(run.result.DeterministicJson(), serial) << "workers=" << n;
-    const opec_campaign::DistStats& d = run.result.dist;
-    EXPECT_TRUE(d.adaptive_units);
-    EXPECT_GE(d.unit_size_min, 1u);
-    EXPECT_GE(d.unit_size_max, d.unit_size_min);
-    EXPECT_LE(d.unit_size_max, 4u);
-    // Sizing is observability, not part of the deterministic report.
-    EXPECT_NE(run.result.Json().find("\"adaptive_units\": true"), std::string::npos);
-    EXPECT_EQ(run.result.DeterministicJson().find("adaptive_units"), std::string::npos);
-  }
 }
 
 }  // namespace

@@ -195,10 +195,10 @@ TEST(FleetFlags, RolesAreMutuallyExclusive) {
 
 TEST(FleetFlags, SharedFlagsReachServerAndWorker) {
   opec_dist::FleetOptions fleet;
-  EXPECT_EQ(ParseFleet(&fleet, {"--unit-size", "auto", "--lease-ms=2000", "--auth-token", "tok",
+  EXPECT_EQ(ParseFleet(&fleet, {"--unit-size", "8", "--lease-ms=2000", "--auth-token", "tok",
                                 "--allow", "127.0.0.1,10.0.0.0/8", "--chaos-drop-after", "5"}),
             "");
-  EXPECT_TRUE(fleet.server.adaptive_units);
+  EXPECT_EQ(fleet.server.unit_size, 8u);
   EXPECT_EQ(fleet.server.lease_ms, 2000u);
   EXPECT_EQ(fleet.server.auth_token, "tok");
   EXPECT_EQ(fleet.worker.token, "tok");
@@ -206,7 +206,7 @@ TEST(FleetFlags, SharedFlagsReachServerAndWorker) {
   EXPECT_EQ(fleet.worker.chaos_drop_after, 5u);
   opec_dist::FleetOptions bad;
   EXPECT_EQ(ParseFleet(&bad, {"--unit-size", "0"}),
-            "invalid --unit-size '0': expected an integer in [1, 100000] or auto");
+            "invalid --unit-size '0': expected an integer in [1, 100000]");
   EXPECT_EQ(ParseFleet(&bad, {"--allow", "10.0.0.0/40"}),
             "invalid --allow '10.0.0.0/40': bad prefix length in '10.0.0.0/40'");
 }

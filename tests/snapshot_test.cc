@@ -1,7 +1,7 @@
 // Tests for the snapshot/restore subsystem (DESIGN.md §13): the state_io wire
-// primitives, machine-level round trips, container versioning, delta mode,
-// file I/O, warm-start (CaptureBoot/RestoreBoot) determinism across all apps,
-// and the SVC-boundary round-trip probe.
+// primitives, machine-level round trips, container versioning, file I/O,
+// warm-start (CaptureBoot/RestoreBoot) determinism across all apps, and the
+// SVC-boundary round-trip probe.
 
 #include "src/snapshot/snapshot.h"
 
@@ -152,9 +152,9 @@ TEST(Snapshot, MagicAndVersionAreChecked) {
   EXPECT_THROW(Snapshot::Deserialize(bad_version), opec_support::CheckError);
 }
 
-// A count read from a .snap or delta file sizes nothing up front: a 2^40
-// claim in a few bytes is the same CheckError as any truncation, not a
-// terabyte-sized reservation or std::bad_alloc.
+// A count read from a .snap file sizes nothing up front: a 2^40 claim in a
+// few bytes is the same CheckError as any truncation, not a terabyte-sized
+// reservation or std::bad_alloc.
 TEST(Snapshot, HugeClaimedCountsAreCheckErrors) {
   opec_support::ScopedCheckThrow guard;
   constexpr uint64_t kClaim = 1ull << 40;
@@ -163,34 +163,6 @@ TEST(Snapshot, HugeClaimedCountsAreCheckErrors) {
   snap.U32(Snapshot::kVersion);
   snap.U64(kClaim);  // sections
   EXPECT_THROW(Snapshot::Deserialize(snap.data()), opec_support::CheckError);
-
-  StateWriter delta;
-  delta.U64(0);  // base digest
-  delta.U64(0);  // target size
-  delta.U64(0);  // target digest
-  delta.U64(kClaim);  // patches
-  EXPECT_THROW(SnapshotDelta::Deserialize(delta.data()), opec_support::CheckError);
-}
-
-TEST(Snapshot, DeltaReconstructsAndRejectsWrongBaseline) {
-  Machine machine(Board::kStm32F4Discovery);
-  Snapshot base = Snapshot::Capture(machine);
-
-  machine.bus().DebugWrite(opec_hw::kSramBase + 0x1000, 4, 0xCAFEF00D);
-  machine.AddCycles(42);
-  Snapshot cur = Snapshot::Capture(machine);
-
-  SnapshotDelta delta = cur.DeltaFrom(base);
-  // A few touched words must encode as a tiny fraction of the full image.
-  EXPECT_LT(delta.PayloadBytes(), cur.Serialize().size() / 10);
-
-  SnapshotDelta rewire = SnapshotDelta::Deserialize(delta.Serialize());
-  Snapshot rebuilt = Snapshot::ApplyDelta(base, rewire);
-  EXPECT_EQ(rebuilt.Digest(), cur.Digest());
-
-  // A delta against baseline A must refuse to apply to baseline B.
-  opec_support::ScopedCheckThrow guard;
-  EXPECT_THROW(Snapshot::ApplyDelta(cur, delta), opec_support::CheckError);
 }
 
 TEST(Snapshot, FileRoundTrip) {
@@ -270,8 +242,7 @@ TEST(Snapshot, RestoreThenResumeMatchesGoldenTraceEveryApp) {
 }
 
 // The SVC-boundary round-trip probe must be invisible: same modeled outputs
-// as the unprobed run, zero digest mismatches, and the delta encoding of
-// mid-run states must beat full images.
+// as the unprobed run and zero digest mismatches.
 TEST(Snapshot, RoundTripProbeIsInvisibleAndClean) {
   const AppFactory& factory = App("PinLock");
   std::unique_ptr<opec_apps::Application> plain_app = factory.make();
@@ -290,7 +261,6 @@ TEST(Snapshot, RoundTripProbeIsInvisibleAndClean) {
       << probed.probe()->errors().front();
   // Program start + end, plus one per operation enter/exit SVC.
   EXPECT_GE(probed.probe()->probes(), 2u);
-  EXPECT_LT(probed.probe()->delta_bytes(), probed.probe()->full_bytes());
   EXPECT_EQ(got.cycles, want.cycles);
   EXPECT_EQ(got.statements, want.statements);
   EXPECT_EQ(got.return_value, want.return_value);
