@@ -12,7 +12,6 @@
 //            [--seed S] [--timeout-ms T] [--report-json FILE] [--deterministic]
 //            [--trace-dir DIR] [--snapshot-dir DIR] [--cold-boot]
 //            [--traffic rate=N,conns=M,seed=S[,requests=R,...]]
-//            [--workers N | --serve PORT | --connect HOST:PORT] [fleet flags]
 //
 //   --engine        execution tier for every job (default interp); modeled
 //                   outputs are bit-identical across tiers, so the
@@ -44,12 +43,8 @@
 //   --cold-boot     rebuild every job from scratch instead of forking from
 //                   the per-worker post-boot snapshot (warm start, the
 //                   default); results are bit-identical either way
-//   --traffic       load spec for the traffic apps (in-process only: the spec
-//                   is process-global and never crosses the wire)
-//
-// The fleet roles (src/dist/fleet.h) run the same sweep through the
-// distributed campaign service; the --deterministic report is byte-identical
-// to the in-process one.
+//   --traffic       load spec for the traffic apps, read by every job that
+//                   builds one
 //
 // Exit status: 0 when every job succeeded (AllOk), 1 otherwise, 2 on a usage
 // error.
@@ -63,7 +58,6 @@
 #include "bench/figures_lib.h"
 #include "src/apps/all_apps.h"
 #include "src/campaign/campaign.h"
-#include "src/dist/fleet.h"
 #include "src/rv/monitors.h"
 #include "src/support/flags.h"
 #include "src/traffic/traffic.h"
@@ -102,16 +96,10 @@ int main(int argc, char** argv) {
   size_t fault_sweep = 0;
   FaultClass fault_class = FaultClass::kAny;
   bool figures = false;
-  int jobs = 1;
   uint64_t seed = 1;
-  uint64_t timeout_ms = 0;
   std::string report_path;
   bool deterministic = false;
-  std::string trace_dir;
-  std::string snapshot_dir;
-  bool cold_boot = false;
-  bool traffic = false;
-  opec_dist::FleetOptions fleet;
+  Executor::Options options;
 
   opec_support::FlagSet flags;
   flags.Str("--spec", &spec_path);
@@ -123,14 +111,14 @@ int main(int argc, char** argv) {
   flags.Enum("--fault-class", &fault_class, opec_campaign::ParseFaultClass,
              "expected any|stack-bit-flip|shadow-bit-flip|svc-arg|icall-forge");
   flags.Bool("--figures", &figures);
-  flags.Int("--jobs", &jobs, 1, 1024);
+  flags.Int("--jobs", &options.jobs, 1, 1024);
   flags.U64("--seed", &seed);
-  flags.U64("--timeout-ms", &timeout_ms);
+  flags.U64("--timeout-ms", &options.default_timeout_ms);
   flags.Str("--report-json", &report_path);
   flags.Bool("--deterministic", &deterministic);
-  flags.Str("--trace-dir", &trace_dir);
-  flags.Str("--snapshot-dir", &snapshot_dir);
-  flags.Bool("--cold-boot", &cold_boot);
+  flags.Str("--trace-dir", &options.trace_dir);
+  flags.Str("--snapshot-dir", &options.snapshot_dir);
+  flags.Bool("--cold-boot", &options.cold_boot);
   flags.Custom("--traffic", [&](const std::string& v) {
     opec_traffic::TrafficSpec traffic_spec;
     std::string error;
@@ -139,32 +127,21 @@ int main(int argc, char** argv) {
     }
     // Set before any worker spawns: the traffic app factories read it.
     opec_traffic::SetDefaultLoadSpec(traffic_spec);
-    traffic = true;
     return std::string();
   });
-  opec_dist::AddFleetFlags(flags, &fleet);
   if (!flags.Parse(argc, argv)) {
     return 2;
   }
-  if (std::string err = opec_dist::CheckFleetRoles(fleet); !err.empty()) {
-    return flags.Fail(err);
-  }
-  if (fleet.distributed() && (traffic || figures)) {
-    return flags.Fail("--traffic and --figures run in-process only");
-  }
-  if (!fleet.connect.empty()) {
-    return opec_dist::RunFleetWorker(fleet);
-  }
 
   if (figures) {
-    std::fputs(opec_bench::Figure9Text(jobs).c_str(), stdout);
-    std::fputs(opec_bench::Figure10Text(jobs).c_str(), stdout);
-    std::fputs(opec_bench::Figure11Text(jobs).c_str(), stdout);
+    std::fputs(opec_bench::Figure9Text(options.jobs).c_str(), stdout);
+    std::fputs(opec_bench::Figure10Text(options.jobs).c_str(), stdout);
+    std::fputs(opec_bench::Figure11Text(options.jobs).c_str(), stdout);
     std::fputs(opec_bench::Table1Text().c_str(), stdout);
     std::fputs(opec_bench::Table2Text().c_str(), stdout);
     std::fputs(opec_bench::Table3Text().c_str(), stdout);
-    std::fputs(opec_bench::AblationShadowSyncText(jobs).c_str(), stdout);
-    std::fputs(opec_bench::AblationSwitchFrequencyText(jobs).c_str(), stdout);
+    std::fputs(opec_bench::AblationShadowSyncText(options.jobs).c_str(), stdout);
+    std::fputs(opec_bench::AblationSwitchFrequencyText(options.jobs).c_str(), stdout);
     return 0;
   }
 
@@ -186,7 +163,6 @@ int main(int argc, char** argv) {
 
   CampaignSpec spec;
   spec.seed = seed;
-  spec.timeout_ms = timeout_ms;
   if (!spec_path.empty()) {
     std::string err = spec.ParseFile(spec_path);
     if (!err.empty()) {
@@ -207,25 +183,7 @@ int main(int argc, char** argv) {
 
   CampaignResult result;
   try {
-    if (fleet.distributed()) {
-      fleet.server.cold_boot = cold_boot;
-      fleet.server.snapshot_dir = snapshot_dir;
-      fleet.server.trace_dir = trace_dir;
-      fleet.server.default_timeout_ms = timeout_ms;
-      std::string err = opec_dist::ServeCampaign(spec, fleet, &result);
-      if (!err.empty()) {
-        std::fprintf(stderr, "campaign: %s\n", err.c_str());
-        return 2;
-      }
-    } else {
-      Executor::Options options;
-      options.jobs = jobs;
-      options.default_timeout_ms = timeout_ms;
-      options.trace_dir = trace_dir;
-      options.snapshot_dir = snapshot_dir;
-      options.cold_boot = cold_boot;
-      result = Executor::Run(spec, options);
-    }
+    result = Executor::Run(spec, options);
   } catch (const std::runtime_error& e) {
     // Environment problems (unwritable --snapshot-dir/--trace-dir, unknown
     // app) are usage-class errors, not crashes: clear message, exit 2.

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -342,8 +343,7 @@ class CountingSink : public opec_obs::Sink {
 };
 
 // Warm-start cache: one booted AppRun per (app, mode, engine) per worker
-// thread — pool threads in-process, and the single thread of each dist worker
-// process. Thread-local on purpose — no cross-thread sharing, so jobs stay
+// thread. Thread-local on purpose — no cross-thread sharing, so jobs stay
 // isolated (TSan-clean) and results stay placement-deterministic. The first
 // use on a thread pays the full cold build and captures the post-boot
 // snapshot; every later job on that thread rewinds to it with RestoreBoot(),
@@ -377,7 +377,7 @@ void WriteBinaryFile(const std::string& path, const std::vector<uint8_t>& bytes)
 }
 
 JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>* cancel,
-                     const JobEnv& env) {
+                     const Executor::Options& options) {
   JobResult out;
   out.index = index;
   out.spec = spec;
@@ -389,7 +389,7 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
   std::unique_ptr<opec_apps::Application> app;
   std::unique_ptr<opec_apps::AppRun> cold_run;
   opec_apps::AppRun* run_ptr;
-  if (env.cold_boot) {
+  if (options.cold_boot) {
     app = factory->make();
     cold_run = std::make_unique<opec_apps::AppRun>(*app, spec.mode, spec.engine);
     run_ptr = cold_run.get();
@@ -400,7 +400,7 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
   if (cancel != nullptr) {
     run.engine().set_cancel_flag(cancel);
   }
-  if (!env.snapshot_dir.empty()) {
+  if (!options.snapshot_dir.empty()) {
     run.engine().set_fault_state_capture(true);
   }
 
@@ -464,11 +464,11 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
     }
     bool diverging = out.outcome != Outcome::kOk && out.outcome != Outcome::kNotFired &&
                      out.outcome != Outcome::kBenign;
-    if (!env.snapshot_dir.empty() && diverging) {
+    if (!options.snapshot_dir.empty() && diverging) {
       opec_snapshot::Snapshot snap = run.CaptureState();
       out.snapshot_digest = snap.Digest();
       std::string stem = opec_support::StrPrintf("%s/job%04zu_%s_%s",
-                                                 env.snapshot_dir.c_str(), index,
+                                                 options.snapshot_dir.c_str(), index,
                                                  AppKey(spec.app).c_str(), ModeName(spec.mode));
       snap.WriteFile(stem + ".snap");
       size_t k = 0;
@@ -634,6 +634,63 @@ class Watchdog {
   uint64_t next_id_ = 1;
   bool stop_ = false;
 };
+
+// Fills the derived fields of job `index`: seed from SplitMix64::JobSeed when
+// 0, timeout from the executor default then the campaign spec, trace path
+// from trace_dir.
+JobSpec ResolveJobSpec(const CampaignSpec& spec, size_t index,
+                       const Executor::Options& options) {
+  JobSpec resolved = spec.jobs[index];
+  if (resolved.seed == 0) {
+    resolved.seed = SplitMix64::JobSeed(spec.seed, index);
+  }
+  if (resolved.timeout_ms == 0) {
+    resolved.timeout_ms =
+        options.default_timeout_ms != 0 ? options.default_timeout_ms : spec.timeout_ms;
+  }
+  if (!options.trace_dir.empty() && resolved.trace_path.empty()) {
+    resolved.trace_path = opec_support::StrPrintf(
+        "%s/job%04zu_%s_%s.trace.json", options.trace_dir.c_str(), index,
+        AppKey(resolved.app).c_str(), ModeName(resolved.mode));
+  }
+  return resolved;
+}
+
+// The per-job harness around RunJobImpl: wall-clock watchdog arming the
+// engine cancel flag, ScopedCheckThrow capture, and structured kException
+// results for anything thrown.
+JobResult RunGuarded(Watchdog& watchdog, const JobSpec& resolved, size_t index,
+                     const Executor::Options& options) {
+  Clock::time_point job_t0 = Clock::now();
+  JobResult result;
+  std::atomic<bool> cancel{false};
+  uint64_t watchdog_id = 0;
+  if (resolved.timeout_ms != 0) {
+    watchdog_id =
+        watchdog.Arm(job_t0 + std::chrono::milliseconds(resolved.timeout_ms), &cancel);
+  }
+  try {
+    opec_support::ScopedCheckThrow check_throw;
+    result = RunJobImpl(resolved, index, resolved.timeout_ms != 0 ? &cancel : nullptr, options);
+  } catch (const std::exception& e) {
+    result.index = index;
+    result.spec = resolved;
+    result.ok = false;
+    result.outcome = Outcome::kException;
+    result.detail = e.what();
+  } catch (...) {
+    result.index = index;
+    result.spec = resolved;
+    result.ok = false;
+    result.outcome = Outcome::kException;
+    result.detail = "unknown exception";
+  }
+  if (watchdog_id != 0) {
+    watchdog.Disarm(watchdog_id);
+  }
+  result.wall_ns = NsSince(job_t0);
+  return result;
+}
 
 }  // namespace
 
@@ -894,21 +951,6 @@ std::string ResultsJson(const CampaignResult& result, bool with_timing) {
                                             static_cast<double>(result.wall_ns));
     json << "    \"parallel_speedup\": " << buf << "\n";
     json << "  }";
-    // Distributed-executor scheduling stats (DESIGN.md §16). Timing-report
-    // only: issue, reissue and expiry counts depend on worker speed and join
-    // order, so they must never appear in the deterministic report.
-    if (result.dist.active) {
-      const DistStats& d = result.dist;
-      json << ",\n  \"dist\": {\n";
-      json << "    \"workers\": " << d.workers << ",\n";
-      json << "    \"workers_died\": " << d.workers_died << ",\n";
-      json << "    \"units_issued\": " << d.units_issued << ",\n";
-      json << "    \"units_reissued\": " << d.units_reissued << ",\n";
-      json << "    \"leases_expired\": " << d.leases_expired << ",\n";
-      json << "    \"peers_rejected\": " << d.peers_rejected << ",\n";
-      json << "    \"late_results\": " << d.late_results << "\n";
-      json << "  }";
-    }
   }
   json << "\n}\n";
   return json.str();
@@ -963,86 +1005,14 @@ std::string CampaignResult::FaultMatrix() const {
   return out;
 }
 
-JobSpec ResolveJobSpec(const JobSpec& job, size_t index, uint64_t campaign_seed,
-                       uint64_t campaign_timeout_ms, uint64_t default_timeout_ms,
-                       const std::string& trace_dir) {
-  JobSpec resolved = job;
-  if (resolved.seed == 0) {
-    resolved.seed = SplitMix64::JobSeed(campaign_seed, index);
-  }
-  if (resolved.timeout_ms == 0) {
-    resolved.timeout_ms = default_timeout_ms != 0 ? default_timeout_ms : campaign_timeout_ms;
-  }
-  if (!trace_dir.empty() && resolved.trace_path.empty()) {
-    resolved.trace_path = opec_support::StrPrintf(
-        "%s/job%04zu_%s_%s.trace.json", trace_dir.c_str(), index,
-        AppKey(resolved.app).c_str(), ModeName(resolved.mode));
-  }
-  return resolved;
-}
-
-struct JobRunner::Impl {
-  Watchdog watchdog;
-};
-
-JobRunner::JobRunner() : impl_(std::make_unique<Impl>()) {}
-JobRunner::~JobRunner() = default;
-
-JobResult JobRunner::Run(const JobSpec& resolved, size_t index, const JobEnv& env) {
-  Clock::time_point job_t0 = Clock::now();
-  JobResult result;
-  std::atomic<bool> cancel{false};
-  uint64_t watchdog_id = 0;
-  if (resolved.timeout_ms != 0) {
-    watchdog_id = impl_->watchdog.Arm(
-        job_t0 + std::chrono::milliseconds(resolved.timeout_ms), &cancel);
-  }
-  try {
-    opec_support::ScopedCheckThrow check_throw;
-    result = RunJobImpl(resolved, index, resolved.timeout_ms != 0 ? &cancel : nullptr, env);
-  } catch (const std::exception& e) {
-    result.index = index;
-    result.spec = resolved;
-    result.ok = false;
-    result.outcome = Outcome::kException;
-    result.detail = e.what();
-  } catch (...) {
-    result.index = index;
-    result.spec = resolved;
-    result.ok = false;
-    result.outcome = Outcome::kException;
-    result.detail = "unknown exception";
-  }
-  if (watchdog_id != 0) {
-    impl_->watchdog.Disarm(watchdog_id);
-  }
-  result.wall_ns = NsSince(job_t0);
-  return result;
-}
-
-JobResult RunJob(const JobSpec& spec, uint64_t campaign_seed, size_t index) {
-  return RunJob(spec, campaign_seed, index, JobEnv{});
-}
-
-JobResult RunJob(const JobSpec& spec, uint64_t campaign_seed, size_t index,
-                 const JobEnv& env) {
-  JobSpec resolved = spec;
-  if (resolved.seed == 0) {
-    resolved.seed = SplitMix64::JobSeed(campaign_seed, index);
-  }
-  return RunJobImpl(resolved, index, nullptr, env);
-}
-
 CampaignResult Executor::Run(const CampaignSpec& spec, const Options& options) {
   CampaignResult out;
   out.jobs_used = std::max(1, options.jobs);
   Clock::time_point t0 = Clock::now();
-  JobEnv env;
-  env.cold_boot = options.cold_boot;
-  env.snapshot_dir = options.snapshot_dir;
   // Create output directories up front so a bad path is one clear error here,
   // not an OPEC_CHECK abort (or a report full of kException rows) when the
-  // first diverging job tries to dump state (see tests: SnapshotDirUnwritable).
+  // first diverging job tries to dump state (see tests:
+  // CampaignTest.SnapshotDirUnwritableThrowsRuntimeError).
   for (const std::string& dir : {options.snapshot_dir, options.trace_dir}) {
     if (!dir.empty()) {
       std::string err = opec_support::EnsureDirs(dir);
@@ -1051,12 +1021,10 @@ CampaignResult Executor::Run(const CampaignSpec& spec, const Options& options) {
       }
     }
   }
-  JobRunner runner;
+  Watchdog watchdog;
 
   out.results = ParallelMap(out.jobs_used, spec.jobs.size(), [&](size_t i) {
-    JobSpec job = ResolveJobSpec(spec.jobs[i], i, spec.seed, spec.timeout_ms,
-                                 options.default_timeout_ms, options.trace_dir);
-    return runner.Run(job, i, env);
+    return RunGuarded(watchdog, ResolveJobSpec(spec, i, options), i, options);
   });
 
   out.wall_ns = NsSince(t0);

@@ -24,10 +24,8 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/apps/all_apps.h"
@@ -212,22 +210,6 @@ enum class Outcome : uint8_t {
 
 const char* OutcomeName(Outcome outcome);
 
-// Distributed-execution statistics (src/dist, DESIGN.md §16). Host-side
-// scheduling observability — queue depth, lease churn, per-worker in-flight
-// peaks, refused peers. None of it is modeled data, so it is rendered only by
-// CampaignResult::Json() (the timing report) and never by
-// DeterministicJson(): byte-identity across worker counts is preserved.
-struct DistStats {
-  bool active = false;          // a distributed executor produced this result
-  uint64_t workers = 0;         // workers that joined (one per connection)
-  uint64_t workers_died = 0;    // connections lost before shutdown
-  uint64_t units_issued = 0;    // work-unit leases handed out (incl. re-issues)
-  uint64_t units_reissued = 0;  // units re-queued after worker death
-  uint64_t leases_expired = 0;  // units re-queued after lease timeout
-  uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
-  uint64_t late_results = 0;    // result frames landing without a live lease
-};
-
 struct JobResult {
   size_t index = 0;
   JobSpec spec;           // echo (with the effective seed/fault class filled in)
@@ -260,7 +242,6 @@ struct CampaignResult {
   std::vector<JobResult> results;  // indexed by job; always |spec.jobs| long
   int jobs_used = 1;
   uint64_t wall_ns = 0;  // elapsed campaign wall-clock
-  DistStats dist;        // populated by the distributed executor only
 
   uint64_t SerialWallNs() const;  // sum of per-job wall times
   size_t CountOutcome(Outcome outcome) const;
@@ -303,55 +284,6 @@ class Executor {
   // parents are created up front so jobs never trip over a missing directory.
   static CampaignResult Run(const CampaignSpec& spec, const Options& options);
 };
-
-// ---------------------------------------------------------------------------
-// Per-job execution path shared between the in-process Executor and the
-// distributed workers (src/dist). Keeping resolution + execution here is what
-// pins the dist service's byte-identity: a worker process runs exactly the
-// code path `campaign --jobs 1` runs.
-
-// Executor-level knobs threaded into each job (see Executor::Options).
-struct JobEnv {
-  // Default cold: standalone RunJob() stays fully from-scratch. The executor
-  // and dist workers (from the server's welcome) opt into the thread-local
-  // warm-start pool, one booted AppRun per (app, mode, engine) per thread.
-  bool cold_boot = true;
-  std::string snapshot_dir;
-};
-
-// Fills the derived fields of a job exactly the way Executor::Run does:
-// seed from SplitMix64::JobSeed when 0, timeout from the executor default
-// then the campaign spec, trace path from trace_dir. Pure function — the
-// dist server resolves jobs with this before shipping them to workers.
-JobSpec ResolveJobSpec(const JobSpec& job, size_t index, uint64_t campaign_seed,
-                       uint64_t campaign_timeout_ms, uint64_t default_timeout_ms,
-                       const std::string& trace_dir);
-
-// The per-job harness Executor::Run wraps around RunJob: wall-clock watchdog
-// arming the engine cancel flag, ScopedCheckThrow capture, and structured
-// kException results for anything thrown. One instance is reusable across
-// jobs (it owns the watchdog thread).
-class JobRunner {
- public:
-  JobRunner();
-  ~JobRunner();
-  JobRunner(const JobRunner&) = delete;
-  JobRunner& operator=(const JobRunner&) = delete;
-
-  // `resolved` must already have seed/timeout filled in (see ResolveJobSpec).
-  JobResult Run(const JobSpec& resolved, size_t index, const JobEnv& env);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-// Runs one job in isolation on the calling thread (no timeout handling; the
-// Executor layers that on top). Exposed for tests and the serial path.
-JobResult RunJob(const JobSpec& spec, uint64_t campaign_seed, size_t index);
-// As above with an explicit environment (warm pool / snapshot dir).
-JobResult RunJob(const JobSpec& spec, uint64_t campaign_seed, size_t index,
-                 const JobEnv& env);
 
 }  // namespace opec_campaign
 

@@ -2,34 +2,30 @@
 //
 //   fuzz [--seed S] [--count N] [--jobs N] [--shrink] [--corpus-dir DIR]
 //        [--traffic-count N] [--traffic-seed S]
-//        [--workers N | --serve PORT | --connect HOST:PORT] [fleet flags]
 //
 //   --seed S           base program seed (default 1)
 //   --count N          number of programs (default 100; 0 = skip)
 //   --jobs N           worker threads (default 1; serial == parallel)
 //   --shrink           minimize each diverging program
-//   --corpus-dir D     write diverging recipes (IR + oracle report) to D
+//   --corpus-dir D     write diverging recipes (IR + oracle report) to D,
+//                      created before the sweep
 //   --traffic-count N  traffic cases over the net apps + ethernet device
 //                      models (default 0)
 //   --traffic-seed S   base traffic-case seed (default 1)
 //
 // Case i runs the full oracle stack on program seed (--seed + i), fanned out
-// over the campaign ParallelMap, or over the dist fleet with a role flag
-// (src/dist/fleet.h). Stdout is one deterministic digest line per case plus
-// divergence details: byte-identical for any --jobs value or fleet, which
-// is oracle 4 (CI runs the same sweep serial, parallel and distributed and
-// cmps). --shrink and --corpus-dir post-process the returned cases, and the
-// traffic cases always run on the in-process pool. Exit status: 0 clean, 1
-// divergences found, 2 usage error.
+// over the campaign ParallelMap. Stdout is one deterministic digest line per
+// case plus divergence details: byte-identical for any --jobs value, which
+// is oracle 4 (CI runs the same sweep serial and parallel and cmps).
+// --shrink and --corpus-dir post-process the returned cases. Exit status: 0
+// clean, 1 divergences found, 2 usage error (or an unusable --corpus-dir).
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/campaign/campaign.h"
-#include "src/dist/fleet.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracles.h"
 #include "src/fuzz/program.h"
@@ -37,6 +33,7 @@
 #include "src/fuzz/traffic_fuzz.h"
 #include "src/ir/printer.h"
 #include "src/support/flags.h"
+#include "src/support/fs.h"
 
 namespace {
 
@@ -55,8 +52,6 @@ bool SpecDiverges(const opec_fuzz::ProgramSpec& spec) {
 
 void DumpCorpusEntry(const std::string& dir, const opec_fuzz::CaseResult& result,
                      const opec_fuzz::ProgramSpec& spec, const char* suffix) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
   std::string path = dir + "/seed_" + std::to_string(result.seed) + suffix + ".txt";
   std::ofstream out(path);
   out << "# fuzz divergence, program seed " << result.seed << "\n";
@@ -77,7 +72,6 @@ int main(int argc, char** argv) {
   uint64_t traffic_seed = 1;
   bool shrink = false;
   std::string corpus_dir;
-  opec_dist::FleetOptions fleet;
 
   opec_support::FlagSet flags;
   flags.U64("--seed", &seed);
@@ -87,29 +81,18 @@ int main(int argc, char** argv) {
   flags.Str("--corpus-dir", &corpus_dir);
   flags.U64("--traffic-count", &traffic_count);
   flags.U64("--traffic-seed", &traffic_seed);
-  opec_dist::AddFleetFlags(flags, &fleet);
   if (!flags.Parse(argc, argv)) {
     return 2;
   }
-  if (std::string err = opec_dist::CheckFleetRoles(fleet); !err.empty()) {
-    return flags.Fail(err);
-  }
-  if (!fleet.connect.empty()) {
-    return opec_dist::RunFleetWorker(fleet);
+  // Checked before the sweep: a recipe that cannot be written is lost.
+  if (!corpus_dir.empty()) {
+    if (std::string err = opec_support::EnsureDirs(corpus_dir); !err.empty()) {
+      return flags.Fail(err);
+    }
   }
 
-  std::vector<opec_fuzz::CaseResult> results;
-  if (fleet.distributed()) {
-    std::string err = opec_dist::ServeFuzz(seed, count, fleet, &results);
-    if (!err.empty()) {
-      std::fprintf(stderr, "fuzz: %s\n", err.c_str());
-      return 2;
-    }
-  } else {
-    results = opec_campaign::ParallelMap(jobs, static_cast<size_t>(count), [seed](size_t i) {
-      return opec_fuzz::RunCase(seed + i);
-    });
-  }
+  std::vector<opec_fuzz::CaseResult> results = opec_campaign::ParallelMap(
+      jobs, static_cast<size_t>(count), [seed](size_t i) { return opec_fuzz::RunCase(seed + i); });
 
   size_t diverging_cases = 0;
   size_t divergences = 0;

@@ -16,20 +16,6 @@ using opec_ir::Type;
 using opec_ir::TypeTable;
 using opec_ir::Val;
 
-const char* ScalarName(Scalar s) {
-  switch (s) {
-    case Scalar::kU8:
-      return "u8";
-    case Scalar::kU16:
-      return "u16";
-    case Scalar::kU32:
-      return "u32";
-    case Scalar::kI32:
-      return "i32";
-  }
-  return "?";
-}
-
 namespace {
 
 const Type* ScalarTy(TypeTable& tt, Scalar s) {

@@ -32,8 +32,6 @@ namespace opec_fuzz {
 // Scalar value types the generator draws from.
 enum class Scalar : uint8_t { kU8, kU16, kU32, kI32 };
 
-const char* ScalarName(Scalar s);
-
 // Operators, mirroring the FunctionBuilder overloads.
 enum class FBinOp : uint8_t {
   kAdd, kSub, kMul, kDiv, kRem, kAnd, kOr, kXor, kShl, kShr,

@@ -45,10 +45,6 @@ bool Uart::Write(uint32_t offset, uint32_t value, uint64_t* extra_cycles) {
   }
 }
 
-void Uart::PushRx(const std::vector<uint8_t>& bytes) {
-  rx_.insert(rx_.end(), bytes.begin(), bytes.end());
-}
-
 void Uart::PushRxString(const std::string& s) {
   rx_.insert(rx_.end(), s.begin(), s.end());
 }

@@ -29,7 +29,6 @@ class Uart : public MmioDevice {
   bool Write(uint32_t offset, uint32_t value, uint64_t* extra_cycles) override;
 
   // --- Host/testbench interface ---
-  void PushRx(const std::vector<uint8_t>& bytes);
   void PushRxString(const std::string& s);
   const std::vector<uint8_t>& tx_log() const { return tx_log_; }
   std::string TxString() const;

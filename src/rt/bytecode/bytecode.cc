@@ -1,7 +1,5 @@
 #include "src/rt/bytecode/bytecode.h"
 
-#include "src/support/text.h"
-
 namespace opec_rt {
 namespace bytecode {
 
@@ -41,33 +39,6 @@ const char* OpName(Op op) {
     case Op::kAbort:      return "abort";
   }
   return "?";
-}
-
-std::string BytecodeModule::Disassemble(int func_ordinal) const {
-  if (func_ordinal < 0 || static_cast<size_t>(func_ordinal) >= funcs.size()) {
-    return "(no such function)";
-  }
-  // Functions are lowered in ordinal order into one contiguous stream, so a
-  // function ends where the next one begins.
-  uint32_t begin = funcs[static_cast<size_t>(func_ordinal)].entry;
-  uint32_t end = static_cast<size_t>(func_ordinal) + 1 < funcs.size()
-                     ? funcs[static_cast<size_t>(func_ordinal) + 1].entry
-                     : static_cast<uint32_t>(code.size());
-  std::string out = opec_support::StrPrintf(
-      "func %d: entry=%u nregs=%u\n", func_ordinal, begin,
-      funcs[static_cast<size_t>(func_ordinal)].nregs);
-  for (uint32_t pc = begin; pc < end; ++pc) {
-    const Insn& x = code[pc];
-    out += opec_support::StrPrintf(
-        "  %5u: %-11s a=%u b=%u c=%u sub=%u imm=0x%x imm2=0x%x", pc, OpName(x.op),
-        x.a, x.b, x.c, x.sub, x.imm, x.imm2);
-    if (x.stmt != 0 || x.charge != 0) {
-      out += opec_support::StrPrintf("  [stmt+%u charge+%llu]", x.stmt,
-                                     static_cast<unsigned long long>(x.charge));
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace bytecode

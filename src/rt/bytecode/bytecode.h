@@ -127,9 +127,6 @@ struct BytecodeModule {
   std::vector<std::pair<uint32_t, uint32_t>> acct;
   std::vector<int64_t> acct_pool;
   uint16_t max_regs = 0;                 // max nregs over all functions
-
-  // Human-readable listing of one function (for tests and debugging).
-  std::string Disassemble(int func_ordinal) const;
 };
 
 }  // namespace bytecode

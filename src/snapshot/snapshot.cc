@@ -70,8 +70,6 @@ void Snapshot::RestoreFast(opec_hw::Machine& machine) const {
   OPEC_CHECK_MSG(r.AtEnd(), "machine section has trailing bytes");
 }
 
-bool Snapshot::HasSection(const std::string& name) const { return Find(name) != nullptr; }
-
 const Snapshot::Section* Snapshot::Find(const std::string& name) const {
   for (const Section& s : sections_) {
     if (s.name == name) {

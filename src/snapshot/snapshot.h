@@ -76,7 +76,6 @@ class Snapshot {
   // Restore() would.
   void RestoreFast(opec_hw::Machine& machine) const;
 
-  bool HasSection(const std::string& name) const;
   size_t SectionCount() const { return sections_.size(); }
 
   // Container wire format: magic, version, section count, then per section

@@ -1,7 +1,7 @@
-// Small filesystem helpers shared by the campaign executor and the dist
-// server and worker (src/dist). These return error strings instead of firing
-// OPEC_CHECK: an unwritable output directory is an environment problem the
-// caller should surface as a clean CLI/API error, not a host logic error.
+// Small filesystem helpers for the campaign executor and the fuzz CLI. These
+// return error strings instead of firing OPEC_CHECK: an unwritable output
+// directory is an environment problem the caller should surface as a clean
+// CLI/API error, not a host logic error.
 
 #ifndef SRC_SUPPORT_FS_H_
 #define SRC_SUPPORT_FS_H_

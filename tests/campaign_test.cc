@@ -2,7 +2,8 @@
 // ParallelMap coverage, ordering and exception propagation,
 // OPEC_CHECK capture, cross-thread determinism of campaign reports, per-job
 // failure isolation, fault-injection outcome classification, observability
-// invariance under concurrency, and wall-clock timeouts.
+// invariance under concurrency, wall-clock timeouts, and unusable output
+// directories.
 
 #include "src/campaign/campaign.h"
 
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -413,6 +415,24 @@ TEST(CampaignTest, SnapshotDirDumpsAreDeterministicAcrossThreadsAndBootModes) {
     }
   }
   EXPECT_GT(tagged, 0u);
+}
+
+// An output directory that cannot be created fails the whole campaign up
+// front with std::runtime_error (the CLI's exit 2), not an OPEC_CHECK abort
+// when the first diverging job tries to dump state.
+TEST(CampaignTest, SnapshotDirUnwritableThrowsRuntimeError) {
+  std::string file = ::testing::TempDir() + "/opec_snapdir_blocker";
+  {
+    std::ofstream f(file);
+    f << "x";
+  }
+  CampaignSpec spec;
+  spec.seed = 3;
+  spec.AddFaultSweep({"PinLock"}, 1);
+  Executor::Options options;
+  options.jobs = 1;
+  options.snapshot_dir = file + "/snaps";
+  EXPECT_THROW(Executor::Run(spec, options), std::runtime_error);
 }
 
 TEST(CampaignSpecTest, ParseTextBuildsJobsAndReportsErrors) {

@@ -1,12 +1,13 @@
 #!/bin/sh
 # The CLI front-end contract (src/support/flags.h): every CLI exits 2 with
-# exactly one line on stderr for junk numbers, unknown or removed flags and
-# missing values; the fleet roles are mutually exclusive; --traffic refuses
-# every fleet role.
+# exactly one line on stderr for junk numbers, unknown or removed flags,
+# missing values and output directories it cannot create; `runner` runs an
+# app end to end and writes both trace outputs into WORKDIR.
 #
-#   cli_test.sh CAMPAIGN FUZZ RUNNER FIGURE9_LOAD
+#   cli_test.sh CAMPAIGN FUZZ RUNNER FIGURE9_LOAD WORKDIR
 
-campaign=$1 fuzz=$2 runner=$3 figure9_load=$4
+campaign=$1 fuzz=$2 runner=$3 figure9_load=$4 work=$5
+mkdir -p "$work" || exit 1
 status=0
 
 # expect CODE COMMAND [ARGS...]: COMMAND must exit CODE and, when CODE is 2,
@@ -40,8 +41,8 @@ expect 2 "$fuzz" --jobs=+2
 expect 2 "$runner" --engine jit
 expect 2 "$figure9_load" --requests 0
 expect 2 "$campaign" --figures --jobs x
-expect 2 "$campaign" --workers 257
-expect 2 "$fuzz" --serve 65536
+expect 2 "$campaign" --jobs 1025
+expect 2 "$fuzz" --jobs 1025
 
 # Missing values.
 expect 2 "$campaign" --jobs
@@ -53,29 +54,29 @@ expect 2 "$figure9_load" --engine
 # Switches take no value.
 expect 2 "$campaign" --deterministic=yes
 
-# Flags folded into the fleet roles, or gone with the artifact cache, no
-# longer exist.
-expect 2 "$campaign" --worker
-expect 2 "$campaign" --listen 47000
-expect 2 "$fuzz" --fuzz-count 3
-expect 2 "$fuzz" --fuzz-seed 1
-expect 2 "$campaign" --cache-dir c
-expect 2 "$fuzz" --cache-dir c
+# Output directories are checked before any work runs.
+expect 2 "$campaign" --apps PinLock --fault-sweep 1 --snapshot-dir /dev/null/x
+expect 2 "$fuzz" --count 1 --corpus-dir /dev/null/x
 
-# Gone with reconnect-and-resume and adaptive unit sizing: a dropped link
-# requeues like a dead worker, and units have one fixed size.
-expect 2 "$campaign" --connect 127.0.0.1:1 --worker-id w1
-expect 2 "$campaign" --connect 127.0.0.1:1 --reconnect 10
-expect 2 "$fuzz" --connect 127.0.0.1:1 --reconnect-delay-ms 20
-expect 2 "$campaign" --workers 2 --target-unit-ms 20
-expect 2 "$fuzz" --workers 2 --unit-size auto
+# Removed flags: the fleet roles and their options, and the flags folded into
+# them or removed before the fleet itself went.
+for flag in --workers --serve --connect --unit-size --lease-ms --auth-token \
+    --allow --chaos-kill-after --chaos-stop-after --chaos-drop-after \
+    --worker --listen --fuzz-count --fuzz-seed --cache-dir --worker-id \
+    --reconnect --reconnect-delay-ms --target-unit-ms; do
+  expect 2 "$campaign" "$flag" 1
+  expect 2 "$fuzz" "$flag" 1
+done
 
-# One fleet role at a time; the traffic load spec never crosses the wire.
-expect 2 "$campaign" --workers 2 --connect h:1
-expect 2 "$campaign" --serve 47000 --workers 2
-expect 2 "$fuzz" --workers 2 --connect h:1
-expect 2 "$campaign" --workers 2 --traffic rate=1000,conns=2,seed=1
-expect 2 "$campaign" --connect 127.0.0.1:1 --traffic rate=1000,conns=2,seed=1
-expect 2 "$campaign" --workers 2 --figures
+# runner runs an app and writes a non-empty Chrome trace and JSONL stream.
+rm -f "$work/runner.trace.json" "$work/runner.jsonl"
+expect 0 "$runner" --app pinlock --mode opec --trace-out "$work/runner.trace.json" \
+  --jsonl-out "$work/runner.jsonl"
+for out in "$work/runner.trace.json" "$work/runner.jsonl"; do
+  if [ ! -s "$out" ]; then
+    echo "FAIL: runner wrote no $out"
+    status=1
+  fi
+done
 
 exit $status

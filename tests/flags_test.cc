@@ -1,6 +1,5 @@
 // The shared command-line front-end: the strict number parsers, the FlagSet
-// reader every CLI parses through, the fleet flags of `campaign`/`fuzz`, and
-// the name tables the flags decode with.
+// reader every CLI parses through, and the name tables the flags decode with.
 //
 // ParseCount: the CLIs used to parse counts with bare std::atoi, which
 // silently yields 0 on junk ("--jobs abc" fell into the jobs<1 error with no
@@ -14,7 +13,6 @@
 
 #include "src/apps/runner.h"
 #include "src/campaign/campaign.h"
-#include "src/dist/fleet.h"
 #include "src/support/flags.h"
 
 namespace opec_support {
@@ -172,43 +170,6 @@ TEST(NameTables, ParseInvertsTheNamePrinters) {
   FaultClass untouched = FaultClass::kSvcArgCorrupt;
   EXPECT_FALSE(opec_campaign::ParseFaultClass("stack", &untouched));
   EXPECT_EQ(untouched, FaultClass::kSvcArgCorrupt);
-}
-
-std::string ParseFleet(opec_dist::FleetOptions* fleet, std::vector<std::string> args) {
-  FlagSet flags;
-  opec_dist::AddFleetFlags(flags, fleet);
-  return ParseWith(flags, std::move(args));
-}
-
-TEST(FleetFlags, RolesAreMutuallyExclusive) {
-  opec_dist::FleetOptions none;
-  EXPECT_FALSE(none.distributed());
-  EXPECT_EQ(opec_dist::CheckFleetRoles(none), "");
-  opec_dist::FleetOptions one;
-  EXPECT_EQ(ParseFleet(&one, {"--serve=47311"}), "");
-  EXPECT_TRUE(one.distributed());
-  EXPECT_EQ(opec_dist::CheckFleetRoles(one), "");
-  opec_dist::FleetOptions two;
-  EXPECT_EQ(ParseFleet(&two, {"--workers", "2", "--connect", "h:1"}), "");
-  EXPECT_NE(opec_dist::CheckFleetRoles(two), "");
-}
-
-TEST(FleetFlags, SharedFlagsReachServerAndWorker) {
-  opec_dist::FleetOptions fleet;
-  EXPECT_EQ(ParseFleet(&fleet, {"--unit-size", "8", "--lease-ms=2000", "--auth-token", "tok",
-                                "--allow", "127.0.0.1,10.0.0.0/8", "--chaos-drop-after", "5"}),
-            "");
-  EXPECT_EQ(fleet.server.unit_size, 8u);
-  EXPECT_EQ(fleet.server.lease_ms, 2000u);
-  EXPECT_EQ(fleet.server.auth_token, "tok");
-  EXPECT_EQ(fleet.worker.token, "tok");
-  EXPECT_EQ(fleet.server.allow.size(), 2u);
-  EXPECT_EQ(fleet.worker.chaos_drop_after, 5u);
-  opec_dist::FleetOptions bad;
-  EXPECT_EQ(ParseFleet(&bad, {"--unit-size", "0"}),
-            "invalid --unit-size '0': expected an integer in [1, 100000]");
-  EXPECT_EQ(ParseFleet(&bad, {"--allow", "10.0.0.0/40"}),
-            "invalid --allow '10.0.0.0/40': bad prefix length in '10.0.0.0/40'");
 }
 
 }  // namespace

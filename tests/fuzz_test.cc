@@ -1,6 +1,7 @@
 // Tests for the differential fuzzing harness (src/fuzz, DESIGN.md Section 12):
 // generator determinism, pinned-seed oracle cleanliness, serial-vs-parallel
-// digest identity (oracle 4 in-process), and the greedy shrinker.
+// digest identity (oracle 4 in-process), the greedy shrinker, and the traffic
+// fuzzer over a pinned seed band.
 
 #include <map>
 #include <set>
@@ -15,6 +16,7 @@
 #include "src/fuzz/oracles.h"
 #include "src/fuzz/program.h"
 #include "src/fuzz/shrink.h"
+#include "src/fuzz/traffic_fuzz.h"
 #include "src/ir/printer.h"
 
 namespace opec_fuzz {
@@ -258,6 +260,22 @@ TEST(FuzzShrinkTest, ShrinksUnderExecutionPredicate) {
   EXPECT_TRUE(transmits(minimized));
   EXPECT_LE(CountStatements(minimized), CountStatements(spec));
   EXPECT_GT(stats.probes, 0u);
+}
+
+TEST(TrafficFuzzTest, PinnedSeedBandIsCleanAndParallelDigestsMatchSerial) {
+  // RunTrafficCase end to end (TCP-Echo on a seed-picked device model under
+  // both builds and both tiers, plus the ethernet device micro-fuzz): every
+  // case in the band is clean, and four workers reproduce the serial digests
+  // in order.
+  constexpr size_t kCases = 16;
+  auto run = [](size_t i) { return RunTrafficCase(1 + i); };
+  std::vector<TrafficCaseResult> serial = opec_campaign::ParallelMap(1, kCases, run);
+  std::vector<TrafficCaseResult> parallel = opec_campaign::ParallelMap(4, kCases, run);
+  for (size_t i = 0; i < kCases; ++i) {
+    EXPECT_TRUE(serial[i].divergences.empty())
+        << "traffic seed " << serial[i].seed << ": " << serial[i].divergences[0];
+    EXPECT_EQ(serial[i].digest, parallel[i].digest) << "traffic seed " << serial[i].seed;
+  }
 }
 
 }  // namespace
