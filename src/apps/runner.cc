@@ -67,11 +67,7 @@ void AppRun::CaptureBoot() {
 
 void AppRun::RestoreBoot() {
   OPEC_CHECK_MSG(boot_snapshot_ != nullptr, "RestoreBoot() without CaptureBoot()");
-  if (machine_->bus().has_memory_baseline()) {
-    boot_snapshot_->RestoreFast(*machine_);
-  } else {
-    boot_snapshot_->Restore(*machine_);
-  }
+  boot_snapshot_->RestoreFast(*machine_);  // CaptureBoot armed the baseline
   // The monitor's and engine's pre-run state is entirely constructor-derived
   // (from the immutable policy/module), so fresh objects are equivalent to —
   // and simpler than — rolling back attacks, counters and fault reports. The

@@ -31,37 +31,10 @@ uint64_t NsSince(Clock::time_point t0) {
 }
 
 using opec_apps::AppKey;
+using opec_support::JsonEscape;
 
 const char* ModeName(opec_apps::BuildMode mode) {
   return mode == opec_apps::BuildMode::kOpec ? "opec" : "vanilla";
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += opec_support::StrPrintf("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,25 +12,18 @@
 #include "src/hw/mpu.h"
 #include "src/obs/event.h"
 #include "src/support/check.h"
+#include "src/support/hash.h"
 #include "src/support/text.h"
 
 namespace opec_fuzz {
 
 namespace {
 
-using opec_campaign::SplitMix64;
+using opec_support::Fnv1a64;
+using opec_support::SplitMix64;
 using opec_support::StrPrintf;
 
-uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-uint64_t Fnv1a(uint64_t h, const std::string& s) { return Fnv1a(h, s.data(), s.size()); }
-constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ull;
+uint64_t FoldStr(uint64_t h, const std::string& s) { return Fnv1a64(s.data(), s.size(), h); }
 
 // Where to read a global's final value. Vanilla: its one home address. OPEC:
 // the engine ends the run inside the default operation, whose shadows are the
@@ -199,18 +192,18 @@ namespace {
 class EventDigestSink : public opec_obs::Sink {
  public:
   void OnEvent(const opec_obs::Event& e) override {
-    h_ = Fnv1a(h_, &e.kind, sizeof(e.kind));
-    h_ = Fnv1a(h_, &e.operation_id, sizeof(e.operation_id));
-    h_ = Fnv1a(h_, &e.depth, sizeof(e.depth));
-    h_ = Fnv1a(h_, &e.cycle, sizeof(e.cycle));
-    h_ = Fnv1a(h_, &e.arg0, sizeof(e.arg0));
-    h_ = Fnv1a(h_, &e.arg1, sizeof(e.arg1));
-    h_ = Fnv1a(h_, &e.arg2, sizeof(e.arg2));
+    h_ = Fnv1a64(&e.kind, sizeof(e.kind), h_);
+    h_ = Fnv1a64(&e.operation_id, sizeof(e.operation_id), h_);
+    h_ = Fnv1a64(&e.depth, sizeof(e.depth), h_);
+    h_ = Fnv1a64(&e.cycle, sizeof(e.cycle), h_);
+    h_ = Fnv1a64(&e.arg0, sizeof(e.arg0), h_);
+    h_ = Fnv1a64(&e.arg1, sizeof(e.arg1), h_);
+    h_ = Fnv1a64(&e.arg2, sizeof(e.arg2), h_);
   }
   uint64_t digest() const { return h_; }
 
  private:
-  uint64_t h_ = kFnvBasis;
+  uint64_t h_ = opec_support::kFnv1a64Basis;
 };
 
 // Shared by RunOnce (plain) and DiffSnapshotRoundTrip (probed). With `probe`
@@ -935,14 +928,13 @@ CaseResult RunCase(uint64_t seed) {
   }
   result.divergences = std::move(divs);
 
-  uint64_t h = kFnvBasis;
-  h = Fnv1a(h, &seed, sizeof(seed));
-  h = Fnv1a(h, result.summary);
-  h = Fnv1a(h, FormatObservation(vanilla));
-  h = Fnv1a(h, FormatObservation(opec));
+  uint64_t h = Fnv1a64(&seed, sizeof(seed));
+  h = FoldStr(h, result.summary);
+  h = FoldStr(h, FormatObservation(vanilla));
+  h = FoldStr(h, FormatObservation(opec));
   for (const Divergence& d : result.divergences) {
-    h = Fnv1a(h, OracleName(d.oracle));
-    h = Fnv1a(h, d.detail);
+    h = FoldStr(h, OracleName(d.oracle));
+    h = FoldStr(h, d.detail);
   }
   result.digest = StrPrintf("seed=%llu digest=%016llX divs=%zu",
                             static_cast<unsigned long long>(seed),

@@ -12,32 +12,22 @@
 #include "src/hw/machine.h"
 #include "src/hw/state_io.h"
 #include "src/support/check.h"
+#include "src/support/hash.h"
 #include "src/support/text.h"
 
 namespace opec_fuzz {
 namespace {
 
-struct SplitMix64 {
-  explicit SplitMix64(uint64_t seed) : state(seed) {}
-  uint64_t Next() {
-    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-  uint64_t Below(uint64_t n) { return n == 0 ? 0 : Next() % n; }
-  uint64_t state;
-};
+using opec_support::Fnv1a64;
+using opec_support::SplitMix64;
 
+// Folds `v`'s eight bytes, least significant first, into digest `h`.
 uint64_t Fold(uint64_t h, uint64_t v) {
+  uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<uint8_t>(v >> (8 * i))) * 0x100000001B3ull;
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
   }
-  return h;
-}
-
-uint64_t FoldStr(uint64_t h, const std::string& s) {
-  return opec_hw::Fnv1a64(reinterpret_cast<const uint8_t*>(s.data()), s.size(), h);
+  return Fnv1a64(bytes, sizeof(bytes), h);
 }
 
 // What one configuration's run looks like; every field enters the digest.
@@ -261,7 +251,7 @@ TrafficCaseResult RunTrafficCase(uint64_t seed) {
       h = Fold(h, o.cycles);
       h = Fold(h, o.statements);
       h = Fold(h, o.rv_violations);
-      h = FoldStr(h, o.check);
+      h = Fnv1a64(o.check.data(), o.check.size(), h);
     }
   }
   // Cross-tier: modeled outputs must be bit-identical per build mode.

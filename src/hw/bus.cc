@@ -300,7 +300,7 @@ bool Bus::BulkCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged) {
     return true;
   }
   // Source: flash or SRAM; destination: SRAM (flash is not runtime-writable,
-  // and device windows have side effects — both fall back to the word path).
+  // and device windows have side effects — both are declined).
   const uint8_t* from = nullptr;
   if (src >= kFlashBase && static_cast<uint64_t>(src) - kFlashBase + n <= board_.flash_size) {
     from = flash_.data() + (src - kFlashBase);
@@ -318,47 +318,6 @@ bool Bus::BulkCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged) {
   }
   std::memmove(sram_.data() + (dst - kSramBase), from, n);
   MarkDirty(sram_dirty_, dst - kSramBase, n);
-  return true;
-}
-
-bool Bus::WordCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged) {
-  auto move = [&](uint32_t from, uint32_t to, uint32_t size) {
-    AccessResult r = Read(from, size, privileged);
-    if (!r.ok()) {
-      return false;
-    }
-    return Write(to, size, r.value, privileged).ok();
-  };
-  // Direction selection, memmove-style: when dst starts inside [src, src+n)
-  // a low-to-high walk overwrites source bytes before reading them, so walk
-  // high-to-low instead (and vice versa — dst below src is safe forward).
-  bool overlap_forward =
-      dst > src && static_cast<uint64_t>(dst) < static_cast<uint64_t>(src) + n;
-  if (!overlap_forward) {
-    uint32_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      if (!move(src + i, dst + i, 4)) {
-        return false;
-      }
-    }
-    for (; i < n; ++i) {
-      if (!move(src + i, dst + i, 1)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  uint32_t i = n;
-  for (; i % 4 != 0; --i) {
-    if (!move(src + i - 1, dst + i - 1, 1)) {
-      return false;
-    }
-  }
-  for (; i >= 4; i -= 4) {
-    if (!move(src + i - 4, dst + i - 4, 4)) {
-      return false;
-    }
-  }
   return true;
 }
 

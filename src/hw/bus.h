@@ -42,21 +42,11 @@ class Bus {
 
   // Bulk backing-store copy of `n` bytes between plain-memory ranges
   // (flash/SRAM source, SRAM destination), subject to the same MPU decision a
-  // word-by-word copy would see. Returns false — copying nothing — when either
-  // range is not entirely plain memory or the MPU denies any part, so callers
-  // can fall back to the per-word path and surface identical faults. Charges
-  // no cycles; memory-system cost models stay with the caller.
+  // word-by-word copy would see, with memmove semantics on overlap. Returns
+  // false — copying nothing — when either range is not entirely plain memory
+  // or the MPU denies any part. Charges no cycles; memory-system cost models
+  // stay with the caller.
   bool BulkCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged);
-
-  // Word-at-a-time guest copy through the full Read/Write path (device
-  // windows, PPB rules, MPU checks, modeled side effects) — the fallback for
-  // everything BulkCopy declines. Direction-aware: when the destination
-  // overlaps the source tail, a forward word loop reads bytes it already
-  // overwrote (memcpy-on-overlap corruption), so the copy walks backward in
-  // that case, giving memmove semantics on both paths. Returns false on the
-  // first faulting access (the copy may be partial, exactly as the
-  // word-by-word loop it replaces would have stopped mid-way).
-  bool WordCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged);
 
   // Snapshot support (DESIGN.md §13): core-peripheral scratch registers,
   // flash and SRAM contents, then every attached device (name-tagged, in

@@ -21,18 +21,13 @@
 #include <vector>
 
 #include "src/support/check.h"
+#include "src/support/hash.h"
 
 namespace opec_hw {
 
 // FNV-1a 64-bit, the digest used for snapshot identity (matches the fuzz
 // harness's case digests).
-inline uint64_t Fnv1a64(const uint8_t* data, size_t n,
-                        uint64_t h = 0xCBF29CE484222325ull) {
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ull;
-  }
-  return h;
-}
+using opec_support::Fnv1a64;
 
 class StateWriter {
  public:

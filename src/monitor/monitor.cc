@@ -40,19 +40,12 @@ void Monitor::PrivWrite(uint32_t addr, uint32_t size, uint32_t value) {
 }
 
 void Monitor::CopyBytes(uint32_t src, uint32_t dst, uint32_t n) {
-  // Shadow syncs and stack relocations copy plain SRAM; do those as one bulk
-  // backing-store operation. The word-wise path (Bus::WordCopy) remains as
-  // the fallback for anything the bulk path declines (device windows,
-  // MPU-denied ranges) so fault behavior is unchanged, and the modeled cycle
-  // charge is identical on both paths. Both paths use memmove direction
-  // semantics: the old fallback here walked low-to-high unconditionally,
-  // which corrupted overlapping forward copies (dst inside [src, src+n)) by
-  // re-reading bytes it had already overwritten.
-  if (!machine_.bus().BulkCopy(src, dst, n, /*privileged=*/true) &&
-      !machine_.bus().WordCopy(src, dst, n, /*privileged=*/true)) {
-    OPEC_CHECK_MSG(false, "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
-                              " dst=" + opec_support::HexAddr(dst));
-  }
+  // Shadow syncs and stack relocations are privileged SRAM-to-SRAM copies,
+  // which region 0's privileged RW always grants: one bulk backing-store
+  // copy (memmove semantics), charged per word.
+  OPEC_CHECK_MSG(machine_.bus().BulkCopy(src, dst, n, /*privileged=*/true),
+                 "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
+                     " dst=" + opec_support::HexAddr(dst));
   machine_.AddCycles(costs_.per_word_copy * ((n + 3) / 4));
 }
 

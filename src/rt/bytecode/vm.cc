@@ -13,7 +13,6 @@ namespace bytecode {
 using opec_hw::AccessKind;
 using opec_ir::BinaryOp;
 using opec_ir::Function;
-using opec_ir::Type;
 using opec_ir::UnaryOp;
 
 namespace {
@@ -87,21 +86,19 @@ const BytecodeModule& VM::Bytecode() {
 }
 
 void VM::EnsureLowered() {
-  if (bc_ != nullptr && lowered_costs_ == costs_) {
-    return;
+  if (bc_ == nullptr) {
+    Install(std::make_shared<const BytecodeModule>(Lowerer::Lower(*this, costs_)));
   }
-  Install(std::make_shared<const BytecodeModule>(Lowerer::Lower(*this, costs_)), costs_);
 }
 
 void VM::ShareBytecode(VM& next) const {
   if (bc_ != nullptr) {
-    next.Install(bc_, lowered_costs_);
+    next.Install(bc_);
   }
 }
 
-void VM::Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs) {
+void VM::Install(std::shared_ptr<const BytecodeModule> bc) {
   bc_ = std::move(bc);
-  lowered_costs_ = costs;
   vcache_.assign(bc_->code.size(), VSlot{});
   // One register window per possible frame, preallocated so register pointers
   // never move mid-run. Zero-filled once: register values are never
@@ -112,126 +109,32 @@ void VM::Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& cost
   frames_.reserve(kMaxDepth + 1);
 }
 
-void VM::PushFrame(const Function* fn, size_t nargs, uint32_t return_pc,
-                   uint16_t ret_dst, int op_id, bool is_op, bool via_call,
-                   int caller_operation) {
-  if (++depth_ > kMaxDepth) {
-    --depth_;
-    throw ExecutionAborted{"call depth limit exceeded in " + fn->name()};
+void VM::PushVFrame(const Frame& frame, uint32_t return_pc, uint16_t ret_dst, int op_id) {
+  uint32_t reg_base = 0;
+  if (!frames_.empty()) {
+    const VFrame& caller = frames_.back();
+    reg_base = caller.reg_base + bc_->funcs[static_cast<size_t>(caller.frame.fn->ordinal())].nregs;
   }
-  OPEC_CHECK_MSG(static_cast<int>(nargs) == fn->param_count(),
-                 "arity mismatch calling " + fn->name());
-  const FrameLayout& fl = frame_layouts_[static_cast<size_t>(fn->ordinal())];
-  uint32_t saved_sp = sp_;
-  uint32_t base = (sp_ - fl.size) & ~7u;
-  if (base < layout_.stack_base) {
-    --depth_;
-    throw ExecutionAborted{"guest stack overflow in " + fn->name()};
-  }
-  sp_ = base;
-  const Function* saved_fn = current_fn_;
-  current_fn_ = fn;
-  OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionEnter, machine_.cycles(), current_operation_,
-                 depth_, static_cast<uint32_t>(fn->ordinal()));
-  MaybeFireAttacks(fn);
-
-  VFrame fr;
-  fr.fn = fn;
-  fr.saved_fn = saved_fn;
-  fr.return_pc = return_pc;
-  fr.reg_base = frames_.empty()
-                    ? 0
-                    : frames_.back().reg_base +
-                          bc_->funcs[static_cast<size_t>(frames_.back().fn->ordinal())].nregs;
-  fr.frame_base = base;
-  fr.saved_sp = saved_sp;
-  fr.ret_dst = ret_dst;
-  fr.is_op = is_op;
-  fr.via_call = via_call;
-  fr.op_id = op_id;
-  fr.caller_operation = caller_operation;
-  frames_.push_back(fr);
+  frames_.push_back(VFrame{frame, return_pc, reg_base, ret_dst, op_id});
 }
 
-void VM::SpillParams(const uint32_t* args, size_t nargs) {
-  // Through the checked bus, like the interpreter: a disabled stack
-  // sub-region faults right here — that is the stack protection.
-  const VFrame& fr = frames_.back();
-  const FrameLayout& fl = frame_layouts_[static_cast<size_t>(fr.fn->ordinal())];
-  for (size_t i = 0; i < nargs; ++i) {
-    const Type* pt = fr.fn->locals()[i].type;
-    MemWrite(fr.frame_base + fl.offsets[i], pt->size(), Truncate(pt, args[i]));
-  }
-}
-
-void VM::EnterCall(const Insn& ins, const Function* fn, uint32_t ret_pc,
-                   const uint32_t* R) {
+void VM::EnterCall(const Insn& ins, const Function* fn, uint32_t ret_pc, const uint32_t* R) {
   size_t nargs = ins.sub;
   call_args_.clear();
   const uint16_t* pool = bc_->arg_pool.data() + ins.b;
   for (size_t i = 0; i < nargs; ++i) {
     call_args_.push_back(R[pool[i]]);
   }
-
-  Charge(costs_.call + costs_.op * nargs);
-  int op_entry = static_cast<int>(ins.imm2) - 1;
-  bool is_op = op_entry >= 0 && supervisor_ != nullptr;
-  int saved_operation = current_operation_;
-
-  if (is_op) {
-    if (!arg_attacks_.empty()) {
-      int count = ++arg_entry_counts_[op_entry];
-      for (ArgAttackSpec& a : arg_attacks_) {
-        if (a.fired || a.op_id != op_entry || a.occurrence != count ||
-            a.arg_index >= call_args_.size()) {
-          continue;
-        }
-        a.fired = true;
-        call_args_[a.arg_index] = a.value;
-      }
-    }
-    Charge(costs_.svc);  // SVC before the call site
-    OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), saved_operation, depth_,
-                   static_cast<uint32_t>(op_entry), 0);
-    if (!supervisor_->OnOperationEnter(op_entry, call_args_)) {
-      throw ExecutionAborted{opec_support::StrPrintf(
-          "monitor rejected entry into operation %d (%s)", op_entry, fn->name().c_str())};
-    }
-    current_operation_ = op_entry;
-    OPEC_OBS_EVENT(opec_obs::EventKind::kOperationEnter, machine_.cycles(), current_operation_,
-                   depth_, static_cast<uint32_t>(op_entry),
-                   static_cast<uint32_t>(saved_operation));
-  } else if (supervisor_ != nullptr) {
-    if (!supervisor_->OnFunctionCall(fn)) {
-      throw ExecutionAborted{"supervisor rejected call to " + fn->name()};
-    }
-  }
-
-  try {
-    PushFrame(fn, nargs, ret_pc, ins.a, op_entry, is_op, /*via_call=*/true,
-              saved_operation);
-  } catch (...) {
-    // Depth/overflow rejections throw before the frame exists; restore the
-    // operation like CallFunction's catch would. Spill faults below happen
-    // with the frame pushed and are restored by the unwinder instead.
-    current_operation_ = saved_operation;
-    throw;
-  }
-  SpillParams(call_args_.data(), nargs);
+  int caller_operation = current_operation_;
+  int op_id = BeginCall(fn, call_args_, static_cast<int>(ins.imm2) - 1);
+  PushVFrame(PushFrame(fn, nargs, caller_operation), ret_pc, ins.a, op_id);
+  SpillParams(frames_.back().frame, call_args_.data(), nargs);
 }
 
-void VM::UnwindAllFrames() {
-  // Mirrors the interpreter's nested DoCall/CallFunction catch blocks,
-  // innermost out: exit event (operation and depth still the frame's), state
-  // restore, then the caller's operation.
+void VM::Unwind() {
+  // Innermost out, like the interpreter's nested catch blocks.
   while (!frames_.empty()) {
-    VFrame& fr = frames_.back();
-    OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionExit, machine_.cycles(), current_operation_,
-                   depth_, static_cast<uint32_t>(fr.fn->ordinal()));
-    current_fn_ = fr.saved_fn;
-    --depth_;
-    sp_ = fr.saved_sp;
-    current_operation_ = fr.caller_operation;
+    PopFrame(frames_.back().frame);
     frames_.pop_back();
   }
 }
@@ -346,23 +249,14 @@ void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t v
   MemWrite(addr, size, value);
 }
 
-// Direct-threaded dispatch on GCC/Clang; portable switch loop elsewhere. The
-// handler bodies are written once and shared between the two modes.
-#if defined(__GNUC__) || defined(__clang__)
-#define OPEC_VM_THREADED 1
-#endif
-
-#ifdef OPEC_VM_THREADED
+// Direct-threaded dispatch: every handler ends by jumping straight to the
+// next instruction's handler.
 #define OPEC_VM_CASE(name) L_##name:
 #define OPEC_VM_NEXT()                        \
   do {                                        \
     I = &code[pc];                            \
     goto* kDispatch[static_cast<int>(I->op)]; \
   } while (0)
-#else
-#define OPEC_VM_CASE(name) case Op::name:
-#define OPEC_VM_NEXT() break
-#endif
 
 // Applies a flushing instruction's batched accounting: statement increments
 // (with exact limit replay on crossing and the interpreter's 8192-statement
@@ -388,22 +282,22 @@ void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t v
     }                                                                        \
   } while (0)
 
-uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args) {
+uint32_t VM::Execute(const Function* entry, const std::vector<uint32_t>& args) {
+  EnsureLowered();
   const BytecodeModule& bc = *bc_;
   const Insn* const code = bc.code.data();
 
-  // Entry frame: pushed directly, like Run -> DoCall in the interpreter — no
-  // call charge, no operation-entry protocol, no supervisor call hooks.
-  PushFrame(entry_fn, args.size(), kHaltPc, 0, /*op_id=*/-1, /*is_op=*/false,
-            /*via_call=*/false, current_operation_);
-  SpillParams(args.data(), args.size());
+  // Entry frame: pushed directly, like the interpreter's Execute — no call
+  // charge, no operation switch, no supervisor call hooks.
+  frames_.clear();
+  PushVFrame(PushFrame(entry, args.size(), current_operation_), kHaltPc, 0, -1);
+  SpillParams(frames_.back().frame, args.data(), args.size());
 
-  uint32_t pc = bc.funcs[static_cast<size_t>(entry_fn->ordinal())].entry;
+  uint32_t pc = bc.funcs[static_cast<size_t>(entry->ordinal())].entry;
   uint32_t* R = regs_.data() + frames_.back().reg_base;
-  uint32_t fp = frames_.back().frame_base;
+  uint32_t fp = frames_.back().frame.base;
   const Insn* I = nullptr;
 
-#ifdef OPEC_VM_THREADED
   static const void* const kDispatch[] = {
       &&L_kConst,     &&L_kMove,       &&L_kUnary,      &&L_kBinary,
       &&L_kBinaryImm, &&L_kLea,        &&L_kAddImm,     &&L_kIndexAddr,
@@ -417,319 +311,257 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
   static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) ==
                 static_cast<size_t>(Op::kAbort) + 1);
   OPEC_VM_NEXT();
-#else
-  for (;;) {
-    I = &code[pc];
-    switch (I->op) {
-#endif
 
-      OPEC_VM_CASE(kConst) {
-        R[I->a] = I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kMove) {
-        R[I->a] = R[I->b];
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kUnary) {
-        uint32_t v = R[I->b];
-        uint32_t r = 0;
-        switch (static_cast<UnaryOp>(I->sub)) {
-          case UnaryOp::kNeg:
-            r = 0u - v;
-            break;
-          case UnaryOp::kBitNot:
-            r = ~v;
-            break;
-          case UnaryOp::kLogNot:
-            r = v == 0 ? 1u : 0u;
-            break;
-        }
-        R[I->a] = r & I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBinary) {
-        R[I->a] =
-            EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) & I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBinaryImm) {
-        R[I->a] = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], I->imm, I->imm2) &
-                  kMaskTab[(I->imm2 >> 9) & 3];
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kLea) {
-        R[I->a] = fp + I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kAddImm) {
-        R[I->a] = R[I->b] + I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kIndexAddr) {
-        R[I->a] = R[I->b] + R[I->c] * I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kSext) {
-        R[I->a] = static_cast<uint32_t>(SextBits(R[I->b], I->imm2)) & I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kAndImm) {
-        R[I->a] = R[I->b] & I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kAcct) {
-        OPEC_VM_FLUSH();
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kDivRem) {
-        OPEC_VM_FLUSH();
-        uint32_t x = R[I->b];
-        uint32_t y = R[I->c];
-        bool div = static_cast<BinaryOp>(I->sub) == BinaryOp::kDiv;
-        if (y == 0) {
-          throw ExecutionAborted{div ? "division by zero" : "remainder by zero"};
-        }
-        uint32_t r;
-        if ((I->imm2 & 0x100u) != 0) {
-          uint32_t bits = I->imm2 & 0xFFu;
-          int32_t sx = SextBits(x, bits);
-          int32_t sy = SextBits(y, bits);
-          r = static_cast<uint32_t>(div ? sx / sy : sx % sy);
-        } else {
-          r = div ? x / y : x % y;
-        }
-        R[I->a] = r & I->imm;
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kLoadLocal) {
-        OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), fp + I->imm, I->sub);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kStoreLocal) {
-        OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), fp + I->imm, I->sub,
-                    R[I->a] & I->imm2);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kLoadAbs) {
-        OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), I->imm, I->sub);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kStoreAbs) {
-        OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), I->imm, I->sub, R[I->a] & I->imm2);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kLoadInd) {
-        OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kStoreInd) {
-        OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub,
-                    R[I->a] & I->imm2);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kLoadIdx) {
-        OPEC_VM_FLUSH();
-        R[I->a] =
-            CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kStoreIdx) {
-        OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub,
-                    R[I->a] & I->imm2);
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kJump) {
-        OPEC_VM_FLUSH();
-        pc = I->imm;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrFalse) {
-        OPEC_VM_FLUSH();
-        pc = R[I->a] == 0 ? I->imm : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrTrue) {
-        OPEC_VM_FLUSH();
-        pc = R[I->a] != 0 ? I->imm : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrCmpFalse) {
-        OPEC_VM_FLUSH();
-        pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) == 0
-                 ? I->imm
-                 : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrCmpTrue) {
-        OPEC_VM_FLUSH();
-        pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) != 0
-                 ? I->imm
-                 : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrCmpImmFalse) {
-        OPEC_VM_FLUSH();
-        uint32_t y = I->a | static_cast<uint32_t>(I->c) << 16;
-        pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], y, I->imm2) == 0
-                 ? I->imm
-                 : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kBrCmpImmTrue) {
-        OPEC_VM_FLUSH();
-        uint32_t y = I->a | static_cast<uint32_t>(I->c) << 16;
-        pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], y, I->imm2) != 0
-                 ? I->imm
-                 : pc + 1;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kCall) {
-        OPEC_VM_FLUSH();
-        const Function* fn = module_.functions()[I->imm].get();
-        EnterCall(*I, fn, pc + 1, R);
-        const VFrame& fr = frames_.back();
-        R = regs_.data() + fr.reg_base;
-        fp = fr.frame_base;
-        pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kCallInd) {
-        OPEC_VM_FLUSH();
-        const Function* fn = module_.functions()[R[I->c]].get();
-        EnterCall(*I, fn, pc + 1, R);
-        const VFrame& fr = frames_.back();
-        R = regs_.data() + fr.reg_base;
-        fp = fr.frame_base;
-        pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kICallCheck) {
-        OPEC_VM_FLUSH();
-        uint32_t target = R[I->b];
-        const Function* fn = FuncAt(target);
-        if (fn == nullptr) {
-          throw ExecutionAborted{"indirect call to non-function address " +
-                                 opec_support::HexAddr(target)};
-        }
-        if (fn->type()->params().size() != I->imm) {
-          throw ExecutionAborted{"indirect call signature mismatch calling " + fn->name()};
-        }
-        R[I->a] = static_cast<uint32_t>(fn->ordinal());
-        ++pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kRet) {
-        OPEC_VM_FLUSH();
-        uint32_t rv = I->sub != 0 ? R[I->a] : 0;
-        VFrame fr = frames_.back();
-        Charge(costs_.ret);
-        OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionExit, machine_.cycles(),
-                       current_operation_, depth_, static_cast<uint32_t>(fr.fn->ordinal()));
-        current_fn_ = fr.saved_fn;
-        --depth_;
-        sp_ = fr.saved_sp;
-        frames_.pop_back();
-        if (fr.is_op) {
-          Charge(costs_.svc);  // SVC after the call site
-          OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), fr.op_id, depth_,
-                         static_cast<uint32_t>(fr.op_id), 1);
-          current_operation_ = fr.caller_operation;
-          if (!supervisor_->OnOperationExit(fr.op_id)) {
-            throw ExecutionAborted{opec_support::StrPrintf(
-                "monitor aborted at exit of operation %d (%s) — data sanitization failed",
-                fr.op_id, fr.fn->name().c_str())};
-          }
-          OPEC_OBS_EVENT(opec_obs::EventKind::kOperationExit, machine_.cycles(),
-                         current_operation_, depth_, static_cast<uint32_t>(fr.op_id),
-                         static_cast<uint32_t>(fr.caller_operation));
-        } else if (fr.via_call && supervisor_ != nullptr) {
-          if (!supervisor_->OnFunctionReturn(fr.fn)) {
-            throw ExecutionAborted{"supervisor rejected return from " + fr.fn->name()};
-          }
-        }
-        if (frames_.empty()) {
-          return rv;
-        }
-        const VFrame& caller = frames_.back();
-        R = regs_.data() + caller.reg_base;
-        fp = caller.frame_base;
-        R[fr.ret_dst] = rv;
-        pc = fr.return_pc;
-        OPEC_VM_NEXT();
-      }
-      OPEC_VM_CASE(kAbort) {
-        OPEC_VM_FLUSH();
-        throw ExecutionAborted{bc.messages[I->imm]};
-      }
-
-#ifndef OPEC_VM_THREADED
-    }
+  OPEC_VM_CASE(kConst) {
+    R[I->a] = I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
   }
-#endif
+  OPEC_VM_CASE(kMove) {
+    R[I->a] = R[I->b];
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kUnary) {
+    uint32_t v = R[I->b];
+    uint32_t r = 0;
+    switch (static_cast<UnaryOp>(I->sub)) {
+      case UnaryOp::kNeg:
+        r = 0u - v;
+        break;
+      case UnaryOp::kBitNot:
+        r = ~v;
+        break;
+      case UnaryOp::kLogNot:
+        r = v == 0 ? 1u : 0u;
+        break;
+    }
+    R[I->a] = r & I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBinary) {
+    R[I->a] =
+        EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) & I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBinaryImm) {
+    R[I->a] = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], I->imm, I->imm2) &
+              kMaskTab[(I->imm2 >> 9) & 3];
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kLea) {
+    R[I->a] = fp + I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kAddImm) {
+    R[I->a] = R[I->b] + I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kIndexAddr) {
+    R[I->a] = R[I->b] + R[I->c] * I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kSext) {
+    R[I->a] = static_cast<uint32_t>(SextBits(R[I->b], I->imm2)) & I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kAndImm) {
+    R[I->a] = R[I->b] & I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kAcct) {
+    OPEC_VM_FLUSH();
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kDivRem) {
+    OPEC_VM_FLUSH();
+    uint32_t x = R[I->b];
+    uint32_t y = R[I->c];
+    bool div = static_cast<BinaryOp>(I->sub) == BinaryOp::kDiv;
+    if (y == 0) {
+      throw ExecutionAborted{div ? "division by zero" : "remainder by zero"};
+    }
+    uint32_t r;
+    if ((I->imm2 & 0x100u) != 0) {
+      uint32_t bits = I->imm2 & 0xFFu;
+      int32_t sx = SextBits(x, bits);
+      int32_t sy = SextBits(y, bits);
+      r = static_cast<uint32_t>(div ? sx / sy : sx % sy);
+    } else {
+      r = div ? x / y : x % y;
+    }
+    R[I->a] = r & I->imm;
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kLoadLocal) {
+    OPEC_VM_FLUSH();
+    R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), fp + I->imm, I->sub);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kStoreLocal) {
+    OPEC_VM_FLUSH();
+    CachedStore(static_cast<uint32_t>(I - code), fp + I->imm, I->sub,
+                R[I->a] & I->imm2);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kLoadAbs) {
+    OPEC_VM_FLUSH();
+    R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), I->imm, I->sub);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kStoreAbs) {
+    OPEC_VM_FLUSH();
+    CachedStore(static_cast<uint32_t>(I - code), I->imm, I->sub, R[I->a] & I->imm2);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kLoadInd) {
+    OPEC_VM_FLUSH();
+    R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kStoreInd) {
+    OPEC_VM_FLUSH();
+    CachedStore(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub,
+                R[I->a] & I->imm2);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kLoadIdx) {
+    OPEC_VM_FLUSH();
+    R[I->a] =
+        CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kStoreIdx) {
+    OPEC_VM_FLUSH();
+    CachedStore(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub,
+                R[I->a] & I->imm2);
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kJump) {
+    OPEC_VM_FLUSH();
+    pc = I->imm;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrFalse) {
+    OPEC_VM_FLUSH();
+    pc = R[I->a] == 0 ? I->imm : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrTrue) {
+    OPEC_VM_FLUSH();
+    pc = R[I->a] != 0 ? I->imm : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrCmpFalse) {
+    OPEC_VM_FLUSH();
+    pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) == 0
+             ? I->imm
+             : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrCmpTrue) {
+    OPEC_VM_FLUSH();
+    pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], R[I->c], I->imm2) != 0
+             ? I->imm
+             : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrCmpImmFalse) {
+    OPEC_VM_FLUSH();
+    uint32_t y = I->a | static_cast<uint32_t>(I->c) << 16;
+    pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], y, I->imm2) == 0
+             ? I->imm
+             : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kBrCmpImmTrue) {
+    OPEC_VM_FLUSH();
+    uint32_t y = I->a | static_cast<uint32_t>(I->c) << 16;
+    pc = EvalBinary(static_cast<BinaryOp>(I->sub), R[I->b], y, I->imm2) != 0
+             ? I->imm
+             : pc + 1;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kCall) {
+    OPEC_VM_FLUSH();
+    const Function* fn = module_.functions()[I->imm].get();
+    EnterCall(*I, fn, pc + 1, R);
+    const VFrame& fr = frames_.back();
+    R = regs_.data() + fr.reg_base;
+    fp = fr.frame.base;
+    pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kCallInd) {
+    OPEC_VM_FLUSH();
+    const Function* fn = module_.functions()[R[I->c]].get();
+    EnterCall(*I, fn, pc + 1, R);
+    const VFrame& fr = frames_.back();
+    R = regs_.data() + fr.reg_base;
+    fp = fr.frame.base;
+    pc = bc.funcs[static_cast<size_t>(fn->ordinal())].entry;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kICallCheck) {
+    OPEC_VM_FLUSH();
+    uint32_t target = R[I->b];
+    const Function* fn = FuncAt(target);
+    if (fn == nullptr) {
+      throw ExecutionAborted{"indirect call to non-function address " +
+                             opec_support::HexAddr(target)};
+    }
+    if (fn->type()->params().size() != I->imm) {
+      throw ExecutionAborted{"indirect call signature mismatch calling " + fn->name()};
+    }
+    R[I->a] = static_cast<uint32_t>(fn->ordinal());
+    ++pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kRet) {
+    OPEC_VM_FLUSH();
+    uint32_t rv = I->sub != 0 ? R[I->a] : 0;
+    const VFrame fr = frames_.back();
+    frames_.pop_back();
+    Charge(costs_.ret);
+    PopFrame(fr.frame);
+    if (frames_.empty()) {
+      return rv;  // the entry frame has no call site to return through
+    }
+    EndCall(fr.frame.fn, fr.op_id);
+    const VFrame& caller = frames_.back();
+    R = regs_.data() + caller.reg_base;
+    fp = caller.frame.base;
+    R[fr.ret_dst] = rv;
+    pc = fr.return_pc;
+    OPEC_VM_NEXT();
+  }
+  OPEC_VM_CASE(kAbort) {
+    OPEC_VM_FLUSH();
+    throw ExecutionAborted{bc.messages[I->imm]};
+  }
 }
 
 #undef OPEC_VM_FLUSH
 #undef OPEC_VM_CASE
 #undef OPEC_VM_NEXT
-
-RunResult VM::Run(const std::string& entry, const std::vector<uint32_t>& args) {
-  EnsureLowered();
-  RunResult result;
-  const Function* fn = module_.FindFunction(entry);
-  if (fn == nullptr) {
-    result.violation = "no such entry function: " + entry;
-    return result;
-  }
-  ResetRunState();
-  frames_.clear();
-
-  uint64_t start_cycles = machine_.cycles();
-  if (supervisor_ != nullptr) {
-    supervisor_->OnProgramStart(this);
-  }
-  try {
-    result.return_value = Execute(fn, args);
-    result.ok = true;
-    if (supervisor_ != nullptr) {
-      supervisor_->OnProgramEnd();
-    }
-  } catch (const ExecutionAborted& aborted) {
-    UnwindAllFrames();
-    result.ok = false;
-    result.violation = aborted.reason;
-  }
-  result.cycles = machine_.cycles() - start_cycles;
-  result.statements = statements_;
-  return result;
-}
 
 }  // namespace bytecode
 }  // namespace opec_rt

@@ -3,12 +3,17 @@
 // interpreter with bit-identical modeled cycles, statement counts, obs events
 // and fault reports (the interpreter remains the differential oracle).
 //
-// Dispatch is direct-threaded (computed goto) on GCC/Clang with a portable
-// switch fallback. Each memory instruction owns a two-way MPU verdict cache
-// slot: after a successful access to plain memory whose verdict is an allow,
-// the maximal uniform-verdict interval around the address (Mpu::AllowedRange,
-// clipped to the backing store) is cached together with the backing kind
-// under the (Mpu::region_set(), privilege) pair it was decided for; later
+// Calls go through Engine's shared protocol (BeginCall/PushFrame/SpillParams
+// on kCall, PopFrame/EndCall on kRet). What the VM adds is the explicit frame
+// stack: each VFrame pairs Engine's frame record with the caller's register
+// window and return pc, and Unwind pops whatever an abort leaves on it.
+//
+// Dispatch is direct-threaded (computed goto). Each memory instruction owns
+// a two-way MPU verdict cache slot: after a successful access to plain
+// memory whose verdict is an allow, the maximal uniform-verdict interval
+// around the address (Mpu::AllowedRange, clipped to the backing store) is
+// cached together with the backing kind under the (Mpu::region_set(),
+// privilege) pair it was decided for; later
 // executions of the same instruction landing anywhere inside the interval
 // under that same pair skip the shared bus/MPU path and touch the backing
 // store directly (plus the identical memory-cycle charge). Intervals span
@@ -40,11 +45,8 @@ class VM : public Engine {
   VM(opec_hw::Machine& machine, const opec_ir::Module& module,
      const AddressAssignment& layout, Supervisor* supervisor = nullptr);
 
-  RunResult Run(const std::string& entry = "main",
-                const std::vector<uint32_t>& args = {}) override;
-
-  // The lowered module (lowering happens lazily at first Run and again
-  // whenever the cost model changed). For tests and disassembly.
+  // The lowered module (lowering happens lazily at first Run). For tests and
+  // disassembly.
   const BytecodeModule& Bytecode();
   // Whether a lowered module is installed yet (lowering is lazy).
   bool lowered() const { return bc_ != nullptr; }
@@ -52,8 +54,7 @@ class VM : public Engine {
   // Hands this VM's lowered module, if any, to `next`: a fresh VM over the
   // same module and layout (AppRun::RestoreBoot), which then runs without
   // lowering again. The module is shared, not copied, and `next`'s verdict
-  // cache starts empty. Should `next` run under another cost model,
-  // EnsureLowered() lowers afresh.
+  // cache starts empty.
   void ShareBytecode(VM& next) const;
 
  private:
@@ -61,17 +62,11 @@ class VM : public Engine {
   // frame's window starts where its caller's ends, so pointers stay stable
   // for the whole run.
   struct VFrame {
-    const opec_ir::Function* fn = nullptr;
-    const opec_ir::Function* saved_fn = nullptr;
+    Frame frame;
     uint32_t return_pc = 0;
     uint32_t reg_base = 0;
-    uint32_t frame_base = 0;
-    uint32_t saved_sp = 0;
-    uint16_t ret_dst = 0;       // caller register receiving the return value
-    bool is_op = false;         // operation-entry call (SVC protocol applies)
-    bool via_call = false;      // false only for the entry frame
-    int op_id = -1;             // operation entry id when is_op
-    int caller_operation = -1;  // restored on exit and on unwind
+    uint16_t ret_dst = 0;  // caller register receiving the return value
+    int op_id = -1;        // operation the call entered, -1 for a plain call
   };
 
   // One way of a per-instruction MPU verdict cache slot: an allow interval
@@ -91,23 +86,17 @@ class VM : public Engine {
   void EnsureLowered();
   // Installs a lowered module and sizes the per-instruction and per-frame
   // state for it.
-  void Install(std::shared_ptr<const BytecodeModule> bc, const CostModel& costs);
-  uint32_t Execute(const opec_ir::Function* entry_fn, const std::vector<uint32_t>& args);
+  void Install(std::shared_ptr<const BytecodeModule> bc);
+  uint32_t Execute(const opec_ir::Function* entry, const std::vector<uint32_t>& args) override;
+  void Unwind() override;
 
-  // Call protocol split (mirrors CallFunction/DoCall): EnterCall performs the
-  // pre-side (arg gathering and attacks, SVC charge/events, supervisor entry
-  // hooks) and pushes the callee frame; the kRet handler performs the exit
-  // side. PushFrame throws with no frame pushed (depth, stack overflow);
-  // parameter spill faults happen with the frame pushed, so the unwinder
-  // emits this frame's exit event exactly like the interpreter's nested
-  // try/catch does.
+  // kCall/kCallInd: gathers the argument registers, then runs the shared
+  // call protocol and enters the callee. The kRet handler is the mirror.
   void EnterCall(const Insn& ins, const opec_ir::Function* fn, uint32_t ret_pc,
                  const uint32_t* R);
-  void PushFrame(const opec_ir::Function* fn, size_t nargs, uint32_t return_pc,
-                 uint16_t ret_dst, int op_id, bool is_op, bool via_call,
-                 int caller_operation);
-  void SpillParams(const uint32_t* args, size_t nargs);
-  void UnwindAllFrames();
+  // Pushes the VFrame for a frame PushFrame just entered; its register window
+  // starts where the caller's ends.
+  void PushVFrame(const Frame& frame, uint32_t return_pc, uint16_t ret_dst, int op_id);
 
   // (region set << 1) | privilege: the context a cached verdict holds for.
   uint64_t VerdictKey() const;
@@ -125,7 +114,6 @@ class VM : public Engine {
   [[noreturn]] void ReplayAcct(uint32_t pc);
 
   std::shared_ptr<const BytecodeModule> bc_;  // null until lowered
-  CostModel lowered_costs_;
 
   std::vector<VSlot> vcache_;      // one slot per instruction
   std::vector<uint32_t> regs_;     // (kMaxDepth + 1) frame windows

@@ -74,13 +74,6 @@ const Function* Engine::FuncAt(uint32_t addr) const {
   return idx < module_.functions().size() ? module_.functions()[idx].get() : nullptr;
 }
 
-const Engine::FrameLayout& Engine::LayoutOf(const Function* fn) const {
-  int ord = fn->ordinal();
-  OPEC_CHECK_MSG(ord >= 0 && static_cast<size_t>(ord) < frame_layouts_.size(),
-                 "function not in module: " + fn->name());
-  return frame_layouts_[static_cast<size_t>(ord)];
-}
-
 uint32_t Engine::GlobalAddrOf(const opec_ir::GlobalVariable* gv) const {
   int ord = gv->ordinal();
   return (ord >= 0 && static_cast<size_t>(ord) < global_addrs_.size())
@@ -106,15 +99,41 @@ void Engine::ResetRunState() {
   }
 }
 
+RunResult Engine::Run(const std::string& entry, const std::vector<uint32_t>& args) {
+  RunResult result;
+  const Function* fn = module_.FindFunction(entry);
+  if (fn == nullptr) {
+    result.violation = "no such entry function: " + entry;
+    return result;
+  }
+  ResetRunState();
+
+  uint64_t start_cycles = machine_.cycles();
+  if (supervisor_ != nullptr) {
+    supervisor_->OnProgramStart(this);
+  }
+  try {
+    result.return_value = Execute(fn, args);
+    result.ok = true;
+    if (supervisor_ != nullptr) {
+      supervisor_->OnProgramEnd();
+    }
+  } catch (const ExecutionAborted& aborted) {
+    Unwind();
+    result.ok = false;
+    result.violation = aborted.reason;
+  }
+  result.cycles = machine_.cycles() - start_cycles;
+  result.statements = statements_;
+  return result;
+}
+
 ExecutionEngine::ExecutionEngine(opec_hw::Machine& machine, const opec_ir::Module& module,
                                  const AddressAssignment& layout, Supervisor* supervisor)
     : Engine(machine, module, layout, supervisor) {}
 
 uint32_t ExecutionEngine::GlobalAddr(const Expr& e) const {
-  int ord = e.global->ordinal();
-  uint32_t addr = (ord >= 0 && static_cast<size_t>(ord) < global_addrs_.size())
-                      ? global_addrs_[static_cast<size_t>(ord)]
-                      : layout_.AddrOf(e.global);
+  uint32_t addr = GlobalAddrOf(e.global);
   if (addr == 0) {
     throw ExecutionAborted{"global has no assigned address: " + e.global->name()};
   }
@@ -536,119 +555,26 @@ void Engine::MaybeFireAttacks(const Function* fn) {
 
 uint32_t ExecutionEngine::CallFunction(const Function* fn, std::vector<uint32_t> args,
                                        int operation_entry_id) {
-  Charge(costs_.call + costs_.op * args.size());
-  bool is_operation_entry = operation_entry_id >= 0 && supervisor_ != nullptr;
-  int saved_operation = current_operation_;
-
-  if (is_operation_entry) {
-    // Injected malformed-argument attacks corrupt the entry call's argument
-    // list before the SVC is raised, so the monitor sees the forged value —
-    // its relocation/validation of entry arguments is what is under test.
-    if (!arg_attacks_.empty()) {
-      int count = ++arg_entry_counts_[operation_entry_id];
-      for (ArgAttackSpec& a : arg_attacks_) {
-        if (a.fired || a.op_id != operation_entry_id || a.occurrence != count ||
-            a.arg_index >= args.size()) {
-          continue;
-        }
-        a.fired = true;
-        args[a.arg_index] = a.value;
-      }
-    }
-    Charge(costs_.svc);  // SVC before the call site
-    OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), saved_operation, depth_,
-                   static_cast<uint32_t>(operation_entry_id), 0);
-    if (!supervisor_->OnOperationEnter(operation_entry_id, args)) {
-      throw ExecutionAborted{opec_support::StrPrintf(
-          "monitor rejected entry into operation %d (%s)", operation_entry_id,
-          fn->name().c_str())};
-    }
-    current_operation_ = operation_entry_id;
-    OPEC_OBS_EVENT(opec_obs::EventKind::kOperationEnter, machine_.cycles(), current_operation_,
-                   depth_, static_cast<uint32_t>(operation_entry_id),
-                   static_cast<uint32_t>(saved_operation));
-  } else if (supervisor_ != nullptr) {
-    if (!supervisor_->OnFunctionCall(fn)) {
-      throw ExecutionAborted{"supervisor rejected call to " + fn->name()};
-    }
-  }
-
-  uint32_t ret = 0;
-  try {
-    ret = DoCall(fn, args);
-  } catch (...) {
-    current_operation_ = saved_operation;
-    throw;
-  }
-
-  if (is_operation_entry) {
-    Charge(costs_.svc);  // SVC after the call site
-    OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), operation_entry_id, depth_,
-                   static_cast<uint32_t>(operation_entry_id), 1);
-    current_operation_ = saved_operation;
-    if (!supervisor_->OnOperationExit(operation_entry_id)) {
-      throw ExecutionAborted{opec_support::StrPrintf(
-          "monitor aborted at exit of operation %d (%s) — data sanitization failed",
-          operation_entry_id, fn->name().c_str())};
-    }
-    OPEC_OBS_EVENT(opec_obs::EventKind::kOperationExit, machine_.cycles(), current_operation_,
-                   depth_, static_cast<uint32_t>(operation_entry_id),
-                   static_cast<uint32_t>(saved_operation));
-  } else if (supervisor_ != nullptr) {
-    if (!supervisor_->OnFunctionReturn(fn)) {
-      throw ExecutionAborted{"supervisor rejected return from " + fn->name()};
-    }
-  }
+  int caller_operation = current_operation_;
+  int op_id = BeginCall(fn, args, operation_entry_id);
+  uint32_t ret = DoCall(fn, args, caller_operation);
+  EndCall(fn, op_id);
   return ret;
 }
 
-uint32_t ExecutionEngine::DoCall(const Function* fn, const std::vector<uint32_t>& args) {
-  if (++depth_ > kMaxDepth) {
-    --depth_;
-    throw ExecutionAborted{"call depth limit exceeded in " + fn->name()};
-  }
-  OPEC_CHECK_MSG(static_cast<int>(args.size()) == fn->param_count(),
-                 "arity mismatch calling " + fn->name());
-
-  const FrameLayout& fl = LayoutOf(fn);
-  uint32_t saved_sp = sp_;
-  uint32_t base = (sp_ - fl.size) & ~7u;
-  if (base < layout_.stack_base) {
-    --depth_;
-    throw ExecutionAborted{"guest stack overflow in " + fn->name()};
-  }
-  sp_ = base;
-  Frame frame{fn, &fl, base};
-
-  const Function* saved_fn = current_fn_;
-  current_fn_ = fn;
-  OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionEnter, machine_.cycles(), current_operation_,
-                 depth_, static_cast<uint32_t>(fn->ordinal()));
-  MaybeFireAttacks(fn);
-
+uint32_t ExecutionEngine::DoCall(const Function* fn, const std::vector<uint32_t>& args,
+                                 int caller_operation) {
+  const Frame frame = PushFrame(fn, args.size(), caller_operation);
   uint32_t ret_value = 0;
   try {
-    // Spill parameters into their stack slots (through the checked bus: a
-    // disabled stack sub-region faults here, which is the stack protection).
-    for (size_t i = 0; i < args.size(); ++i) {
-      const Type* pt = fn->locals()[i].type;
-      MemWrite(base + fl.offsets[i], pt->size(), Truncate(pt, args[i]));
-    }
+    SpillParams(frame, args.data(), args.size());
     ExecBlock(fn->body(), frame, &ret_value);
   } catch (...) {
-    OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionExit, machine_.cycles(), current_operation_,
-                   depth_, static_cast<uint32_t>(fn->ordinal()));
-    current_fn_ = saved_fn;
-    --depth_;
-    sp_ = saved_sp;
+    PopFrame(frame);
     throw;
   }
   Charge(costs_.ret);
-  OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionExit, machine_.cycles(), current_operation_,
-                 depth_, static_cast<uint32_t>(fn->ordinal()));
-  current_fn_ = saved_fn;
-  --depth_;
-  sp_ = saved_sp;
+  PopFrame(frame);
   return ret_value;
 }
 
@@ -732,32 +658,10 @@ ExecutionEngine::Flow ExecutionEngine::ExecStmt(const Stmt& s, const Frame& fram
   OPEC_UNREACHABLE("bad StmtKind");
 }
 
-RunResult ExecutionEngine::Run(const std::string& entry, const std::vector<uint32_t>& args) {
-  RunResult result;
-  const Function* fn = module_.FindFunction(entry);
-  if (fn == nullptr) {
-    result.violation = "no such entry function: " + entry;
-    return result;
-  }
-  ResetRunState();
-
-  uint64_t start_cycles = machine_.cycles();
-  if (supervisor_ != nullptr) {
-    supervisor_->OnProgramStart(this);
-  }
-  try {
-    result.return_value = DoCall(fn, args);
-    result.ok = true;
-    if (supervisor_ != nullptr) {
-      supervisor_->OnProgramEnd();
-    }
-  } catch (const ExecutionAborted& aborted) {
-    result.ok = false;
-    result.violation = aborted.reason;
-  }
-  result.cycles = machine_.cycles() - start_cycles;
-  result.statements = statements_;
-  return result;
+uint32_t ExecutionEngine::Execute(const Function* entry, const std::vector<uint32_t>& args) {
+  // The entry call has no call site: no call charge, no operation switch and
+  // no supervisor call hooks.
+  return DoCall(entry, args, current_operation_);
 }
 
 }  // namespace opec_rt

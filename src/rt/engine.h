@@ -9,6 +9,13 @@
 //     modeled cycles, statements, obs events, fault reports and results. The
 //     interpreter stays as the differential oracle for it.
 //
+// The call protocol is written once, here in Engine, and both tiers call it:
+// Run drives a run, BeginCall/EndCall wrap a call site (the call charge, the
+// operation switch's SVC before and after the call, the supervisor's hooks),
+// and PushFrame/SpillParams/PopFrame build and tear down the callee's frame.
+// The interpreter nests those calls in its host recursion; the VM keeps them
+// on an explicit frame stack and pops what is left in Unwind after an abort.
+//
 // Fidelity properties that matter for OPEC (both tiers):
 //   * Local variables live in frames on the emulated stack in guest SRAM; the
 //     frame layout is deterministic, so the monitor's stack sub-region
@@ -34,9 +41,12 @@
 
 #include "src/hw/machine.h"
 #include "src/ir/module.h"
+#include "src/obs/event.h"
 #include "src/obs/forensics.h"
 #include "src/rt/address_assignment.h"
 #include "src/rt/supervisor.h"
+#include "src/support/check.h"
+#include "src/support/text.h"
 
 namespace opec_rt {
 
@@ -99,10 +109,6 @@ struct CostModel {
   uint64_t call = 6;          // call + prologue
   uint64_t ret = 4;           // epilogue + return
   uint64_t svc = 40;          // exception entry + exit for one SVC
-
-  // The bytecode tier bakes costs into instructions at lowering time and
-  // re-lowers when the model changes; equality is how it detects that.
-  bool operator==(const CostModel&) const = default;
 };
 
 // Internal unwinding for guest failures (faults, supervisor aborts, limits).
@@ -129,7 +135,6 @@ class Engine : public EngineControl {
   void AddArgAttack(const ArgAttackSpec& attack) { arg_attacks_.push_back(attack); }
   const std::vector<ArgAttackSpec>& arg_attacks() const { return arg_attacks_; }
   void set_statement_limit(uint64_t limit) { statement_limit_ = limit; }
-  void set_cost_model(const CostModel& costs) { costs_ = costs; }
   // External cancellation (e.g. a campaign watchdog): when the pointed-to
   // flag becomes true, the run aborts within a bounded number of statements.
   // The flag is polled, never written; it may be set from another thread.
@@ -146,8 +151,7 @@ class Engine : public EngineControl {
 
   // Runs `entry` (default "main") to completion. Never throws; failures are
   // reported in the result.
-  virtual RunResult Run(const std::string& entry = "main",
-                        const std::vector<uint32_t>& args = {}) = 0;
+  RunResult Run(const std::string& entry = "main", const std::vector<uint32_t>& args = {});
 
   // --- EngineControl ---
   uint32_t sp() const override { return sp_; }
@@ -191,13 +195,50 @@ class Engine : public EngineControl {
   // lowerer bakes these into instructions; the interpreter reads them live.
   const opec_ir::Module& module() const { return module_; }
   const std::vector<FrameLayout>& frame_layouts() const { return frame_layouts_; }
-  const CostModel& cost_model() const { return costs_; }
   // Guest address of a global, 0 when unassigned (the engines abort only when
   // an unassigned global's address is actually needed at execution time).
   uint32_t GlobalAddrOf(const opec_ir::GlobalVariable* gv) const;
 
  protected:
-  const FrameLayout& LayoutOf(const opec_ir::Function* fn) const;
+  // One active call as PushFrame leaves it: where the callee's locals live
+  // and everything PopFrame hands back to the caller.
+  struct Frame {
+    const opec_ir::Function* fn = nullptr;
+    const FrameLayout* layout = nullptr;  // fn's, looked up once per call
+    uint32_t base = 0;                    // lowest address of the frame
+    uint32_t saved_sp = 0;
+    const opec_ir::Function* saved_fn = nullptr;
+    int caller_operation = -1;
+  };
+
+  // Runs `entry` to its return on this tier; throws ExecutionAborted when the
+  // guest fails. Run has already reset the per-run state.
+  virtual uint32_t Execute(const opec_ir::Function* entry, const std::vector<uint32_t>& args) = 0;
+  // Called by Run after an abort to pop the frames the tier still holds. The
+  // interpreter's host recursion has popped its own on the way out.
+  virtual void Unwind() {}
+
+  // The caller side of a call site (paper §5.3): the call charge, then for an
+  // operation entry the argument attacks, the SVC before the call and the
+  // monitor's entry switch, or for a plain call the supervisor's call hook.
+  // May rewrite `args` (relocated pointers, forged values). Returns the
+  // operation the call enters, -1 for a plain call.
+  int BeginCall(const opec_ir::Function* fn, std::vector<uint32_t>& args,
+                int operation_entry_id);
+  // The return side, after PopFrame: the SVC after the call and the
+  // monitor's exit switch (with sanitization) for an operation entry, the
+  // supervisor's return hook for a plain call.
+  void EndCall(const opec_ir::Function* fn, int op_id);
+  // Pushes `fn`'s frame below the stack pointer, enters it and fires the
+  // attacks armed for it. A rejected call (depth limit, stack overflow)
+  // throws with nothing pushed and the operation handed back to the caller.
+  Frame PushFrame(const opec_ir::Function* fn, size_t nargs, int caller_operation);
+  // Stores the parameters into their stack slots through the checked bus: a
+  // disabled stack sub-region faults here, which is the stack protection.
+  void SpillParams(const Frame& frame, const uint32_t* args, size_t nargs);
+  // Leaves `frame`, on a return or while unwinding an abort: the exit event,
+  // then the caller's function, depth, stack pointer and operation.
+  void PopFrame(const Frame& frame);
 
   uint32_t MemRead(uint32_t addr, uint32_t size);
   void MemWrite(uint32_t addr, uint32_t size, uint32_t value);
@@ -260,16 +301,7 @@ class ExecutionEngine : public Engine {
   ExecutionEngine(opec_hw::Machine& machine, const opec_ir::Module& module,
                   const AddressAssignment& layout, Supervisor* supervisor = nullptr);
 
-  RunResult Run(const std::string& entry = "main",
-                const std::vector<uint32_t>& args = {}) override;
-
  private:
-  struct Frame {
-    const opec_ir::Function* fn = nullptr;
-    const FrameLayout* layout = nullptr;  // precomputed; avoids per-access lookup
-    uint32_t base = 0;                    // lowest address of the frame
-  };
-
   // Control-flow signal from statement execution.
   enum class Flow { kNext, kBreak, kContinue, kReturn };
 
@@ -283,14 +315,119 @@ class ExecutionEngine : public Engine {
   uint32_t EvalAddr(const opec_ir::Expr& e, const Frame& frame);
   uint32_t EvalBinary(const opec_ir::Expr& e, const Frame& frame);
 
+  uint32_t Execute(const opec_ir::Function* entry, const std::vector<uint32_t>& args) override;
   uint32_t CallFunction(const opec_ir::Function* fn, std::vector<uint32_t> args,
                         int operation_entry_id);
-  uint32_t DoCall(const opec_ir::Function* fn, const std::vector<uint32_t>& args);
+  uint32_t DoCall(const opec_ir::Function* fn, const std::vector<uint32_t>& args,
+                  int caller_operation);
 
   Flow ExecBlock(const std::vector<opec_ir::StmtPtr>& body, const Frame& frame,
                  uint32_t* ret_value);
   Flow ExecStmt(const opec_ir::Stmt& s, const Frame& frame, uint32_t* ret_value);
 };
+
+// The call protocol is defined here so both tiers' call paths inline it.
+
+inline int Engine::BeginCall(const opec_ir::Function* fn, std::vector<uint32_t>& args,
+                             int operation_entry_id) {
+  Charge(costs_.call + costs_.op * args.size());
+  if (supervisor_ == nullptr) {
+    return -1;
+  }
+  if (operation_entry_id < 0) {
+    if (!supervisor_->OnFunctionCall(fn)) {
+      throw ExecutionAborted{"supervisor rejected call to " + fn->name()};
+    }
+    return -1;
+  }
+  // Injected malformed-argument attacks corrupt the entry call's argument
+  // list before the SVC is raised, so the monitor sees the forged value —
+  // its relocation/validation of entry arguments is what is under test.
+  if (!arg_attacks_.empty()) {
+    int count = ++arg_entry_counts_[operation_entry_id];
+    for (ArgAttackSpec& a : arg_attacks_) {
+      if (a.fired || a.op_id != operation_entry_id || a.occurrence != count ||
+          a.arg_index >= args.size()) {
+        continue;
+      }
+      a.fired = true;
+      args[a.arg_index] = a.value;
+    }
+  }
+  int caller_operation = current_operation_;
+  Charge(costs_.svc);  // SVC before the call site
+  OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), caller_operation, depth_,
+                 static_cast<uint32_t>(operation_entry_id), 0);
+  if (!supervisor_->OnOperationEnter(operation_entry_id, args)) {
+    throw ExecutionAborted{opec_support::StrPrintf(
+        "monitor rejected entry into operation %d (%s)", operation_entry_id, fn->name().c_str())};
+  }
+  current_operation_ = operation_entry_id;
+  OPEC_OBS_EVENT(opec_obs::EventKind::kOperationEnter, machine_.cycles(), current_operation_,
+                 depth_, static_cast<uint32_t>(operation_entry_id),
+                 static_cast<uint32_t>(caller_operation));
+  return operation_entry_id;
+}
+
+inline void Engine::EndCall(const opec_ir::Function* fn, int op_id) {
+  if (op_id < 0) {
+    if (supervisor_ != nullptr && !supervisor_->OnFunctionReturn(fn)) {
+      throw ExecutionAborted{"supervisor rejected return from " + fn->name()};
+    }
+    return;
+  }
+  Charge(costs_.svc);  // SVC after the call site
+  OPEC_OBS_EVENT(opec_obs::EventKind::kSvc, machine_.cycles(), op_id, depth_,
+                 static_cast<uint32_t>(op_id), 1);
+  if (!supervisor_->OnOperationExit(op_id)) {
+    throw ExecutionAborted{opec_support::StrPrintf(
+        "monitor aborted at exit of operation %d (%s) — data sanitization failed", op_id,
+        fn->name().c_str())};
+  }
+  OPEC_OBS_EVENT(opec_obs::EventKind::kOperationExit, machine_.cycles(), current_operation_,
+                 depth_, static_cast<uint32_t>(op_id), static_cast<uint32_t>(current_operation_));
+}
+
+inline Engine::Frame Engine::PushFrame(const opec_ir::Function* fn, size_t nargs,
+                                       int caller_operation) {
+  if (++depth_ > kMaxDepth) {
+    --depth_;
+    current_operation_ = caller_operation;
+    throw ExecutionAborted{"call depth limit exceeded in " + fn->name()};
+  }
+  OPEC_CHECK_MSG(static_cast<int>(nargs) == fn->param_count(),
+                 "arity mismatch calling " + fn->name());
+  const FrameLayout& fl = frame_layouts_[static_cast<size_t>(fn->ordinal())];
+  uint32_t base = (sp_ - fl.size) & ~7u;
+  if (base < layout_.stack_base) {
+    --depth_;
+    current_operation_ = caller_operation;
+    throw ExecutionAborted{"guest stack overflow in " + fn->name()};
+  }
+  Frame frame{fn, &fl, base, sp_, current_fn_, caller_operation};
+  sp_ = base;
+  current_fn_ = fn;
+  OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionEnter, machine_.cycles(), current_operation_,
+                 depth_, static_cast<uint32_t>(fn->ordinal()));
+  MaybeFireAttacks(fn);
+  return frame;
+}
+
+inline void Engine::SpillParams(const Frame& frame, const uint32_t* args, size_t nargs) {
+  for (size_t i = 0; i < nargs; ++i) {
+    const opec_ir::Type* pt = frame.fn->locals()[i].type;
+    MemWrite(frame.base + frame.layout->offsets[i], pt->size(), Truncate(pt, args[i]));
+  }
+}
+
+inline void Engine::PopFrame(const Frame& frame) {
+  OPEC_OBS_EVENT(opec_obs::EventKind::kFunctionExit, machine_.cycles(), current_operation_,
+                 depth_, static_cast<uint32_t>(frame.fn->ordinal()));
+  current_fn_ = frame.saved_fn;
+  --depth_;
+  sp_ = frame.saved_sp;
+  current_operation_ = frame.caller_operation;
+}
 
 }  // namespace opec_rt
 

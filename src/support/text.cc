@@ -33,4 +33,32 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrPrintf("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace opec_support

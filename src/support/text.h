@@ -19,6 +19,9 @@ std::string HexAddr(uint32_t addr);
 // Joins the elements with the separator.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
+// Escapes `s` for use inside a JSON string literal.
+std::string JsonEscape(const std::string& s);
+
 }  // namespace opec_support
 
 #endif  // SRC_SUPPORT_TEXT_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/support/hash.h"
 #include "src/support/text.h"
 #include "src/traffic/net_host.h"
 
@@ -9,28 +10,8 @@ namespace opec_traffic {
 
 namespace {
 
-// Same generator the campaign layer uses for job seeds; duplicated here so
-// the traffic library stays below opec_campaign in the dependency order.
-struct SplitMix64 {
-  uint64_t state;
-  explicit SplitMix64(uint64_t seed) : state(seed) {}
-  uint64_t Next() {
-    state += 0x9E3779B97F4A7C15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-  // Uniform-enough draw in [0, n); n > 0.
-  uint64_t Below(uint64_t n) { return Next() % n; }
-};
-
-uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t h) {
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ data[i]) * 0x100000001B3ull;
-  }
-  return h;
-}
+using opec_support::Fnv1a64;
+using opec_support::SplitMix64;
 
 uint16_t GetBe16(const std::vector<uint8_t>& f, size_t off) {
   return static_cast<uint16_t>((f[off] << 8) | f[off + 1]);
@@ -161,8 +142,8 @@ class GuestModel {
     for (int i = 0; i < 4; ++i) {
       len_le[i] = static_cast<uint8_t>(f.size() >> (8 * i));
     }
-    out->expected_tx_digest = Fnv1a(len_le, 4, out->expected_tx_digest);
-    out->expected_tx_digest = Fnv1a(f.data(), f.size(), out->expected_tx_digest);
+    out->expected_tx_digest = Fnv1a64(len_le, 4, out->expected_tx_digest);
+    out->expected_tx_digest = Fnv1a64(f.data(), f.size(), out->expected_tx_digest);
     ++out->expected_tx_frames;
     out->expected_tx.push_back(std::move(f));
   }

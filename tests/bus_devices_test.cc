@@ -561,43 +561,9 @@ TEST(Bus, SysTickValWriteClearsCurrentCountAndCountFlag) {
   EXPECT_EQ(machine.bus().Read(kSysTickBase + 0x8, 4, true).value, 990u);
 }
 
-TEST(Bus, WordCopyOverlappingRangesUseMemmoveSemantics) {
-  // Regression: a forward word loop over an overlapping src < dst range reads
-  // bytes it already clobbered, smearing the first word across the region.
-  // WordCopy must pick the copy direction like memmove does.
-  Machine machine(Board::kStm32F4Discovery);
-  auto fill = [&](uint32_t base, uint32_t n) {
-    for (uint32_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(machine.bus().DebugWrite(base + i, 1, 0x10 + i));
-    }
-  };
-  auto expect_bytes = [&](uint32_t base, uint32_t n, uint32_t first) {
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t v = 0;
-      ASSERT_TRUE(machine.bus().DebugRead(base + i, 1, &v));
-      ASSERT_EQ(v, first + i) << "offset " << i;
-    }
-  };
-
-  // dst inside (src, src + n): must copy backward.
-  uint32_t src = kSramBase + 0x200;
-  fill(src, 40);
-  ASSERT_TRUE(machine.bus().WordCopy(src, src + 12, 28, true));
-  expect_bytes(src + 12, 28, 0x10);
-
-  // src inside (dst, dst + n): forward copy is correct there.
-  fill(src, 40);
-  ASSERT_TRUE(machine.bus().WordCopy(src + 12, src, 28, true));
-  expect_bytes(src, 28, 0x10 + 12);
-
-  // Unaligned length exercises the tail-byte path in both directions.
-  fill(src, 23);
-  ASSERT_TRUE(machine.bus().WordCopy(src, src + 5, 18, true));
-  expect_bytes(src + 5, 18, 0x10);
-}
-
 TEST(Bus, BulkCopyOverlappingRangesStayCorrect) {
-  // Pin the fast path to the same memmove semantics as WordCopy.
+  // Regression: a forward copy over an overlapping src < dst range reads
+  // bytes it already clobbered. BulkCopy must copy like memmove.
   Machine machine(Board::kStm32F4Discovery);
   for (uint32_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(machine.bus().DebugWrite(kSramBase + 0x300 + i, 1, 0x40 + i));

@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
+#include "src/compiler/opec_compiler.h"
 #include "src/hw/mpu.h"
+#include "src/ir/builder.h"
+#include "src/monitor/monitor.h"
 #include "src/obs/event.h"
 #include "src/rt/bytecode/vm.h"
 
@@ -147,6 +152,150 @@ TEST(BytecodeTier, AttackInjectionParity) {
   };
   ExpectIdentical(observe_with_attack(EngineKind::kInterp),
                   observe_with_attack(EngineKind::kBytecode), "attack");
+}
+
+// A hand-written guest compiled for OPEC and run once on one tier: what the
+// run returned plus what it left behind in the engine.
+struct GuestObservation {
+  TierObservation run;
+  size_t fault_reports = 0;
+  int operation = 0;
+};
+
+using GuestAuthor = std::function<void(opec_ir::Module&)>;
+
+GuestObservation ObserveOpecGuest(const GuestAuthor& author,
+                                  const opec_compiler::PartitionConfig& config,
+                                  EngineKind engine) {
+  opec_ir::Module module("guest");
+  author(module);
+  opec_hw::Machine machine(opec_hw::Board::kStm32F4Discovery);
+  opec_hw::SocDescription soc;
+  opec_compiler::CompileResult compile =
+      opec_compiler::CompileOpec(module, soc, config, machine.board().board);
+  opec_monitor::Monitor monitor(machine, compile.policy, soc);
+  opec_compiler::LoadGlobals(machine, module, compile.layout);
+  std::unique_ptr<opec_rt::Engine> eng;
+  if (engine == EngineKind::kInterp) {
+    eng = std::make_unique<opec_rt::ExecutionEngine>(machine, module, compile.layout, &monitor);
+  } else {
+    eng = std::make_unique<opec_rt::bytecode::VM>(machine, module, compile.layout, &monitor);
+  }
+  DigestSink sink;
+  opec_rt::RunResult r;
+  {
+    opec_obs::ScopedSink scoped(&sink);
+    r = eng->Run("main");
+  }
+  GuestObservation obs;
+  obs.run.ok = r.ok;
+  obs.run.violation = r.violation;
+  obs.run.return_value = r.return_value;
+  obs.run.cycles = r.cycles;
+  obs.run.statements = r.statements;
+  obs.run.events_digest = sink.digest();
+  obs.fault_reports = eng->fault_reports().size();
+  obs.operation = eng->current_operation();
+  return obs;
+}
+
+// The guest must abort with `violation`, and both tiers must end in the same
+// place: same result, same events up to and through the unwind, same fault
+// reports and the operation handed back to `main`.
+void ExpectAbortParity(const std::string& label, const GuestAuthor& author,
+                       const opec_compiler::PartitionConfig& config, const char* violation) {
+  GuestObservation interp = ObserveOpecGuest(author, config, EngineKind::kInterp);
+  GuestObservation bc = ObserveOpecGuest(author, config, EngineKind::kBytecode);
+  EXPECT_FALSE(interp.run.ok) << label;
+  EXPECT_NE(interp.run.violation.find(violation), std::string::npos)
+      << label << ": " << interp.run.violation;
+  ExpectIdentical(interp.run, bc.run, label);
+  EXPECT_EQ(interp.fault_reports, bc.fault_reports) << label;
+  EXPECT_EQ(interp.operation, bc.operation) << label;
+  EXPECT_EQ(interp.operation, -1) << label;
+}
+
+// `main` calls the operation entry `Task`, which calls `Recurse`, which calls
+// itself forever with `pad` bytes of locals in each frame.
+void AuthorRecursionInOperation(opec_ir::Module& m, uint32_t pad) {
+  auto& tt = m.types();
+  for (const std::string name : {"Recurse", "Task"}) {
+    opec_ir::FunctionBuilder b(m, m.AddFunction(name, tt.FunctionTy(tt.VoidTy(), {}), {}));
+    if (name == "Recurse" && pad != 0) {
+      b.Local("pad", tt.ArrayOf(tt.U8(), pad));
+    }
+    b.Call("Recurse");
+    b.RetVoid();
+    b.Finish();
+  }
+  opec_ir::FunctionBuilder b(m, m.AddFunction("main", tt.FunctionTy(tt.U32(), {}), {}));
+  b.Call("Task");
+  b.Ret(b.U32(0));
+  b.Finish();
+}
+
+// Aborts raised inside the call protocol both tiers share (Engine's
+// BeginCall, EndCall and PushFrame), each inside an operation.
+TEST(BytecodeTier, CallProtocolAbortParity) {
+  using opec_ir::FunctionBuilder;
+  using opec_ir::Module;
+
+  // EndCall: sanitization fails when TaskBad's operation exits.
+  opec_compiler::PartitionConfig config;
+  config.entries.push_back({"TaskBad", {}});
+  config.sanitize.push_back({"speed", 0, 100});
+  ExpectAbortParity(
+      "sanitization at exit",
+      [](Module& m) {
+        auto& tt = m.types();
+        m.AddGlobal("speed", tt.U32());
+        {
+          FunctionBuilder b(m, m.AddFunction("TaskBad", tt.FunctionTy(tt.VoidTy(), {}), {}));
+          b.Assign(b.G("speed"), b.U32(9999));  // outside the sanitizer's range
+          b.RetVoid();
+          b.Finish();
+        }
+        FunctionBuilder b(m, m.AddFunction("main", tt.FunctionTy(tt.U32(), {}), {}));
+        b.Call("TaskBad");
+        b.Ret(b.G("speed"));
+        b.Finish();
+      },
+      config, "data sanitization failed");
+
+  // BeginCall: relocating a 60000-byte entry argument exhausts the 16 KB
+  // stack, so the monitor rejects the entry.
+  config = {};
+  config.entries.push_back({"Fill", {{0, 60000}}});
+  ExpectAbortParity(
+      "relocation exhausts stack",
+      [](Module& m) {
+        auto& tt = m.types();
+        const opec_ir::Type* p_u8 = tt.PointerTo(tt.U8());
+        {
+          FunctionBuilder b(m,
+                            m.AddFunction("Fill", tt.FunctionTy(tt.VoidTy(), {p_u8}), {"buf"}));
+          b.Assign(b.Idx(b.L("buf"), b.U32(0)), b.U8('B'));
+          b.RetVoid();
+          b.Finish();
+        }
+        FunctionBuilder b(m, m.AddFunction("main", tt.FunctionTy(tt.U32(), {}), {}));
+        opec_ir::Val buf = b.Local("buf", tt.ArrayOf(tt.U8(), 16));
+        b.Call("Fill", {b.Addr(b.Idx(buf, 0u))});
+        b.Ret(b.U32(0));
+        b.Finish();
+      },
+      config, "monitor rejected entry into operation");
+
+  // PushFrame: empty frames hit the call depth limit; 1 KB frames run off
+  // the bottom of the guest stack first.
+  config = {};
+  config.entries.push_back({"Task", {}});
+  ExpectAbortParity(
+      "depth limit in operation", [](Module& m) { AuthorRecursionInOperation(m, 0); }, config,
+      "call depth limit exceeded");
+  ExpectAbortParity(
+      "stack overflow in operation", [](Module& m) { AuthorRecursionInOperation(m, 1024); },
+      config, "guest stack overflow");
 }
 
 // The lowered module itself: every function gets an entry, and the verdict
