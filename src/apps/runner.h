@@ -110,6 +110,7 @@ class AppRun {
   // OPEC-only (null in vanilla mode).
   const opec_compiler::CompileResult* compile() const { return compile_.get(); }
   const opec_monitor::Monitor* monitor() const { return monitor_.get(); }
+  opec_monitor::Monitor* monitor() { return monitor_.get(); }
 
   const opec_compiler::MemoryAccounting& accounting() const { return accounting_; }
 

@@ -116,6 +116,7 @@ void BuildLayout(const Module& module, const PartitionResult& partition,
   const BoardSpec spec = GetBoardSpec(board);
   policy->operations.clear();
   policy->externals.clear();
+  policy->external_storage.clear();
   policy->function_ops = partition.function_ops;
   policy->default_op_id = 0;
 
@@ -304,6 +305,25 @@ void BuildLayout(const Module& module, const PartitionResult& partition,
     OPEC_CHECK(offset == plan.payload);
   }
   policy->accounting.sram_sections = sections_total;
+
+  // --- Switch plans: per-operation relocation tables + the storage map ---
+  for (size_t i = 0; i < policy->externals.size(); ++i) {
+    const ExternalVar& ev = policy->externals[i];
+    policy->external_storage.push_back({ev.public_addr, ev.size, static_cast<int>(i)});
+  }
+  for (OperationPolicy& op : policy->operations) {
+    for (const ExternalVar& ev : policy->externals) {
+      op.reloc_targets.push_back(ev.public_addr);
+    }
+    for (const ShadowPlacement& sp : op.shadows) {
+      uint32_t size = policy->externals[static_cast<size_t>(sp.var_index)].size;
+      op.reloc_targets[static_cast<size_t>(sp.var_index)] = sp.addr;
+      policy->external_storage.push_back({sp.addr, size, sp.var_index});
+    }
+  }
+  std::erase_if(policy->external_storage, [](const ExternalStorage& s) { return s.size == 0; });
+  std::sort(policy->external_storage.begin(), policy->external_storage.end(),
+            [](const ExternalStorage& a, const ExternalStorage& b) { return a.base < b.base; });
 
   // --- Heap: one power-of-two section, demand-mapped per operation ---
   if (config.heap_size > 0) {

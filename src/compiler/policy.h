@@ -43,6 +43,13 @@ struct ShadowPlacement {
   uint32_t addr = 0;
 };
 
+// One copy of an external variable: its public copy or one of its shadows.
+struct ExternalStorage {
+  uint32_t base = 0;
+  uint32_t size = 0;
+  int var_index = -1;
+};
+
 // An MPU-compatible window covering (part of) a peripheral range.
 struct PeriphRegion {
   uint32_t base = 0;
@@ -68,6 +75,10 @@ struct OperationPolicy {
   uint32_t section_payload = 0;  // bytes actually used (rest is MPU fragment)
 
   std::vector<ShadowPlacement> shadows;  // shadow copies inside the section
+  // Switch plan: the relocation table this operation runs under, one entry
+  // per external — its shadow when it has one, else the public copy (it
+  // never accesses externals it does not need; analysis-guaranteed).
+  std::vector<uint32_t> reloc_targets;
 
   // Peripherals: exact allowlisted ranges, plus the merged MPU-aligned
   // windows. When the windows exceed the four reserved regions the monitor
@@ -118,6 +129,9 @@ struct Policy {
   std::vector<OperationPolicy> operations;
   int default_op_id = 0;  // the function `main`'s default operation
   std::vector<ExternalVar> externals;
+  // Every non-empty copy of every external, sorted by base. Copies never
+  // overlap, so a pointer resolves to its variable with one binary search.
+  std::vector<ExternalStorage> external_storage;
   StackPolicy stack;
 
   uint32_t public_base = 0;

@@ -524,6 +524,32 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
     bool verdict;
   };
   std::vector<KeptVerdict> kept;
+  // GrantsThroughout answering true over [lo, hi] promises that every byte
+  // is allowed. Checked at both ends and at up to 64 evenly spaced bytes in
+  // between: every 32-byte window of spans up to 2 KiB, and every sub-region
+  // of a region-sized span. Draws nothing, so pinned seeds replay unchanged.
+  auto check_grant = [&](int step, uint32_t lo, uint64_t hi, opec_hw::AccessKind kind,
+                         bool priv) {
+    hi = std::min<uint64_t>(hi, 0xFFFFFFFFu);
+    if (!mpu.GrantsThroughout(lo, static_cast<uint32_t>(hi), kind, priv)) {
+      return;
+    }
+    const uint64_t span = hi - lo + 1;
+    const uint64_t stride = std::max<uint64_t>(32, span / 64);
+    for (uint64_t off = 0; off < span + stride; off += stride) {
+      uint32_t at = static_cast<uint32_t>(std::min<uint64_t>(lo + off, hi));
+      if (!mpu.CheckAccessUncached(at, 1, kind, priv)) {
+        divs.push_back({Oracle::kMpuCache,
+                        StrPrintf("step %d: GrantsThroughout([%s, %s], %s, priv=%d) granted %s, "
+                                  "which the uncached walk denies",
+                                  step, opec_support::HexAddr(lo).c_str(),
+                                  opec_support::HexAddr(static_cast<uint32_t>(hi)).c_str(),
+                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read", priv,
+                                  opec_support::HexAddr(at).c_str())});
+        return;
+      }
+    }
+  };
   // Steps [0, kSteps) draw from the original configure/probe mix. The
   // revisit steps appended after them (so pinned seeds replay their original
   // sequence) add three actions: reinstall a region set built earlier, so
@@ -667,9 +693,11 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
             break;
           }
         }
+        check_grant(step, lo, hi, kind, priv);
       }
     } else {
       uint32_t len = 1 + static_cast<uint32_t>(rng.Below(200));
+      check_grant(step, addr, uint64_t{addr} + len - 1, kind, priv);
       bool ranged = mpu.CheckRange(addr, len, kind, priv);
       bool direct = true;
       for (uint32_t b = 0; b < len && direct; ++b) {
@@ -683,6 +711,12 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
                                   kind == opec_hw::AccessKind::kWrite ? "write" : "read",
                                   priv ? "priv" : "unpriv", ranged ? 1 : 0, direct ? 1 : 0)});
       }
+    }
+    // The drawn region widened by a window on each side, so the span
+    // reaches past the region's edges into whatever decides beyond them.
+    if (const opec_hw::MpuRegionConfig& cfg = mpu.region(r); cfg.enabled) {
+      check_grant(step, cfg.base < 32 ? 0 : cfg.base - 32, uint64_t{cfg.base} + cfg.size() + 31,
+                  kind, priv);
     }
   }
   return divs;

@@ -104,7 +104,8 @@ std::vector<Divergence> DiffPointsTo(const ProgramSpec& spec);
 // Oracle 2b: solver modes over a seeded random injected constraint graph.
 std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed);
 
-// Oracle 3: seeded random MPU configure/probe sequence, cached vs uncached.
+// Oracle 3: seeded random MPU configure/probe sequence, cached vs uncached;
+// every span GrantsThroughout grants must be allowed byte by byte.
 std::vector<Divergence> DiffMpuCache(uint64_t seed);
 
 // Oracle 5: reruns the recipe under the snapshot RoundTripProbe and compares

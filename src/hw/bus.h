@@ -69,14 +69,16 @@ class Bus {
   uint32_t flash_end() const { return kFlashBase + board_.flash_size; }
   uint32_t sram_end() const { return kSramBase + board_.sram_size; }
 
-  // Verdict-cached engine fast path (src/rt/bytecode): raw backing access for
-  // plain-memory accesses whose MPU verdict the caller has already established
-  // and cached against Mpu::region_set(). Behavioral twins of the Read/Write
-  // fast paths minus the MPU check; dirty-page tracking stays exact. Callers
-  // must have checked InSram/InFlash for the same (addr, size) first.
+  // Raw backing access for plain-memory accesses whose MPU verdict the caller
+  // has already established: the bytecode tier's verdict cache
+  // (src/rt/bytecode), keyed on Mpu::region_set(), and the monitor's
+  // per-switch grant (Mpu::GrantsThroughout). Behavioral twins of the
+  // Read/Write fast paths and of BulkCopy minus the MPU check; dirty-page
+  // tracking stays exact. Callers must have checked InSram/InFlash for the
+  // same (addr, size) first.
   bool InSram(uint32_t addr, uint32_t size) const {
     uint32_t off = addr - kSramBase;
-    return off < board_.sram_size && off + size <= board_.sram_size;
+    return off < board_.sram_size && size <= board_.sram_size - off;
   }
   bool InFlash(uint32_t addr, uint32_t size) const {
     uint32_t off = addr - kFlashBase;
@@ -89,6 +91,15 @@ class Bus {
     uint32_t off = addr - kSramBase;
     WriteBacking(sram_, off, size, value);
     MarkDirty(sram_dirty_, off, size);
+  }
+  // SRAM-to-SRAM copy of n bytes with memmove semantics on overlap.
+  void RawSramCopy(uint32_t src, uint32_t dst, uint32_t n) {
+    if (n == 0) {
+      return;
+    }
+    uint32_t off = dst - kSramBase;
+    std::memmove(sram_.data() + off, sram_.data() + (src - kSramBase), n);
+    MarkDirty(sram_dirty_, off, n);
   }
   uint32_t RawFlashRead(uint32_t addr, uint32_t size) const {
     return ReadBacking(flash_, addr - kFlashBase, size);

@@ -72,7 +72,7 @@ struct TxLog {
     w.U64(retention_cap);
   }
   void LoadState(StateReader& r) {
-    retained.resize(r.U64());
+    retained.resize(r.Count(8));  // blob length
     for (std::vector<uint8_t>& f : retained) {
       f = r.Blob();
     }
@@ -124,7 +124,7 @@ class Ethernet : public MmioDevice {
     tx_log_.SaveState(w);
   }
   void LoadState(StateReader& r) override {
-    rx_queue_.resize(r.U64());
+    rx_queue_.resize(r.Count(16));  // blob length + gap
     for (RxFrame& f : rx_queue_) {
       f.bytes = r.Blob();
       f.gap_cycles = r.U64();

@@ -160,7 +160,7 @@ void EthernetDma::SaveState(StateWriter& w) const {
 }
 
 void EthernetDma::LoadState(StateReader& r) {
-  rx_queue_.resize(r.U64());
+  rx_queue_.resize(r.Count(16));  // blob length + arrival cycle
   for (RxFrame& f : rx_queue_) {
     f.bytes = r.Blob();
     f.arrival_cycle = r.U64();

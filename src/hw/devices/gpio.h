@@ -44,7 +44,7 @@ class Gpio : public MmioDevice {
     idr_ = r.U32();
     odr_ = r.U32();
     configured_ = r.Bool();
-    odr_history_.resize(r.U64());
+    odr_history_.resize(r.Count(4));
     for (uint32_t& v : odr_history_) {
       v = r.U32();
     }

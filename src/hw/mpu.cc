@@ -165,6 +165,22 @@ bool Mpu::CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileg
   return true;
 }
 
+bool Mpu::GrantsThroughout(uint32_t lo, uint32_t hi, AccessKind kind, bool privileged) const {
+  if (!enabled_) {
+    return true;
+  }
+  if (!privileged) {
+    return false;  // the background map (PRIVDEFENA) grants privileged access only
+  }
+  for (const MpuRegionConfig& r : regions_) {
+    uint64_t end = r.size_log2 >= 32 ? (1ull << 32) : uint64_t{r.base} + r.size();  // exclusive
+    if (r.enabled && r.base <= hi && lo < end && !PermAllows(r.ap, kind, privileged)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool Mpu::AllowedRange(uint32_t addr, AccessKind kind, bool privileged, uint32_t* lo,
                        uint32_t* hi) const {
   if (!enabled_) {

@@ -107,6 +107,13 @@ class Mpu {
   // >=32-byte), so one probe per window equals probing every byte.
   bool CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileged) const;
 
+  // True only when every enabled region overlapping [lo, hi] (inclusive)
+  // grants the access, and so does the background map: one walk of the
+  // region registers. Sufficient for CheckRange over the same bytes, and
+  // exact whenever it answers true, since each byte's deciding region is one
+  // of those regions or the background.
+  bool GrantsThroughout(uint32_t lo, uint32_t hi, AccessKind kind, bool privileged) const;
+
   // Differential-testing twin of CheckAccess: identical verdict contract, but
   // computed straight from the region walk (ComputeAllowMask) without reading
   // or filling the decision cache. The fuzzer's cache oracle compares the two

@@ -89,6 +89,14 @@ class StateReader {
     pos_ += 8;
     return v;
   }
+  // An item count for a container the caller is about to size: no more items
+  // than the rest of the payload can hold at `min_item_bytes` each, so a
+  // corrupt count is the same error as a truncation, never a huge resize.
+  uint64_t Count(size_t min_item_bytes) {
+    uint64_t n = U64();
+    OPEC_CHECK_MSG(n <= remaining() / min_item_bytes, "snapshot payload truncated or corrupt");
+    return n;
+  }
   void Bytes(uint8_t* out, size_t n) {
     Need(n);
     std::memcpy(out, data_ + pos_, n);

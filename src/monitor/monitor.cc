@@ -1,5 +1,7 @@
 #include "src/monitor/monitor.h"
 
+#include <algorithm>
+
 #include "src/obs/event.h"
 #include "src/support/check.h"
 #include "src/support/text.h"
@@ -28,24 +30,45 @@ int Monitor::current_operation() const {
   return context_stack_.empty() ? policy_.default_op_id : context_stack_.back().op_id;
 }
 
+void Monitor::GrantSram() {
+  // A switch's copies and writes are privileged SRAM accesses made before it
+  // reconfigures the MPU, and region 0 grants them under every OPEC policy.
+  // Every AP encoding that grants a privileged write grants the read too.
+  sram_granted_ = machine_.mpu().GrantsThroughout(
+      opec_hw::kSramBase, machine_.bus().sram_end() - 1, AccessKind::kWrite, /*privileged=*/true);
+}
+
 uint32_t Monitor::PrivRead(uint32_t addr, uint32_t size) {
-  AccessResult r = machine_.bus().Read(addr, size, /*privileged=*/true);
+  opec_hw::Bus& bus = machine_.bus();
+  if (sram_granted_ && bus.InSram(addr, size)) {
+    return bus.RawSramRead(addr, size);
+  }
+  AccessResult r = bus.Read(addr, size, /*privileged=*/true);
   OPEC_CHECK_MSG(r.ok(), "monitor-internal read failed at " + opec_support::HexAddr(addr));
   return r.value;
 }
 
 void Monitor::PrivWrite(uint32_t addr, uint32_t size, uint32_t value) {
-  AccessResult r = machine_.bus().Write(addr, size, value, /*privileged=*/true);
+  opec_hw::Bus& bus = machine_.bus();
+  if (sram_granted_ && bus.InSram(addr, size)) {
+    bus.RawSramWrite(addr, size, value);
+    return;
+  }
+  AccessResult r = bus.Write(addr, size, value, /*privileged=*/true);
   OPEC_CHECK_MSG(r.ok(), "monitor-internal write failed at " + opec_support::HexAddr(addr));
 }
 
 void Monitor::CopyBytes(uint32_t src, uint32_t dst, uint32_t n) {
-  // Shadow syncs and stack relocations are privileged SRAM-to-SRAM copies,
-  // which region 0's privileged RW always grants: one bulk backing-store
-  // copy (memmove semantics), charged per word.
-  OPEC_CHECK_MSG(machine_.bus().BulkCopy(src, dst, n, /*privileged=*/true),
-                 "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
-                     " dst=" + opec_support::HexAddr(dst));
+  // Shadow syncs and stack relocations are privileged SRAM-to-SRAM copies:
+  // one backing-store copy (memmove semantics), charged per word.
+  opec_hw::Bus& bus = machine_.bus();
+  if (sram_granted_ && bus.InSram(src, n) && bus.InSram(dst, n)) {
+    bus.RawSramCopy(src, dst, n);
+  } else {
+    OPEC_CHECK_MSG(bus.BulkCopy(src, dst, n, /*privileged=*/true),
+                   "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
+                       " dst=" + opec_support::HexAddr(dst));
+  }
   machine_.AddCycles(costs_.per_word_copy * ((n + 3) / 4));
 }
 
@@ -91,53 +114,37 @@ void Monitor::CopyInShadows(int op_id) {
 }
 
 void Monitor::UpdateRelocTable(int op_id) {
-  const OperationPolicy& op = Op(op_id);
-  // Default every entry to the public copy; operations never access
-  // externals they do not need (analysis-guaranteed), and background reads
-  // stay harmless.
-  std::vector<uint32_t> targets(policy_.externals.size());
-  for (size_t i = 0; i < policy_.externals.size(); ++i) {
-    targets[i] = policy_.externals[i].public_addr;
-  }
-  for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
-    targets[static_cast<size_t>(sp.var_index)] = sp.addr;
-  }
+  // Only the monitor writes the table (region 0 leaves it unprivileged
+  // read-only), so under the grant an entry holding its target is left alone.
+  const std::vector<uint32_t>& targets = Op(op_id).reloc_targets;
+  const std::vector<uint32_t>* installed =
+      sram_granted_ && installed_relocs_ >= 0 ? &Op(installed_relocs_).reloc_targets : nullptr;
   for (size_t i = 0; i < targets.size(); ++i) {
-    PrivWrite(policy_.externals[i].reloc_entry_addr, 4, targets[i]);
+    if (installed == nullptr || (*installed)[i] != targets[i]) {
+      PrivWrite(policy_.externals[i].reloc_entry_addr, 4, targets[i]);
+    }
   }
+  installed_relocs_ = op_id;
 }
 
 int Monitor::ResolveExternalStorage(uint32_t addr, uint32_t* offset) const {
-  for (size_t i = 0; i < policy_.externals.size(); ++i) {
-    const ExternalVar& ev = policy_.externals[i];
-    if (addr >= ev.public_addr && addr < ev.public_addr + ev.size) {
-      *offset = addr - ev.public_addr;
-      return static_cast<int>(i);
-    }
+  const std::vector<opec_compiler::ExternalStorage>& map = policy_.external_storage;
+  auto it = std::upper_bound(
+      map.begin(), map.end(), addr,
+      [](uint32_t a, const opec_compiler::ExternalStorage& s) { return a < s.base; });
+  if (it == map.begin()) {
+    return -1;
   }
-  for (const OperationPolicy& op : policy_.operations) {
-    for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
-      const ExternalVar& ev = policy_.externals[static_cast<size_t>(sp.var_index)];
-      if (addr >= sp.addr && addr < sp.addr + ev.size) {
-        *offset = addr - sp.addr;
-        return sp.var_index;
-      }
-    }
+  const opec_compiler::ExternalStorage& s = *(it - 1);  // the last copy based at or below addr
+  if (addr - s.base >= s.size) {
+    return -1;
   }
-  return -1;
+  *offset = addr - s.base;
+  return s.var_index;
 }
 
 void Monitor::RedirectPointerFields(int op_id) {
   const OperationPolicy& op = Op(op_id);
-  // Where does variable v live for this operation?
-  auto target_of = [&](int var_index) -> uint32_t {
-    for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
-      if (sp.var_index == var_index) {
-        return sp.addr;
-      }
-    }
-    return policy_.externals[static_cast<size_t>(var_index)].public_addr;
-  };
   for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
     const ExternalVar& ev = policy_.externals[static_cast<size_t>(sp.var_index)];
     for (uint32_t field_off : ev.pointer_field_offsets) {
@@ -150,7 +157,7 @@ void Monitor::RedirectPointerFields(int op_id) {
       if (var_index < 0) {
         continue;  // points at internal/stack/peripheral storage: leave it
       }
-      uint32_t want = target_of(var_index) + pointee_off;
+      uint32_t want = op.reloc_targets[static_cast<size_t>(var_index)] + pointee_off;
       if (want != ptr) {
         PrivWrite(sp.addr + field_off, 4, want);
         ++stats_.pointer_redirections;
@@ -214,6 +221,9 @@ void Monitor::ConfigureMpuForOperation(int op_id, uint8_t srd) {
 void Monitor::OnProgramStart(opec_rt::EngineControl* engine) {
   engine_ = engine;
   context_stack_.clear();
+  relocs_.clear();
+  installed_relocs_ = -1;
+  GrantSram();
 
   // Initialization (Section 5.1): copy each global's initial value into every
   // shadow copy, then enter the default operation and drop privilege.
@@ -257,6 +267,7 @@ MpuRegionConfig LoadRegionConfig(opec_hw::StateReader& r) {
 
 void Monitor::SaveState(opec_hw::StateWriter& w) const {
   w.U64(context_stack_.size());
+  size_t begin = 0;
   for (const OpContext& ctx : context_stack_) {
     w.U32(static_cast<uint32_t>(ctx.op_id));
     w.U32(static_cast<uint32_t>(ctx.previous_op_id));
@@ -267,11 +278,11 @@ void Monitor::SaveState(opec_hw::StateWriter& w) const {
     }
     SaveRegionConfig(w, ctx.saved_section);
     w.U32(static_cast<uint32_t>(ctx.saved_rr));
-    w.U64(ctx.relocs.size());
-    for (const StackReloc& reloc : ctx.relocs) {
-      w.U32(reloc.original);
-      w.U32(reloc.copy);
-      w.U32(reloc.size);
+    w.U64(ctx.relocs_end - begin);
+    for (; begin < ctx.relocs_end; ++begin) {
+      w.U32(relocs_[begin].original);
+      w.U32(relocs_[begin].copy);
+      w.U32(relocs_[begin].size);
     }
   }
   w.U8(current_srd_);
@@ -288,7 +299,9 @@ void Monitor::SaveState(opec_hw::StateWriter& w) const {
 
 void Monitor::LoadState(opec_hw::StateReader& r) {
   context_stack_.clear();
-  context_stack_.resize(r.U64());
+  relocs_.clear();
+  // Smallest context: ids, SP, SRD, five region configs, cursor, reloc count.
+  context_stack_.resize(r.Count(4 + 4 + 4 + 1 + 5 * 9 + 4 + 8));
   for (OpContext& ctx : context_stack_) {
     ctx.op_id = static_cast<int>(r.U32());
     ctx.previous_op_id = static_cast<int>(r.U32());
@@ -299,12 +312,14 @@ void Monitor::LoadState(opec_hw::StateReader& r) {
     }
     ctx.saved_section = LoadRegionConfig(r);
     ctx.saved_rr = static_cast<int>(r.U32());
-    ctx.relocs.resize(r.U64());
-    for (StackReloc& reloc : ctx.relocs) {
-      reloc.original = r.U32();
-      reloc.copy = r.U32();
-      reloc.size = r.U32();
+    size_t begin = relocs_.size();
+    relocs_.resize(begin + r.Count(12));
+    for (size_t i = begin; i < relocs_.size(); ++i) {
+      relocs_[i].original = r.U32();
+      relocs_[i].copy = r.U32();
+      relocs_[i].size = r.U32();
     }
+    ctx.relocs_end = relocs_.size();
   }
   current_srd_ = r.U8();
   periph_rr_ = static_cast<int>(r.U32());
@@ -316,6 +331,7 @@ void Monitor::LoadState(opec_hw::StateReader& r) {
   stats_.pointer_redirections = r.U64();
   stats_.sanitization_checks = r.U64();
   last_violation_ = r.Str();
+  installed_relocs_ = -1;  // the restored table need not be the last one written
 }
 
 bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
@@ -323,6 +339,7 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   machine_.set_privileged(true);  // SVC: exception entry
   machine_.AddCycles(costs_.switch_overhead);
   ++stats_.operation_switches;
+  GrantSram();
 
   int prev = current_operation();
   const OperationPolicy& op = Op(op_id);
@@ -355,6 +372,7 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   uint32_t sp = engine_->sp();
   uint32_t boundary = policy_.stack.base + ((sp - policy_.stack.base) / sub) * sub;
   uint32_t new_sp = boundary;
+  relocs_.resize(RelocsBegin());  // drop what an aborted switch left above the live contexts
   for (const auto& [arg_index, buf_size] : op.pointer_arg_sizes) {
     OPEC_CHECK_MSG(arg_index >= 0 && static_cast<size_t>(arg_index) < args.size(),
                    "stack info names a nonexistent argument");
@@ -371,9 +389,10 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
     }
     CopyBytes(ptr, new_sp, buf_size);
     stats_.relocated_stack_bytes += buf_size;
-    ctx.relocs.push_back({ptr, new_sp, buf_size});
+    relocs_.push_back({ptr, new_sp, buf_size});
     args[static_cast<size_t>(arg_index)] = new_sp;
   }
+  ctx.relocs_end = relocs_.size();
   engine_->set_sp(new_sp);
 
   uint32_t boundary_sub = (boundary - policy_.stack.base) / sub;
@@ -381,7 +400,7 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   for (uint32_t i = boundary_sub; i < 8; ++i) {
     srd |= static_cast<uint8_t>(1u << i);
   }
-  context_stack_.push_back(std::move(ctx));
+  context_stack_.push_back(ctx);
   ConfigureMpuForOperation(op_id, srd);
 
   machine_.set_privileged(false);  // exception return to unprivileged code
@@ -394,8 +413,9 @@ bool Monitor::OnOperationExit(int op_id) {
   machine_.set_privileged(true);
   machine_.AddCycles(costs_.switch_overhead);
   ++stats_.operation_switches;
+  GrantSram();
 
-  OpContext ctx = std::move(context_stack_.back());
+  OpContext ctx = context_stack_.back();
   context_stack_.pop_back();
 
   // Sanitize + write back the exiting operation's shadows, then restore the
@@ -410,9 +430,11 @@ bool Monitor::OnOperationExit(int op_id) {
 
   // Copy relocated buffers back to the previous stack (Figure 8(e)) and
   // restore the context.
-  for (auto it = ctx.relocs.rbegin(); it != ctx.relocs.rend(); ++it) {
-    CopyBytes(it->copy, it->original, it->size);
+  size_t begin = RelocsBegin();
+  for (size_t i = ctx.relocs_end; i > begin; --i) {
+    CopyBytes(relocs_[i - 1].copy, relocs_[i - 1].original, relocs_[i - 1].size);
   }
+  relocs_.resize(begin);
   engine_->set_sp(ctx.saved_sp);
   ApplyStackSrd(ctx.saved_srd);
   machine_.mpu().ConfigureRegion(3, ctx.saved_section);

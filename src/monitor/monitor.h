@@ -93,12 +93,18 @@ class Monitor : public opec_rt::Supervisor {
     std::array<opec_hw::MpuRegionConfig, 4> saved_periph{};
     opec_hw::MpuRegionConfig saved_section{};
     int saved_rr = 0;
-    std::vector<StackReloc> relocs;
+    size_t relocs_end = 0;  // its relocations: relocs_[previous relocs_end, relocs_end)
   };
 
   const opec_compiler::OperationPolicy& Op(int id) const;
+  size_t RelocsBegin() const {
+    return context_stack_.empty() ? 0 : context_stack_.back().relocs_end;
+  }
 
-  // Privileged memory helpers (charge monitor cycles).
+  // Privileged memory helpers (copies charge monitor cycles). Under the
+  // switch's SRAM grant they skip the MPU check; otherwise a denial is an
+  // internal check failure.
+  void GrantSram();
   uint32_t PrivRead(uint32_t addr, uint32_t size);
   void PrivWrite(uint32_t addr, uint32_t size, uint32_t value);
   void CopyBytes(uint32_t src, uint32_t dst, uint32_t n);
@@ -123,8 +129,15 @@ class Monitor : public opec_rt::Supervisor {
   opec_rt::EngineControl* engine_ = nullptr;
 
   std::vector<OpContext> context_stack_;
+  std::vector<StackReloc> relocs_;  // every live context's, in stack order
   uint8_t current_srd_ = 0;
   int periph_rr_ = 0;  // round-robin cursor over MPU regions 4..7
+
+  // Derived switch state, never serialized (DESIGN.md §13.1): this switch's
+  // GrantsThroughout verdict, and the operation whose relocation table the
+  // entries hold (-1: unknown, so the next switch writes every entry).
+  bool sram_granted_ = false;
+  int installed_relocs_ = -1;
 
   MonitorStats stats_;
   MonitorCosts costs_;

@@ -189,6 +189,53 @@ TEST(Lcd, HugeClaimedPixelCountIsACheckError) {
   EXPECT_THROW(lcd.LoadState(r), opec_support::CheckError);
 }
 
+// Counts read from device snapshots size nothing up front: claims of 2^40 and
+// 2^62 items are CheckErrors like any truncated payload, not std::bad_alloc
+// or std::length_error from a resize.
+constexpr uint64_t kHugeClaims[] = {1ull << 40, 1ull << 62};
+
+TEST(Gpio, HugeClaimedHistoryIsACheckError) {
+  opec_support::ScopedCheckThrow guard;
+  Gpio gpio("GPIOA", kGpioABase);
+  for (uint64_t claim : kHugeClaims) {
+    StateWriter w;
+    w.U32(0);  // MODER
+    w.U32(0);  // IDR
+    w.U32(0);  // ODR
+    w.Bool(false);
+    w.U64(claim);  // ODR history entries
+    StateReader r(w.data());
+    EXPECT_THROW(gpio.LoadState(r), opec_support::CheckError) << claim;
+  }
+}
+
+TEST(Ethernet, HugeClaimedRxQueueIsACheckError) {
+  opec_support::ScopedCheckThrow guard;
+  Ethernet eth("ETH", kEthBase);
+  for (uint64_t claim : kHugeClaims) {
+    StateWriter w;
+    w.U64(claim);  // queued rx frames
+    StateReader r(w.data());
+    EXPECT_THROW(eth.LoadState(r), opec_support::CheckError) << claim;
+  }
+}
+
+TEST(Ethernet, HugeClaimedTxLogIsACheckError) {
+  opec_support::ScopedCheckThrow guard;
+  Ethernet eth("ETH", kEthBase);
+  for (uint64_t claim : kHugeClaims) {
+    StateWriter w;
+    w.U64(0);     // no queued rx frames
+    w.U32(0);     // rx cursor
+    w.Blob({});   // tx buffer
+    w.U32(0);     // tx length
+    w.U32(0);     // tx cursor
+    w.U64(claim);  // retained tx frames
+    StateReader r(w.data());
+    EXPECT_THROW(eth.LoadState(r), opec_support::CheckError) << claim;
+  }
+}
+
 TEST(Ethernet, FrameQueueRoundTrip) {
   Machine machine(Board::kStm32479iEval);
   Ethernet eth("ETH", kEthBase);
@@ -469,6 +516,16 @@ TEST_F(EthernetDmaTest, SaveRestoreRoundTripsQueueRingAndTxLog) {
   EXPECT_EQ(restored.rx_pending(), 1u);
   EXPECT_EQ(restored.tx_committed(), 1u);
   EXPECT_EQ(restored.tx_digest(), dma_.tx_digest());
+}
+
+TEST_F(EthernetDmaTest, HugeClaimedRxQueueIsACheckError) {
+  opec_support::ScopedCheckThrow guard;
+  for (uint64_t claim : kHugeClaims) {
+    StateWriter w;
+    w.U64(claim);  // queued rx frames
+    StateReader r(w.data());
+    EXPECT_THROW(dma_.LoadState(r), opec_support::CheckError) << claim;
+  }
 }
 
 TEST(Camera, CaptureProvidesFrameWords) {

@@ -1,15 +1,22 @@
 // OPEC-Monitor runtime tests: shadow synchronization semantics (Figure 7),
-// sanitization aborts, stack protection (Figure 8), MPU virtualization and
-// core-peripheral emulation.
+// sanitization aborts, stack protection (Figure 8), MPU virtualization,
+// core-peripheral emulation, and the switch plan (the relocation table each
+// switch installs, the per-switch SRAM grant and its checked fallback).
 
 #include <gtest/gtest.h>
 
+#include "src/apps/all_apps.h"
+#include "src/apps/pinlock.h"
+#include "src/apps/runner.h"
 #include "src/compiler/opec_compiler.h"
 #include "src/hw/address_map.h"
 #include "src/hw/devices/gpio.h"
 #include "src/ir/builder.h"
 #include "src/monitor/monitor.h"
+#include "src/obs/event.h"
 #include "src/rt/engine.h"
+#include "src/snapshot/snapshot.h"
+#include "src/support/text.h"
 
 namespace opec_monitor {
 namespace {
@@ -432,6 +439,278 @@ TEST(Monitor, PointerFieldsAreRedirectedAcrossSwitches) {
   ASSERT_TRUE(r.ok) << r.violation;
   EXPECT_EQ(r.return_value, 0x42u);
   EXPECT_GT(h.monitor->stats().pointer_redirections, 0u);
+}
+
+// A count read from a monitor snapshot section sizes nothing up front:
+// claims of 2^40 and 2^62 contexts, or of relocations within one context,
+// are the same CheckError as a truncated payload.
+TEST(Monitor, HugeClaimedCountsAreCheckErrors) {
+  opec_support::ScopedCheckThrow guard;
+  opec_hw::Machine machine(opec_hw::Board::kStm32F4Discovery);
+  opec_compiler::Policy policy;
+  opec_hw::SocDescription soc;
+  Monitor monitor(machine, policy, soc);
+  for (uint64_t claim : {1ull << 40, 1ull << 62}) {
+    opec_hw::StateWriter contexts;
+    contexts.U64(claim);
+    opec_hw::StateReader r1(contexts.data());
+    EXPECT_THROW(monitor.LoadState(r1), opec_support::CheckError) << claim;
+
+    opec_hw::StateWriter relocs;
+    relocs.U64(1);  // one context
+    relocs.U32(1);  // entered operation
+    relocs.U32(0);  // previous operation
+    relocs.U32(0);  // saved SP
+    relocs.U8(0);   // saved SRD
+    for (int i = 0; i < 5; ++i) {  // saved peripheral and section regions
+      relocs.Bool(false);
+      relocs.U32(0);
+      relocs.U8(0);
+      relocs.U8(0);
+      relocs.U8(0);
+      relocs.Bool(false);
+    }
+    relocs.U32(0);      // saved round-robin cursor
+    relocs.U64(claim);  // argument relocations
+    opec_hw::StateReader r2(relocs.data());
+    EXPECT_THROW(monitor.LoadState(r2), opec_support::CheckError) << claim;
+  }
+}
+
+// --- Switch plans ---
+
+// Checks the relocation table at every operation switch the engine reports.
+// Each entry must point where the policy's shadow placement says the
+// now-current operation sees the variable: its own shadow, else the public
+// copy. The table is read straight from memory and the targets are derived
+// from OperationPolicy::shadows, independently of the precomputed plan.
+class RelocTableChecker : public opec_obs::Sink {
+ public:
+  RelocTableChecker(opec_hw::Bus& bus, const opec_compiler::Policy& policy)
+      : bus_(bus), policy_(policy) {}
+
+  void OnEvent(const opec_obs::Event& e) override {
+    // kOperationEnter carries the entered operation, kOperationExit the one
+    // returned to; -1 is the engine's name for the default operation.
+    int op = 0;
+    if (e.kind == opec_obs::EventKind::kOperationEnter) {
+      op = static_cast<int>(e.arg0);
+    } else if (e.kind == opec_obs::EventKind::kOperationExit) {
+      op = static_cast<int>(e.arg1);
+    } else {
+      return;
+    }
+    Check(op < 0 ? policy_.default_op_id : op);
+  }
+
+  void Check(int op_id) {
+    ++checks_;
+    const opec_compiler::OperationPolicy& op = policy_.operations.at(static_cast<size_t>(op_id));
+    for (size_t i = 0; i < policy_.externals.size(); ++i) {
+      const opec_compiler::ExternalVar& ev = policy_.externals[i];
+      uint32_t want = ev.public_addr;
+      for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
+        if (static_cast<size_t>(sp.var_index) == i) {
+          want = sp.addr;
+        }
+      }
+      uint32_t got = 0;
+      if (!bus_.DebugRead(ev.reloc_entry_addr, 4, &got) || got != want) {
+        if (mismatches_.size() < 4) {
+          mismatches_.push_back(opec_support::StrPrintf(
+              "check %llu, %s: entry %zu (%s) holds %s, want %s",
+              static_cast<unsigned long long>(checks_), op.name.c_str(), i,
+              ev.gv->name().c_str(), opec_support::HexAddr(got).c_str(),
+              opec_support::HexAddr(want).c_str()));
+        }
+      }
+    }
+  }
+
+  uint64_t checks() const { return checks_; }
+  const std::vector<std::string>& mismatches() const { return mismatches_; }
+
+ private:
+  opec_hw::Bus& bus_;
+  const opec_compiler::Policy& policy_;
+  uint64_t checks_ = 0;
+  std::vector<std::string> mismatches_;
+};
+
+TEST(SwitchPlan, RelocTableMatchesPolicyAtEverySwitch) {
+  std::vector<opec_apps::AppFactory> apps = opec_apps::AllApps();
+  for (const opec_apps::AppFactory& f : opec_apps::TrafficApps()) {
+    apps.push_back(f);
+  }
+  for (const opec_apps::AppFactory& factory : apps) {
+    for (opec_apps::EngineKind engine :
+         {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
+      std::unique_ptr<opec_apps::Application> app = factory.make();
+      std::string label = factory.name + "/" + opec_apps::EngineKindName(engine);
+      opec_apps::AppRun run(*app, opec_apps::BuildMode::kOpec, engine);
+      RelocTableChecker checker(run.machine().bus(), run.compile()->policy);
+      run.AttachSink(&checker);
+      opec_rt::RunResult r = run.Execute();
+      ASSERT_TRUE(r.ok) << label << ": " << r.violation;
+      EXPECT_EQ(run.Check(), "") << label;
+      EXPECT_GT(checker.checks(), 0u) << label;
+      EXPECT_EQ(checker.checks(), run.monitor()->stats().operation_switches) << label;
+      for (const std::string& m : checker.mismatches()) {
+        ADD_FAILURE() << label << ": " << m;
+      }
+    }
+  }
+}
+
+// Installs itself as the run's supervisor and forwards every hook to the
+// run's monitor; tests override the switch hooks around the monitor.
+class MonitorDecorator : public opec_rt::Supervisor {
+ public:
+  explicit MonitorDecorator(opec_apps::AppRun& run) : run_(run), monitor_(*run.monitor()) {
+    run.engine().set_supervisor(this);
+  }
+
+  void OnProgramStart(opec_rt::EngineControl* engine) override {
+    monitor_.OnProgramStart(engine);
+  }
+  void OnProgramEnd() override { monitor_.OnProgramEnd(); }
+  bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
+    return monitor_.OnOperationEnter(op_id, args);
+  }
+  bool OnOperationExit(int op_id) override { return monitor_.OnOperationExit(op_id); }
+  bool OnMemFault(uint32_t addr, opec_hw::AccessKind kind) override {
+    return monitor_.OnMemFault(addr, kind);
+  }
+  bool OnBusFault(uint32_t addr, uint32_t size, opec_hw::AccessKind kind, uint32_t write_value,
+                  uint32_t* read_value) override {
+    return monitor_.OnBusFault(addr, size, kind, write_value, read_value);
+  }
+
+ protected:
+  opec_apps::AppRun& run_;
+  Monitor& monitor_;
+};
+
+// Serves the first operation entry from a snapshot: the recording run
+// captures the state just after the monitor's switch, and the replay run
+// restores that capture instead of switching. The restored monitor sits
+// inside the entered operation, with the entered operation's relocation
+// table in memory, while the replaying monitor last installed its caller's.
+class FirstEntryFromSnapshot : public MonitorDecorator {
+ public:
+  FirstEntryFromSnapshot(opec_apps::AppRun& run, bool replay, std::vector<uint8_t>* state,
+                         std::vector<uint32_t>* args)
+      : MonitorDecorator(run), replay_(replay), state_(state), args_(args) {}
+
+  bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
+    if (++entries_ != 1) {
+      return monitor_.OnOperationEnter(op_id, args);
+    }
+    if (replay_) {
+      opec_snapshot::Snapshot::Deserialize(*state_).Restore(run_.machine(), &monitor_,
+                                                            &run_.engine());
+      args = *args_;
+      return true;
+    }
+    bool ok = monitor_.OnOperationEnter(op_id, args);
+    *state_ = opec_snapshot::Snapshot::Capture(run_.machine(), &monitor_, &run_.engine())
+                  .Serialize();
+    *args_ = args;
+    return ok;
+  }
+
+ private:
+  bool replay_;
+  std::vector<uint8_t>* state_;
+  std::vector<uint32_t>* args_;
+  int entries_ = 0;
+};
+
+// The switch after a restore must rewrite every relocation entry: the
+// restored table is the snapshot's, not the one this monitor last wrote.
+// PinLock's first entry goes from main (one shadow) to System_Init (none),
+// so a monitor that diffed against main's table would write nothing on the
+// way back and leave main's shadowed entry pointing at the public copy.
+TEST(SwitchPlan, SwitchAfterRestoringAMidRunSnapshotRewritesTheRelocTable) {
+  const opec_apps::PinLockApp app;
+  for (opec_apps::EngineKind engine :
+       {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
+    const char* label = opec_apps::EngineKindName(engine);
+    std::vector<uint8_t> state;
+    std::vector<uint32_t> args;
+    opec_apps::AppRun recording(app, opec_apps::BuildMode::kOpec, engine);
+    FirstEntryFromSnapshot record(recording, /*replay=*/false, &state, &args);
+    opec_rt::RunResult want = recording.Execute();
+    ASSERT_TRUE(want.ok) << label << ": " << want.violation;
+    ASSERT_FALSE(state.empty()) << label;
+
+    opec_apps::AppRun replaying(app, opec_apps::BuildMode::kOpec, engine);
+    FirstEntryFromSnapshot replay(replaying, /*replay=*/true, &state, &args);
+    RelocTableChecker checker(replaying.machine().bus(), replaying.compile()->policy);
+    replaying.AttachSink(&checker);
+    opec_rt::RunResult got = replaying.Execute();
+    ASSERT_TRUE(got.ok) << label << ": " << got.violation;
+    EXPECT_EQ(replaying.Check(), "") << label;
+    EXPECT_EQ(got.cycles, want.cycles) << label;
+    EXPECT_EQ(got.statements, want.statements) << label;
+    EXPECT_GT(checker.checks(), 1u) << label;
+    for (const std::string& m : checker.mismatches()) {
+      ADD_FAILURE() << label << ": " << m;
+    }
+  }
+}
+
+// Grant-failure parity: a privileged-read-only region over the public copy
+// of the variable main shadows denies the switch's SRAM grant, so the
+// write-back takes the checked copy and fails with the message the checked
+// path has always produced. A monitor that copied without the grant would
+// run on instead.
+class DenyPublicCopyOnFirstEntry : public MonitorDecorator {
+ public:
+  DenyPublicCopyOnFirstEntry(opec_apps::AppRun& run, uint32_t public_addr)
+      : MonitorDecorator(run), public_addr_(public_addr) {}
+
+  bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
+    if (++entries_ == 1) {
+      opec_hw::MpuRegionConfig deny;
+      deny.enabled = true;
+      deny.base = public_addr_ & ~31u;
+      deny.size_log2 = 5;
+      deny.ap = opec_hw::AccessPerm::kPrivRo;
+      run_.machine().mpu().ConfigureRegion(7, deny);
+    }
+    return monitor_.OnOperationEnter(op_id, args);
+  }
+
+ private:
+  uint32_t public_addr_;
+  int entries_ = 0;
+};
+
+TEST(SwitchPlan, CopyDeniedWithoutTheGrantFaultsAsBefore) {
+  const opec_apps::PinLockApp app;
+  for (opec_apps::EngineKind engine :
+       {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
+    const char* label = opec_apps::EngineKindName(engine);
+    opec_apps::AppRun run(app, opec_apps::BuildMode::kOpec, engine);
+    const opec_compiler::Policy& policy = run.compile()->policy;
+    const opec_compiler::OperationPolicy& main_op =
+        policy.operations[static_cast<size_t>(policy.default_op_id)];
+    ASSERT_FALSE(main_op.shadows.empty());
+    const opec_compiler::ShadowPlacement& sp = main_op.shadows[0];
+    uint32_t public_addr = policy.externals[static_cast<size_t>(sp.var_index)].public_addr;
+    DenyPublicCopyOnFirstEntry deny(run, public_addr);
+    std::string want = "monitor-internal copy faulted: src=" + opec_support::HexAddr(sp.addr) +
+                       " dst=" + opec_support::HexAddr(public_addr);
+    opec_support::ScopedCheckThrow guard;
+    try {
+      run.Execute();
+      ADD_FAILURE() << label << ": the denied write-back did not fault";
+    } catch (const opec_support::CheckError& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find(want), std::string::npos) << label << ": " << what;
+    }
+  }
 }
 
 }  // namespace
