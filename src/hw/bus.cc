@@ -295,32 +295,6 @@ bool Bus::DebugWrite(uint32_t addr, uint32_t size, uint32_t value) {
   return false;
 }
 
-bool Bus::BulkCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged) {
-  if (n == 0) {
-    return true;
-  }
-  // Source: flash or SRAM; destination: SRAM (flash is not runtime-writable,
-  // and device windows have side effects — both are declined).
-  const uint8_t* from = nullptr;
-  if (src >= kFlashBase && static_cast<uint64_t>(src) - kFlashBase + n <= board_.flash_size) {
-    from = flash_.data() + (src - kFlashBase);
-  } else if (src >= kSramBase && static_cast<uint64_t>(src) - kSramBase + n <= board_.sram_size) {
-    from = sram_.data() + (src - kSramBase);
-  } else {
-    return false;
-  }
-  if (!(dst >= kSramBase && static_cast<uint64_t>(dst) - kSramBase + n <= board_.sram_size)) {
-    return false;
-  }
-  if (!mpu_->CheckRange(src, n, AccessKind::kRead, privileged) ||
-      !mpu_->CheckRange(dst, n, AccessKind::kWrite, privileged)) {
-    return false;
-  }
-  std::memmove(sram_.data() + (dst - kSramBase), from, n);
-  MarkDirty(sram_dirty_, dst - kSramBase, n);
-  return true;
-}
-
 void Bus::SaveState(StateWriter& w) const {
   w.U32(systick_load_);
   w.U32(systick_ctrl_);

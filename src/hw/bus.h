@@ -40,14 +40,6 @@ class Bus {
   void DebugWriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes);
   std::vector<uint8_t> DebugReadBytes(uint32_t addr, uint32_t size);
 
-  // Bulk backing-store copy of `n` bytes between plain-memory ranges
-  // (flash/SRAM source, SRAM destination), subject to the same MPU decision a
-  // word-by-word copy would see, with memmove semantics on overlap. Returns
-  // false — copying nothing — when either range is not entirely plain memory
-  // or the MPU denies any part. Charges no cycles; memory-system cost models
-  // stay with the caller.
-  bool BulkCopy(uint32_t src, uint32_t dst, uint32_t n, bool privileged);
-
   // Snapshot support (DESIGN.md §13): core-peripheral scratch registers,
   // flash and SRAM contents, then every attached device (name-tagged, in
   // address order). LoadState requires the same board and the same device set
@@ -73,9 +65,9 @@ class Bus {
   // has already established: the bytecode tier's verdict cache
   // (src/rt/bytecode), keyed on Mpu::region_set(), and the monitor's
   // per-switch grant (Mpu::GrantsThroughout). Behavioral twins of the
-  // Read/Write fast paths and of BulkCopy minus the MPU check; dirty-page
-  // tracking stays exact. Callers must have checked InSram/InFlash for the
-  // same (addr, size) first.
+  // Read/Write fast paths minus the MPU check; dirty-page tracking stays
+  // exact. Callers must have checked InSram/InFlash for the same (addr, size)
+  // first.
   bool InSram(uint32_t addr, uint32_t size) const {
     uint32_t off = addr - kSramBase;
     return off < board_.sram_size && size <= board_.sram_size - off;
@@ -92,7 +84,8 @@ class Bus {
     WriteBacking(sram_, off, size, value);
     MarkDirty(sram_dirty_, off, size);
   }
-  // SRAM-to-SRAM copy of n bytes with memmove semantics on overlap.
+  // SRAM-to-SRAM copy of n bytes with memmove semantics on overlap. Charges
+  // no cycles; memory-system cost models stay with the caller.
   void RawSramCopy(uint32_t src, uint32_t dst, uint32_t n) {
     if (n == 0) {
       return;
@@ -137,8 +130,8 @@ class Bus {
   static constexpr uint32_t kDirtyPageSize = 1u << kDirtyPageShift;
 
   static void MarkDirty(std::vector<uint8_t>& map, uint32_t offset, uint32_t len) {
-    // Word-sized writes hit one page (two when straddling); BulkCopy ranges
-    // need every page in between too.
+    // Word-sized writes hit one page (two when straddling); RawSramCopy
+    // ranges need every page in between too.
     uint32_t last = (offset + len - 1) >> kDirtyPageShift;
     for (uint32_t p = offset >> kDirtyPageShift; p <= last; ++p) {
       map[p] = 1;

@@ -30,45 +30,39 @@ int Monitor::current_operation() const {
   return context_stack_.empty() ? policy_.default_op_id : context_stack_.back().op_id;
 }
 
-void Monitor::GrantSram() {
+void Monitor::RequireSramGrant() {
   // A switch's copies and writes are privileged SRAM accesses made before it
-  // reconfigures the MPU, and region 0 grants them under every OPEC policy.
-  // Every AP encoding that grants a privileged write grants the read too.
-  sram_granted_ = machine_.mpu().GrantsThroughout(
-      opec_hw::kSramBase, machine_.bus().sram_end() - 1, AccessKind::kWrite, /*privileged=*/true);
+  // reconfigures the MPU, and region 0 grants them under every OPEC policy:
+  // one walk of the region registers stands in for a check per access. Every
+  // AP encoding that grants a privileged write grants the read too.
+  OPEC_CHECK_MSG(machine_.mpu().GrantsThroughout(opec_hw::kSramBase, machine_.bus().sram_end() - 1,
+                                                 AccessKind::kWrite, /*privileged=*/true),
+                 "monitor switch without its SRAM grant: the MPU denies privileged SRAM writes");
 }
 
 uint32_t Monitor::PrivRead(uint32_t addr, uint32_t size) {
   opec_hw::Bus& bus = machine_.bus();
-  if (sram_granted_ && bus.InSram(addr, size)) {
-    return bus.RawSramRead(addr, size);
-  }
-  AccessResult r = bus.Read(addr, size, /*privileged=*/true);
-  OPEC_CHECK_MSG(r.ok(), "monitor-internal read failed at " + opec_support::HexAddr(addr));
-  return r.value;
+  OPEC_CHECK_MSG(bus.InSram(addr, size),
+                 "monitor-internal read failed at " + opec_support::HexAddr(addr));
+  return bus.RawSramRead(addr, size);
 }
 
 void Monitor::PrivWrite(uint32_t addr, uint32_t size, uint32_t value) {
   opec_hw::Bus& bus = machine_.bus();
-  if (sram_granted_ && bus.InSram(addr, size)) {
-    bus.RawSramWrite(addr, size, value);
-    return;
-  }
-  AccessResult r = bus.Write(addr, size, value, /*privileged=*/true);
-  OPEC_CHECK_MSG(r.ok(), "monitor-internal write failed at " + opec_support::HexAddr(addr));
+  OPEC_CHECK_MSG(bus.InSram(addr, size),
+                 "monitor-internal write failed at " + opec_support::HexAddr(addr));
+  bus.RawSramWrite(addr, size, value);
 }
 
 void Monitor::CopyBytes(uint32_t src, uint32_t dst, uint32_t n) {
   // Shadow syncs and stack relocations are privileged SRAM-to-SRAM copies:
-  // one backing-store copy (memmove semantics), charged per word.
+  // one backing-store copy (memmove semantics), charged per word. A
+  // relocation's source is a guest pointer, so both ends are bounds-checked.
   opec_hw::Bus& bus = machine_.bus();
-  if (sram_granted_ && bus.InSram(src, n) && bus.InSram(dst, n)) {
-    bus.RawSramCopy(src, dst, n);
-  } else {
-    OPEC_CHECK_MSG(bus.BulkCopy(src, dst, n, /*privileged=*/true),
-                   "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
-                       " dst=" + opec_support::HexAddr(dst));
-  }
+  OPEC_CHECK_MSG(bus.InSram(src, n) && bus.InSram(dst, n),
+                 "monitor-internal copy faulted: src=" + opec_support::HexAddr(src) +
+                     " dst=" + opec_support::HexAddr(dst));
+  bus.RawSramCopy(src, dst, n);
   machine_.AddCycles(costs_.per_word_copy * ((n + 3) / 4));
 }
 
@@ -114,17 +108,10 @@ void Monitor::CopyInShadows(int op_id) {
 }
 
 void Monitor::UpdateRelocTable(int op_id) {
-  // Only the monitor writes the table (region 0 leaves it unprivileged
-  // read-only), so under the grant an entry holding its target is left alone.
   const std::vector<uint32_t>& targets = Op(op_id).reloc_targets;
-  const std::vector<uint32_t>* installed =
-      sram_granted_ && installed_relocs_ >= 0 ? &Op(installed_relocs_).reloc_targets : nullptr;
   for (size_t i = 0; i < targets.size(); ++i) {
-    if (installed == nullptr || (*installed)[i] != targets[i]) {
-      PrivWrite(policy_.externals[i].reloc_entry_addr, 4, targets[i]);
-    }
+    PrivWrite(policy_.externals[i].reloc_entry_addr, 4, targets[i]);
   }
-  installed_relocs_ = op_id;
 }
 
 int Monitor::ResolveExternalStorage(uint32_t addr, uint32_t* offset) const {
@@ -221,9 +208,7 @@ void Monitor::ConfigureMpuForOperation(int op_id, uint8_t srd) {
 void Monitor::OnProgramStart(opec_rt::EngineControl* engine) {
   engine_ = engine;
   context_stack_.clear();
-  relocs_.clear();
-  installed_relocs_ = -1;
-  GrantSram();
+  RequireSramGrant();
 
   // Initialization (Section 5.1): copy each global's initial value into every
   // shadow copy, then enter the default operation and drop privilege.
@@ -267,7 +252,6 @@ MpuRegionConfig LoadRegionConfig(opec_hw::StateReader& r) {
 
 void Monitor::SaveState(opec_hw::StateWriter& w) const {
   w.U64(context_stack_.size());
-  size_t begin = 0;
   for (const OpContext& ctx : context_stack_) {
     w.U32(static_cast<uint32_t>(ctx.op_id));
     w.U32(static_cast<uint32_t>(ctx.previous_op_id));
@@ -278,11 +262,11 @@ void Monitor::SaveState(opec_hw::StateWriter& w) const {
     }
     SaveRegionConfig(w, ctx.saved_section);
     w.U32(static_cast<uint32_t>(ctx.saved_rr));
-    w.U64(ctx.relocs_end - begin);
-    for (; begin < ctx.relocs_end; ++begin) {
-      w.U32(relocs_[begin].original);
-      w.U32(relocs_[begin].copy);
-      w.U32(relocs_[begin].size);
+    w.U64(ctx.relocs.size());
+    for (const StackReloc& reloc : ctx.relocs) {
+      w.U32(reloc.original);
+      w.U32(reloc.copy);
+      w.U32(reloc.size);
     }
   }
   w.U8(current_srd_);
@@ -299,7 +283,6 @@ void Monitor::SaveState(opec_hw::StateWriter& w) const {
 
 void Monitor::LoadState(opec_hw::StateReader& r) {
   context_stack_.clear();
-  relocs_.clear();
   // Smallest context: ids, SP, SRD, five region configs, cursor, reloc count.
   context_stack_.resize(r.Count(4 + 4 + 4 + 1 + 5 * 9 + 4 + 8));
   for (OpContext& ctx : context_stack_) {
@@ -312,14 +295,12 @@ void Monitor::LoadState(opec_hw::StateReader& r) {
     }
     ctx.saved_section = LoadRegionConfig(r);
     ctx.saved_rr = static_cast<int>(r.U32());
-    size_t begin = relocs_.size();
-    relocs_.resize(begin + r.Count(12));
-    for (size_t i = begin; i < relocs_.size(); ++i) {
-      relocs_[i].original = r.U32();
-      relocs_[i].copy = r.U32();
-      relocs_[i].size = r.U32();
+    ctx.relocs.resize(r.Count(12));
+    for (StackReloc& reloc : ctx.relocs) {
+      reloc.original = r.U32();
+      reloc.copy = r.U32();
+      reloc.size = r.U32();
     }
-    ctx.relocs_end = relocs_.size();
   }
   current_srd_ = r.U8();
   periph_rr_ = static_cast<int>(r.U32());
@@ -331,7 +312,6 @@ void Monitor::LoadState(opec_hw::StateReader& r) {
   stats_.pointer_redirections = r.U64();
   stats_.sanitization_checks = r.U64();
   last_violation_ = r.Str();
-  installed_relocs_ = -1;  // the restored table need not be the last one written
 }
 
 bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
@@ -339,7 +319,7 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   machine_.set_privileged(true);  // SVC: exception entry
   machine_.AddCycles(costs_.switch_overhead);
   ++stats_.operation_switches;
-  GrantSram();
+  RequireSramGrant();
 
   int prev = current_operation();
   const OperationPolicy& op = Op(op_id);
@@ -372,7 +352,6 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   uint32_t sp = engine_->sp();
   uint32_t boundary = policy_.stack.base + ((sp - policy_.stack.base) / sub) * sub;
   uint32_t new_sp = boundary;
-  relocs_.resize(RelocsBegin());  // drop what an aborted switch left above the live contexts
   for (const auto& [arg_index, buf_size] : op.pointer_arg_sizes) {
     OPEC_CHECK_MSG(arg_index >= 0 && static_cast<size_t>(arg_index) < args.size(),
                    "stack info names a nonexistent argument");
@@ -389,10 +368,9 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
     }
     CopyBytes(ptr, new_sp, buf_size);
     stats_.relocated_stack_bytes += buf_size;
-    relocs_.push_back({ptr, new_sp, buf_size});
+    ctx.relocs.push_back({ptr, new_sp, buf_size});
     args[static_cast<size_t>(arg_index)] = new_sp;
   }
-  ctx.relocs_end = relocs_.size();
   engine_->set_sp(new_sp);
 
   uint32_t boundary_sub = (boundary - policy_.stack.base) / sub;
@@ -400,7 +378,7 @@ bool Monitor::OnOperationEnter(int op_id, std::vector<uint32_t>& args) {
   for (uint32_t i = boundary_sub; i < 8; ++i) {
     srd |= static_cast<uint8_t>(1u << i);
   }
-  context_stack_.push_back(ctx);
+  context_stack_.push_back(std::move(ctx));
   ConfigureMpuForOperation(op_id, srd);
 
   machine_.set_privileged(false);  // exception return to unprivileged code
@@ -413,9 +391,9 @@ bool Monitor::OnOperationExit(int op_id) {
   machine_.set_privileged(true);
   machine_.AddCycles(costs_.switch_overhead);
   ++stats_.operation_switches;
-  GrantSram();
+  RequireSramGrant();
 
-  OpContext ctx = context_stack_.back();
+  OpContext ctx = std::move(context_stack_.back());
   context_stack_.pop_back();
 
   // Sanitize + write back the exiting operation's shadows, then restore the
@@ -430,11 +408,9 @@ bool Monitor::OnOperationExit(int op_id) {
 
   // Copy relocated buffers back to the previous stack (Figure 8(e)) and
   // restore the context.
-  size_t begin = RelocsBegin();
-  for (size_t i = ctx.relocs_end; i > begin; --i) {
-    CopyBytes(relocs_[i - 1].copy, relocs_[i - 1].original, relocs_[i - 1].size);
+  for (auto it = ctx.relocs.rbegin(); it != ctx.relocs.rend(); ++it) {
+    CopyBytes(it->copy, it->original, it->size);
   }
-  relocs_.resize(begin);
   engine_->set_sp(ctx.saved_sp);
   ApplyStackSrd(ctx.saved_srd);
   machine_.mpu().ConfigureRegion(3, ctx.saved_section);

@@ -93,18 +93,15 @@ class Monitor : public opec_rt::Supervisor {
     std::array<opec_hw::MpuRegionConfig, 4> saved_periph{};
     opec_hw::MpuRegionConfig saved_section{};
     int saved_rr = 0;
-    size_t relocs_end = 0;  // its relocations: relocs_[previous relocs_end, relocs_end)
+    std::vector<StackReloc> relocs;
   };
 
   const opec_compiler::OperationPolicy& Op(int id) const;
-  size_t RelocsBegin() const {
-    return context_stack_.empty() ? 0 : context_stack_.back().relocs_end;
-  }
 
-  // Privileged memory helpers (copies charge monitor cycles). Under the
-  // switch's SRAM grant they skip the MPU check; otherwise a denial is an
-  // internal check failure.
-  void GrantSram();
+  // Privileged memory helpers (copies charge monitor cycles). They access
+  // SRAM without a per-access MPU check, so each switch first establishes
+  // that the MPU grants the monitor all of SRAM (a check failure otherwise).
+  void RequireSramGrant();
   uint32_t PrivRead(uint32_t addr, uint32_t size);
   void PrivWrite(uint32_t addr, uint32_t size, uint32_t value);
   void CopyBytes(uint32_t src, uint32_t dst, uint32_t n);
@@ -129,15 +126,8 @@ class Monitor : public opec_rt::Supervisor {
   opec_rt::EngineControl* engine_ = nullptr;
 
   std::vector<OpContext> context_stack_;
-  std::vector<StackReloc> relocs_;  // every live context's, in stack order
   uint8_t current_srd_ = 0;
   int periph_rr_ = 0;  // round-robin cursor over MPU regions 4..7
-
-  // Derived switch state, never serialized (DESIGN.md §13.1): this switch's
-  // GrantsThroughout verdict, and the operation whose relocation table the
-  // entries hold (-1: unknown, so the next switch writes every entry).
-  bool sram_granted_ = false;
-  int installed_relocs_ = -1;
 
   MonitorStats stats_;
   MonitorCosts costs_;

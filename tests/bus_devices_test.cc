@@ -618,14 +618,14 @@ TEST(Bus, SysTickValWriteClearsCurrentCountAndCountFlag) {
   EXPECT_EQ(machine.bus().Read(kSysTickBase + 0x8, 4, true).value, 990u);
 }
 
-TEST(Bus, BulkCopyOverlappingRangesStayCorrect) {
+TEST(Bus, RawSramCopyOverlappingRangesStayCorrect) {
   // Regression: a forward copy over an overlapping src < dst range reads
-  // bytes it already clobbered. BulkCopy must copy like memmove.
+  // bytes it already clobbered. RawSramCopy must copy like memmove.
   Machine machine(Board::kStm32F4Discovery);
   for (uint32_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(machine.bus().DebugWrite(kSramBase + 0x300 + i, 1, 0x40 + i));
   }
-  ASSERT_TRUE(machine.bus().BulkCopy(kSramBase + 0x300, kSramBase + 0x310, 48, true));
+  machine.bus().RawSramCopy(kSramBase + 0x300, kSramBase + 0x310, 48);
   for (uint32_t i = 0; i < 48; ++i) {
     uint32_t v = 0;
     ASSERT_TRUE(machine.bus().DebugRead(kSramBase + 0x310 + i, 1, &v));

@@ -1,7 +1,7 @@
 // OPEC-Monitor runtime tests: shadow synchronization semantics (Figure 7),
 // sanitization aborts, stack protection (Figure 8), MPU virtualization,
 // core-peripheral emulation, and the switch plan (the relocation table each
-// switch installs, the per-switch SRAM grant and its checked fallback).
+// switch installs and the SRAM grant every switch requires).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "src/monitor/monitor.h"
 #include "src/obs/event.h"
 #include "src/rt/engine.h"
-#include "src/snapshot/snapshot.h"
 #include "src/support/text.h"
 
 namespace opec_monitor {
@@ -562,11 +561,16 @@ TEST(SwitchPlan, RelocTableMatchesPolicyAtEverySwitch) {
   }
 }
 
-// Installs itself as the run's supervisor and forwards every hook to the
-// run's monitor; tests override the switch hooks around the monitor.
-class MonitorDecorator : public opec_rt::Supervisor {
+// The SRAM grant is a precondition of every switch. This supervisor stands
+// in for the run's monitor and forwards every hook to it, but before the
+// first entry it installs a privileged-read-only region over the public copy
+// of the variable main shadows, which denies the grant: the entry stops at
+// the grant check. A monitor that copied without checking the grant would
+// write past the MPU and run on instead.
+class DenyPublicCopyOnFirstEntry : public opec_rt::Supervisor {
  public:
-  explicit MonitorDecorator(opec_apps::AppRun& run) : run_(run), monitor_(*run.monitor()) {
+  DenyPublicCopyOnFirstEntry(opec_apps::AppRun& run, uint32_t public_addr)
+      : run_(run), monitor_(*run.monitor()), public_addr_(public_addr) {
     run.engine().set_supervisor(this);
   }
 
@@ -574,102 +578,6 @@ class MonitorDecorator : public opec_rt::Supervisor {
     monitor_.OnProgramStart(engine);
   }
   void OnProgramEnd() override { monitor_.OnProgramEnd(); }
-  bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
-    return monitor_.OnOperationEnter(op_id, args);
-  }
-  bool OnOperationExit(int op_id) override { return monitor_.OnOperationExit(op_id); }
-  bool OnMemFault(uint32_t addr, opec_hw::AccessKind kind) override {
-    return monitor_.OnMemFault(addr, kind);
-  }
-  bool OnBusFault(uint32_t addr, uint32_t size, opec_hw::AccessKind kind, uint32_t write_value,
-                  uint32_t* read_value) override {
-    return monitor_.OnBusFault(addr, size, kind, write_value, read_value);
-  }
-
- protected:
-  opec_apps::AppRun& run_;
-  Monitor& monitor_;
-};
-
-// Serves the first operation entry from a snapshot: the recording run
-// captures the state just after the monitor's switch, and the replay run
-// restores that capture instead of switching. The restored monitor sits
-// inside the entered operation, with the entered operation's relocation
-// table in memory, while the replaying monitor last installed its caller's.
-class FirstEntryFromSnapshot : public MonitorDecorator {
- public:
-  FirstEntryFromSnapshot(opec_apps::AppRun& run, bool replay, std::vector<uint8_t>* state,
-                         std::vector<uint32_t>* args)
-      : MonitorDecorator(run), replay_(replay), state_(state), args_(args) {}
-
-  bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
-    if (++entries_ != 1) {
-      return monitor_.OnOperationEnter(op_id, args);
-    }
-    if (replay_) {
-      opec_snapshot::Snapshot::Deserialize(*state_).Restore(run_.machine(), &monitor_,
-                                                            &run_.engine());
-      args = *args_;
-      return true;
-    }
-    bool ok = monitor_.OnOperationEnter(op_id, args);
-    *state_ = opec_snapshot::Snapshot::Capture(run_.machine(), &monitor_, &run_.engine())
-                  .Serialize();
-    *args_ = args;
-    return ok;
-  }
-
- private:
-  bool replay_;
-  std::vector<uint8_t>* state_;
-  std::vector<uint32_t>* args_;
-  int entries_ = 0;
-};
-
-// The switch after a restore must rewrite every relocation entry: the
-// restored table is the snapshot's, not the one this monitor last wrote.
-// PinLock's first entry goes from main (one shadow) to System_Init (none),
-// so a monitor that diffed against main's table would write nothing on the
-// way back and leave main's shadowed entry pointing at the public copy.
-TEST(SwitchPlan, SwitchAfterRestoringAMidRunSnapshotRewritesTheRelocTable) {
-  const opec_apps::PinLockApp app;
-  for (opec_apps::EngineKind engine :
-       {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
-    const char* label = opec_apps::EngineKindName(engine);
-    std::vector<uint8_t> state;
-    std::vector<uint32_t> args;
-    opec_apps::AppRun recording(app, opec_apps::BuildMode::kOpec, engine);
-    FirstEntryFromSnapshot record(recording, /*replay=*/false, &state, &args);
-    opec_rt::RunResult want = recording.Execute();
-    ASSERT_TRUE(want.ok) << label << ": " << want.violation;
-    ASSERT_FALSE(state.empty()) << label;
-
-    opec_apps::AppRun replaying(app, opec_apps::BuildMode::kOpec, engine);
-    FirstEntryFromSnapshot replay(replaying, /*replay=*/true, &state, &args);
-    RelocTableChecker checker(replaying.machine().bus(), replaying.compile()->policy);
-    replaying.AttachSink(&checker);
-    opec_rt::RunResult got = replaying.Execute();
-    ASSERT_TRUE(got.ok) << label << ": " << got.violation;
-    EXPECT_EQ(replaying.Check(), "") << label;
-    EXPECT_EQ(got.cycles, want.cycles) << label;
-    EXPECT_EQ(got.statements, want.statements) << label;
-    EXPECT_GT(checker.checks(), 1u) << label;
-    for (const std::string& m : checker.mismatches()) {
-      ADD_FAILURE() << label << ": " << m;
-    }
-  }
-}
-
-// Grant-failure parity: a privileged-read-only region over the public copy
-// of the variable main shadows denies the switch's SRAM grant, so the
-// write-back takes the checked copy and fails with the message the checked
-// path has always produced. A monitor that copied without the grant would
-// run on instead.
-class DenyPublicCopyOnFirstEntry : public MonitorDecorator {
- public:
-  DenyPublicCopyOnFirstEntry(opec_apps::AppRun& run, uint32_t public_addr)
-      : MonitorDecorator(run), public_addr_(public_addr) {}
-
   bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override {
     if (++entries_ == 1) {
       opec_hw::MpuRegionConfig deny;
@@ -681,13 +589,23 @@ class DenyPublicCopyOnFirstEntry : public MonitorDecorator {
     }
     return monitor_.OnOperationEnter(op_id, args);
   }
+  bool OnOperationExit(int op_id) override { return monitor_.OnOperationExit(op_id); }
+  bool OnMemFault(uint32_t addr, opec_hw::AccessKind kind) override {
+    return monitor_.OnMemFault(addr, kind);
+  }
+  bool OnBusFault(uint32_t addr, uint32_t size, opec_hw::AccessKind kind, uint32_t write_value,
+                  uint32_t* read_value) override {
+    return monitor_.OnBusFault(addr, size, kind, write_value, read_value);
+  }
 
  private:
+  opec_apps::AppRun& run_;
+  Monitor& monitor_;
   uint32_t public_addr_;
   int entries_ = 0;
 };
 
-TEST(SwitchPlan, CopyDeniedWithoutTheGrantFaultsAsBefore) {
+TEST(SwitchPlan, SwitchWithoutTheSramGrantIsACheckError) {
   const opec_apps::PinLockApp app;
   for (opec_apps::EngineKind engine :
        {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
@@ -700,15 +618,14 @@ TEST(SwitchPlan, CopyDeniedWithoutTheGrantFaultsAsBefore) {
     const opec_compiler::ShadowPlacement& sp = main_op.shadows[0];
     uint32_t public_addr = policy.externals[static_cast<size_t>(sp.var_index)].public_addr;
     DenyPublicCopyOnFirstEntry deny(run, public_addr);
-    std::string want = "monitor-internal copy faulted: src=" + opec_support::HexAddr(sp.addr) +
-                       " dst=" + opec_support::HexAddr(public_addr);
     opec_support::ScopedCheckThrow guard;
     try {
       run.Execute();
-      ADD_FAILURE() << label << ": the denied write-back did not fault";
+      ADD_FAILURE() << label << ": the switch ran without its SRAM grant";
     } catch (const opec_support::CheckError& e) {
       std::string what = e.what();
-      EXPECT_NE(what.find(want), std::string::npos) << label << ": " << what;
+      EXPECT_NE(what.find("monitor switch without its SRAM grant"), std::string::npos)
+          << label << ": " << what;
     }
   }
 }

@@ -109,13 +109,12 @@ TEST(Snapshot, DirtyPageFastRestoreMatchesFullRestore) {
   ASSERT_TRUE(machine.bus().has_memory_baseline());
 
   // Dirty several distinct pages through every mutation path the bus has:
-  // the guest write fast path, debug writes (flash and SRAM), and a bulk
+  // the guest write fast path, debug writes (flash and SRAM), and a raw
   // copy spanning multiple pages (its interior pages must be marked too).
   EXPECT_TRUE(machine.bus().Write(opec_hw::kSramBase + 0x100, 4, 0x01020304, true).ok());
   machine.bus().DebugWrite(opec_hw::kSramBase + 0x5004, 4, 0x55667788);
   machine.bus().DebugWrite(opec_hw::kFlashBase + 0x2000, 4, 0x99999999);
-  EXPECT_TRUE(machine.bus().BulkCopy(opec_hw::kFlashBase, opec_hw::kSramBase + 0x8000,
-                                     3 * 4096 + 8, true));
+  machine.bus().RawSramCopy(opec_hw::kSramBase, opec_hw::kSramBase + 0x8000, 3 * 4096 + 8);
   machine.AddCycles(123);
   EXPECT_NE(Snapshot::Capture(machine).Digest(), snap.Digest());
 
