@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "src/obs/export.h"
 #include "src/snapshot/snapshot.h"
 #include "src/support/check.h"
+#include "src/support/flags.h"
 #include "src/support/fs.h"
 #include "src/support/table.h"
 #include "src/support/text.h"
@@ -776,28 +778,25 @@ std::string CampaignSpec::ParseText(const std::string& text, const std::string& 
   }
   while (std::getline(in, line)) {
     ++lineno;
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line = line.substr(0, hash);
-    }
-    std::istringstream tok(line);
-    std::string cmd;
-    if (!(tok >> cmd)) {
+    // Numbers parse like flags (ParseU64/ParseCount: the whole token,
+    // decimal, no sign), and every directive takes a fixed number of tokens.
+    std::istringstream tok(line.substr(0, line.find('#')));
+    std::vector<std::string> t{std::istream_iterator<std::string>(tok), {}};
+    if (t.empty()) {
       continue;  // blank / comment-only
     }
-    if (cmd == "seed") {
-      if (!(tok >> seed)) {
-        return err("seed needs an unsigned integer");
-      }
-    } else if (cmd == "timeout-ms") {
-      if (!(tok >> timeout_ms)) {
-        return err("timeout-ms needs an unsigned integer");
+    const std::string& cmd = t[0];
+    if (cmd == "seed" || cmd == "timeout-ms") {
+      if (t.size() != 2 ||
+          !opec_support::ParseU64(t[1].c_str(), cmd == "seed" ? &seed : &timeout_ms)) {
+        return err(cmd + " needs one unsigned integer");
       }
     } else if (cmd == "scenario") {
-      std::string app, mode;
-      if (!(tok >> app >> mode)) {
+      if (t.size() != 3) {
         return err("scenario needs: <app|all> <opec|vanilla|both>");
       }
+      const std::string& app = t[1];
+      const std::string& mode = t[2];
       std::vector<std::string> apps =
           app == "all" ? all_apps : std::vector<std::string>{app};
       for (const std::string& a : apps) {
@@ -817,15 +816,16 @@ std::string CampaignSpec::ParseText(const std::string& text, const std::string& 
       }
       AddScenarioMatrix(apps, modes);
     } else if (cmd == "fault") {
-      std::string app, cls_name;
-      size_t count = 0;
-      if (!(tok >> app >> count)) {
-        return err("fault needs: <app|all> <count> [class]");
+      int count = 0;
+      if (t.size() < 3 || t.size() > 4 ||
+          !opec_support::ParseCount(t[2].c_str(), 1, 1000000, &count)) {
+        return err("fault needs: <app|all> <count in [1, 1000000]> [class]");
       }
       FaultClass cls = FaultClass::kAny;
-      if (tok >> cls_name && !ParseFaultClass(cls_name, &cls)) {
-        return err("unknown fault class: " + cls_name);
+      if (t.size() == 4 && !ParseFaultClass(t[3], &cls)) {
+        return err("unknown fault class: " + t[3]);
       }
+      const std::string& app = t[1];
       std::vector<std::string> apps =
           app == "all" ? all_apps : std::vector<std::string>{app};
       for (const std::string& a : apps) {
@@ -833,7 +833,7 @@ std::string CampaignSpec::ParseText(const std::string& text, const std::string& 
           return err("unknown app: " + a);
         }
       }
-      AddFaultSweep(apps, count, cls);
+      AddFaultSweep(apps, static_cast<size_t>(count), cls);
     } else {
       return err("unknown directive: " + cmd);
     }

@@ -144,9 +144,11 @@ struct CampaignSpec {
   //   seed <u64>
   //   timeout-ms <u64>
   //   scenario <app-key|all> <opec|vanilla|both>
-  //   fault <app-key|all> <count> [stack-bit-flip|shadow-bit-flip|svc-arg|
-  //                                icall-forge|any]
-  // '#' starts a comment. Returns an empty string on success, else the error.
+  //   fault <app-key|all> <count 1..1000000> [stack-bit-flip|shadow-bit-flip|
+  //                                          svc-arg|icall-forge|any]
+  // '#' starts a comment. Numbers parse as strictly as flags (flags.h) and a
+  // line with extra tokens is an error. Returns an empty string on success,
+  // else the error as "origin:line: message".
   std::string ParseFile(const std::string& path);
   std::string ParseText(const std::string& text, const std::string& origin);
 };

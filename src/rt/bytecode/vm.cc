@@ -159,34 +159,48 @@ uint64_t VM::VerdictKey() const {
   return (machine_.mpu().region_set() << 1) | static_cast<uint64_t>(machine_.privileged());
 }
 
-const VM::VCache* VM::Lookup(VSlot& slot, uint64_t key, uint32_t addr, uint64_t last) {
-  VCache* w = slot.way;
-  if (w[0].key == key && addr >= w[0].lo && last <= w[0].hi) {
-    return &w[0];
-  }
-  if (w[1].key == key && addr >= w[1].lo && last <= w[1].hi) {
-    std::swap(w[0], w[1]);
-    return &w[0];
-  }
-  return nullptr;
-}
-
 void VM::Fill(VSlot& slot, const VCache& v) {
   slot.way[1] = slot.way[0];
   slot.way[0] = v;
 }
 
-uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
+inline uint32_t VM::RawLoad(const VCache& v, uint32_t addr, uint32_t size) {
+  const opec_hw::Bus& bus = machine_.bus();
+  uint32_t value = v.backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
+  Charge(costs_.memory);
+  return value;
+}
+
+inline void VM::RawStore(uint32_t addr, uint32_t size, uint32_t value) {
+  machine_.bus().RawSramWrite(addr, size, value);
+  Charge(costs_.memory);
+}
+
+inline uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
   VSlot& slot = vcache_[pc_index];
   const uint64_t key = VerdictKey();
-  const uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  const opec_hw::Bus& bus = machine_.bus();
-  if (const VCache* vc = Lookup(slot, key, addr, last)) {
-    uint32_t v = vc->backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
-    Charge(costs_.memory);
-    return v;
+  if (Covers(slot.way[0], key, addr, size)) [[likely]] {
+    return RawLoad(slot.way[0], addr, size);
   }
-  // Miss. Only plain memory is ever cached: devices, the PPB and accesses
+  return LoadMiss(slot, key, addr, size);
+}
+
+inline void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value) {
+  VSlot& slot = vcache_[pc_index];
+  const uint64_t key = VerdictKey();
+  if (Covers(slot.way[0], key, addr, size)) [[likely]] {
+    RawStore(addr, size, value);
+    return;
+  }
+  StoreMiss(slot, key, addr, size, value);
+}
+
+uint32_t VM::LoadMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size) {
+  if (Covers(slot.way[1], key, addr, size)) {
+    std::swap(slot.way[0], slot.way[1]);
+    return RawLoad(slot.way[0], addr, size);
+  }
+  // Only plain memory is ever cached: devices, the PPB and accesses
   // straddling out of a backing store go straight to MemRead's full
   // fault/route semantics, without a region walk whose result they could not
   // keep. For plain memory, one walk decides the verdict and yields the
@@ -194,6 +208,7 @@ uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
   // whole access fills the slot and completes through the raw backing path
   // (the same single memory charge the shared path makes). Denies fall back
   // to MemRead and are never cached.
+  const opec_hw::Bus& bus = machine_.bus();
   uint8_t backing;
   uint32_t store_lo;
   uint32_t store_hi;
@@ -211,38 +226,30 @@ uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
   uint32_t lo = 0;
   uint32_t hi = 0;
   if (machine_.mpu().AllowedRange(addr, AccessKind::kRead, machine_.privileged(), &lo, &hi)) {
-    lo = std::max(lo, store_lo);
-    hi = std::min(hi, store_hi);
-    if (addr >= lo && last <= hi) {
-      Fill(slot, VCache{key, lo, hi, backing});
-      uint32_t v = backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
-      Charge(costs_.memory);
-      return v;
+    VCache v{key, std::max(lo, store_lo), std::min(hi, store_hi), backing};
+    if (Covers(v, key, addr, size)) {
+      Fill(slot, v);
+      return RawLoad(v, addr, size);
     }
   }
   return MemRead(addr, size);  // shared slow path: full fault semantics
 }
 
-void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value) {
-  VSlot& slot = vcache_[pc_index];
-  const uint64_t key = VerdictKey();
-  const uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  opec_hw::Bus& bus = machine_.bus();
-  if (Lookup(slot, key, addr, last) != nullptr) {
-    bus.RawSramWrite(addr, size, value);
-    Charge(costs_.memory);
+void VM::StoreMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size, uint32_t value) {
+  if (Covers(slot.way[1], key, addr, size)) {
+    std::swap(slot.way[0], slot.way[1]);
+    RawStore(addr, size, value);
     return;
   }
+  const opec_hw::Bus& bus = machine_.bus();
   uint32_t lo = 0;
   uint32_t hi = 0;
   if (bus.InSram(addr, size) &&
       machine_.mpu().AllowedRange(addr, AccessKind::kWrite, machine_.privileged(), &lo, &hi)) {
-    lo = std::max(lo, opec_hw::kSramBase);
-    hi = std::min(hi, bus.sram_end() - 1);
-    if (addr >= lo && last <= hi) {
-      Fill(slot, VCache{key, lo, hi, 0});
-      bus.RawSramWrite(addr, size, value);
-      Charge(costs_.memory);
+    VCache v{key, std::max(lo, opec_hw::kSramBase), std::min(hi, bus.sram_end() - 1), 0};
+    if (Covers(v, key, addr, size)) {
+      Fill(slot, v);
+      RawStore(addr, size, value);
       return;
     }
   }

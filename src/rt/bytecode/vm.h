@@ -22,9 +22,12 @@
 // contents and are never reused, so a verdict stays valid across operation
 // switches: when an operation re-enters its region set, its verdicts hit
 // again. The two ways (most recently used first) keep an instruction shared
-// by two operations cached under both of their sets. A miss checks for plain
-// memory before walking the regions: device and PPB accesses, which are
-// never cached, go straight to the shared path without a walk.
+// by two operations cached under both of their sets. A hit on way 0 is
+// inline in each memory handler: one fixed-width backing access and the
+// memory charge. Everything else is the out-of-line miss, which probes way
+// 1, then checks for plain memory before walking the regions: device and PPB
+// accesses, which are never cached, go straight to the shared path without a
+// walk.
 
 #ifndef SRC_RT_BYTECODE_VM_H_
 #define SRC_RT_BYTECODE_VM_H_
@@ -100,13 +103,23 @@ class VM : public Engine {
 
   // (region set << 1) | privilege: the context a cached verdict holds for.
   uint64_t VerdictKey() const;
-  // The way of `slot` whose interval under `key` covers [addr, last], moved
-  // to way[0]; null on a miss.
-  static const VCache* Lookup(VSlot& slot, uint64_t key, uint32_t addr, uint64_t last);
+  // Whether `v`'s interval under `key` covers the access.
+  static bool Covers(const VCache& v, uint64_t key, uint32_t addr, uint32_t size) {
+    return v.key == key && addr >= v.lo && addr + static_cast<uint64_t>(size) - 1 <= v.hi;
+  }
   // Installs a verdict as the slot's most recently used way.
   static void Fill(VSlot& slot, const VCache& v);
-  uint32_t CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size);
-  void CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value);
+  // The memory instructions' accesses: forced inline into each handler, a
+  // hit on way 0 under the live key; anything else goes to the out-of-line
+  // LoadMiss/StoreMiss.
+  [[gnu::always_inline]] uint32_t CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size);
+  [[gnu::always_inline]] void CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size,
+                                          uint32_t value);
+  uint32_t LoadMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size);
+  void StoreMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size, uint32_t value);
+  // The raw access and memory charge of an access a verdict covers.
+  [[gnu::always_inline]] uint32_t RawLoad(const VCache& v, uint32_t addr, uint32_t size);
+  [[gnu::always_inline]] void RawStore(uint32_t addr, uint32_t size, uint32_t value);
 
   // Replays the accounting script of the instruction at `pc` node by node
   // after its statement batch crossed the limit, reproducing the exact

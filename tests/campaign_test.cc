@@ -337,29 +337,38 @@ TEST(CampaignTest, TimeoutCancelsRunawayJob) {
 // Warm-start (restore from a per-worker boot snapshot) is the executor
 // default; it must be an implementation detail, invisible in the report.
 TEST(CampaignTest, WarmStartIsBitIdenticalToColdBoot) {
-  CampaignSpec spec;
-  spec.seed = 13;
-  spec.AddScenarioMatrix({"PinLock", "Animation"},
-                         {opec_apps::BuildMode::kVanilla, opec_apps::BuildMode::kOpec});
-  spec.AddFaultSweep({"PinLock", "Animation"}, 8);
+  // Once per engine: the bytecode tier's warm path also carries its lowered
+  // module across RestoreBoot, faults injected or not.
+  for (opec_apps::EngineKind engine :
+       {opec_apps::EngineKind::kInterp, opec_apps::EngineKind::kBytecode}) {
+    SCOPED_TRACE(opec_apps::EngineKindName(engine));
+    CampaignSpec spec;
+    spec.seed = 13;
+    spec.AddScenarioMatrix({"PinLock", "Animation"},
+                           {opec_apps::BuildMode::kVanilla, opec_apps::BuildMode::kOpec});
+    spec.AddFaultSweep({"PinLock", "Animation"}, 8);
+    for (JobSpec& job : spec.jobs) {
+      job.engine = engine;
+    }
 
-  Executor::Options warm;  // cold_boot defaults to false
-  warm.jobs = 1;
-  CampaignResult warm_result = Executor::Run(spec, warm);
+    Executor::Options warm;  // cold_boot defaults to false
+    warm.jobs = 1;
+    CampaignResult warm_result = Executor::Run(spec, warm);
 
-  Executor::Options cold;
-  cold.cold_boot = true;
-  cold.jobs = 1;
-  CampaignResult cold_result = Executor::Run(spec, cold);
+    Executor::Options cold;
+    cold.cold_boot = true;
+    cold.jobs = 1;
+    CampaignResult cold_result = Executor::Run(spec, cold);
 
-  EXPECT_EQ(warm_result.DeterministicJson(), cold_result.DeterministicJson());
+    EXPECT_EQ(warm_result.DeterministicJson(), cold_result.DeterministicJson());
 
-  // And warm stays deterministic when the same worker replays many jobs of
-  // the same app back to back (the cache-reuse path).
-  Executor::Options warm4;
-  warm4.jobs = 4;
-  CampaignResult warm4_result = Executor::Run(spec, warm4);
-  EXPECT_EQ(warm_result.DeterministicJson(), warm4_result.DeterministicJson());
+    // And warm stays deterministic when the same worker replays many jobs of
+    // the same app back to back (the cache-reuse path).
+    Executor::Options warm4;
+    warm4.jobs = 4;
+    CampaignResult warm4_result = Executor::Run(spec, warm4);
+    EXPECT_EQ(warm_result.DeterministicJson(), warm4_result.DeterministicJson());
+  }
 }
 
 // Crash-state forensics: --snapshot-dir dumps a restorable snapshot for every
@@ -455,6 +464,25 @@ TEST(CampaignSpecTest, ParseTextBuildsJobsAndReportsErrors) {
   EXPECT_NE(bad.ParseText("scenario NoSuchApp opec\n", "inline"), "");
   EXPECT_NE(bad.ParseText("fault PinLock 3 no-such-class\n", "inline"), "");
   EXPECT_NE(bad.ParseText("frobnicate 1\n", "inline"), "");
+
+  // Numbers parse as strictly as flags: the whole token, decimal, no sign,
+  // and a fault count in [1, 1000000] like --fault-sweep. Extra tokens are
+  // errors. Every error names its origin and line.
+  for (const char* text : {"seed 12abc\n", "seed -1\n", "seed\n", "seed 1 2\n",
+                           "timeout-ms +5\n", "timeout-ms 18446744073709551616\n",
+                           "fault PinLock -1\n", "fault PinLock 0\n",
+                           "fault PinLock 1000001\n", "fault PinLock 0x10\n",
+                           "fault PinLock\n", "fault PinLock 3 any extra\n",
+                           "scenario PinLock opec extra\n"}) {
+    CampaignSpec strict;
+    std::string error = strict.ParseText(std::string("# header\n") + text, "spec.txt");
+    EXPECT_EQ(error.rfind("spec.txt:2: ", 0), 0u) << text << " -> '" << error << "'";
+    EXPECT_TRUE(strict.jobs.empty()) << text;
+  }
+  CampaignSpec edge;
+  EXPECT_EQ(edge.ParseText("seed 18446744073709551615\nfault PinLock 2 svc-arg\n", "x"), "");
+  EXPECT_EQ(edge.seed, 18446744073709551615u);
+  EXPECT_EQ(edge.jobs.size(), 2u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #!/bin/sh
 # The CLI front-end contract (src/support/flags.h): every CLI exits 2 with
 # exactly one line on stderr for junk numbers, unknown or removed flags,
-# missing values and output directories it cannot create; `runner` runs an
-# app end to end and writes both trace outputs into WORKDIR.
+# missing values, malformed --spec files and output directories it cannot
+# create; `runner` runs an app end to end and writes both trace outputs into
+# WORKDIR.
 #
 #   cli_test.sh CAMPAIGN FUZZ RUNNER FIGURE9_LOAD WORKDIR
 
@@ -53,6 +54,10 @@ expect 2 "$figure9_load" --engine
 
 # Switches take no value.
 expect 2 "$campaign" --deterministic=yes
+
+# A --spec file's numbers parse as strictly as flags.
+printf 'seed 12abc\n' > "$work/bad.spec"
+expect 2 "$campaign" --spec "$work/bad.spec"
 
 # Output directories are checked before any work runs.
 expect 2 "$campaign" --apps PinLock --fault-sweep 1 --snapshot-dir /dev/null/x

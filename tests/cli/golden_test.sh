@@ -7,7 +7,9 @@
 #                     (the --report-json file), and the same sweep with
 #                     --engine bytecode once its "engine" fields are removed
 #   fault_sweep.json  campaign --apps PinLock,Animation --fault-sweep 24
-#                     --deterministic (the --report-json file)
+#                     --deterministic (the --report-json file), and the same
+#                     sweep with --engine bytecode --jobs 1 once its "engine"
+#                     fields are removed
 #   figures.txt       campaign --figures, with the digits of Table 3's
 #                     Time(s) column (host time) masked as '#'
 #   figure9_load.txt  figure9_load --requests 24 --engine both
@@ -56,6 +58,11 @@ check bytecode_unlabeled.json scenarios.json
 run "$campaign" --apps PinLock,Animation --fault-sweep 24 --deterministic \
   --report-json fault_sweep.json
 check fault_sweep.json fault_sweep.json
+run "$campaign" --apps PinLock,Animation --fault-sweep 24 --engine bytecode --jobs 1 \
+  --deterministic --report-json fault_sweep_bytecode.json
+grep -q '"engine": "bytecode"' fault_sweep_bytecode.json || { echo "FAIL: no bytecode faults"; status=1; }
+sed 's/, "engine": "bytecode"//' fault_sweep_bytecode.json > fault_sweep_bytecode_unlabeled.json
+check fault_sweep_bytecode_unlabeled.json fault_sweep.json
 
 "$campaign" --figures > figures_raw.txt || { echo "FAIL: campaign --figures"; status=1; }
 awk -F'|' -v OFS='|' '/^Table 3:/ { t = 1 } /^$/ { t = 0 }
