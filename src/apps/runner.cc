@@ -60,14 +60,14 @@ void AppRun::AddAttack(const opec_rt::AttackSpec& attack) { engine_->AddAttack(a
 void AppRun::CaptureBoot() {
   boot_snapshot_ = std::make_unique<opec_snapshot::Snapshot>(
       opec_snapshot::Snapshot::Capture(*machine_));
-  // Arm the dirty-page fast path: from here on the bus tracks written pages,
-  // and RestoreBoot copies back only those instead of full memory images.
-  machine_->bus().CaptureMemoryBaseline();
+  // Memory is the boot image now, so RestoreBoot copies back only the pages
+  // written from here on.
+  machine_->bus().MarkClean(boot_snapshot_->image_id());
 }
 
 void AppRun::RestoreBoot() {
   OPEC_CHECK_MSG(boot_snapshot_ != nullptr, "RestoreBoot() without CaptureBoot()");
-  boot_snapshot_->RestoreFast(*machine_);  // CaptureBoot armed the baseline
+  boot_snapshot_->Restore(*machine_);
   // The monitor's and engine's pre-run state is entirely constructor-derived
   // (from the immutable policy/module), so fresh objects are equivalent to —
   // and simpler than — rolling back attacks, counters and fault reports. The

@@ -1,8 +1,6 @@
 #include "src/campaign/campaign.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -11,7 +9,6 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "src/apps/all_apps.h"
 #include "src/obs/export.h"
@@ -351,7 +348,7 @@ void WriteBinaryFile(const std::string& path, const std::vector<uint8_t>& bytes)
   OPEC_CHECK_MSG(out.good(), "cannot write state dump: " + path);
 }
 
-JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>* cancel,
+JobResult RunJobImpl(const JobSpec& spec, size_t index, Clock::time_point deadline,
                      const Executor::Options& options) {
   JobResult out;
   out.index = index;
@@ -372,9 +369,7 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
     run_ptr = WarmRun(*factory, spec.mode, spec.engine);
   }
   opec_apps::AppRun& run = *run_ptr;
-  if (cancel != nullptr) {
-    run.engine().set_cancel_flag(cancel);
-  }
+  run.engine().set_deadline(deadline);
   if (!options.snapshot_dir.empty()) {
     run.engine().set_fault_state_capture(true);
   }
@@ -465,7 +460,7 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
                                                   run.recorder()->dropped()));
   }
 
-  if (cancel != nullptr && !r.ok && cancel->load(std::memory_order_relaxed)) {
+  if (!r.ok && Clock::now() >= deadline) {
     out.outcome = Outcome::kTimeout;
     out.ok = false;
     out.detail = r.violation;
@@ -532,84 +527,6 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, const std::atomic<bool>*
   return finish();
 }
 
-// ---------------------------------------------------------------------------
-// Watchdog: one thread arming per-job cancellation flags at their deadlines.
-
-class Watchdog {
- public:
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-  }
-
-  uint64_t Arm(Clock::time_point deadline, std::atomic<bool>* flag) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t id = next_id_++;
-    entries_.push_back({deadline, flag, id});
-    if (!thread_.joinable()) {
-      thread_ = std::thread([this] { Loop(); });
-    }
-    cv_.notify_all();
-    return id;
-  }
-
-  void Disarm(uint64_t id) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].id == id) {
-        entries_[i] = entries_.back();
-        entries_.pop_back();
-        return;
-      }
-    }
-  }
-
- private:
-  struct Entry {
-    Clock::time_point deadline;
-    std::atomic<bool>* flag;
-    uint64_t id;
-  };
-
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stop_) {
-      if (entries_.empty()) {
-        cv_.wait(lock);
-        continue;
-      }
-      Clock::time_point next = entries_[0].deadline;
-      for (const Entry& e : entries_) {
-        next = std::min(next, e.deadline);
-      }
-      cv_.wait_until(lock, next);
-      Clock::time_point now = Clock::now();
-      for (size_t i = 0; i < entries_.size();) {
-        if (entries_[i].deadline <= now) {
-          entries_[i].flag->store(true, std::memory_order_relaxed);
-          entries_[i] = entries_.back();
-          entries_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<Entry> entries_;
-  std::thread thread_;
-  uint64_t next_id_ = 1;
-  bool stop_ = false;
-};
-
 // Fills the derived fields of job `index`: seed from SplitMix64::JobSeed when
 // 0, timeout from the executor default then the campaign spec, trace path
 // from trace_dir.
@@ -631,22 +548,18 @@ JobSpec ResolveJobSpec(const CampaignSpec& spec, size_t index,
   return resolved;
 }
 
-// The per-job harness around RunJobImpl: wall-clock watchdog arming the
-// engine cancel flag, ScopedCheckThrow capture, and structured kException
-// results for anything thrown.
-JobResult RunGuarded(Watchdog& watchdog, const JobSpec& resolved, size_t index,
-                     const Executor::Options& options) {
+// The per-job harness around RunJobImpl: the wall-clock deadline the engine
+// polls, ScopedCheckThrow capture, and structured kException results for
+// anything thrown.
+JobResult RunGuarded(const JobSpec& resolved, size_t index, const Executor::Options& options) {
   Clock::time_point job_t0 = Clock::now();
+  Clock::time_point deadline = resolved.timeout_ms != 0
+                                   ? job_t0 + std::chrono::milliseconds(resolved.timeout_ms)
+                                   : opec_rt::Engine::kNoDeadline;
   JobResult result;
-  std::atomic<bool> cancel{false};
-  uint64_t watchdog_id = 0;
-  if (resolved.timeout_ms != 0) {
-    watchdog_id =
-        watchdog.Arm(job_t0 + std::chrono::milliseconds(resolved.timeout_ms), &cancel);
-  }
   try {
     opec_support::ScopedCheckThrow check_throw;
-    result = RunJobImpl(resolved, index, resolved.timeout_ms != 0 ? &cancel : nullptr, options);
+    result = RunJobImpl(resolved, index, deadline, options);
   } catch (const std::exception& e) {
     result.index = index;
     result.spec = resolved;
@@ -659,9 +572,6 @@ JobResult RunGuarded(Watchdog& watchdog, const JobSpec& resolved, size_t index,
     result.ok = false;
     result.outcome = Outcome::kException;
     result.detail = "unknown exception";
-  }
-  if (watchdog_id != 0) {
-    watchdog.Disarm(watchdog_id);
   }
   result.wall_ns = NsSince(job_t0);
   return result;
@@ -994,10 +904,8 @@ CampaignResult Executor::Run(const CampaignSpec& spec, const Options& options) {
       }
     }
   }
-  Watchdog watchdog;
-
   out.results = ParallelMap(out.jobs_used, spec.jobs.size(), [&](size_t i) {
-    return RunGuarded(watchdog, ResolveJobSpec(spec, i, options), i, options);
+    return RunGuarded(ResolveJobSpec(spec, i, options), i, options);
   });
 
   out.wall_ns = NsSince(t0);

@@ -698,19 +698,6 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
     } else {
       uint32_t len = 1 + static_cast<uint32_t>(rng.Below(200));
       check_grant(step, addr, uint64_t{addr} + len - 1, kind, priv);
-      bool ranged = mpu.CheckRange(addr, len, kind, priv);
-      bool direct = true;
-      for (uint32_t b = 0; b < len && direct; ++b) {
-        direct = mpu.CheckAccessUncached(addr + b, 1, kind, priv);
-      }
-      if (ranged != direct) {
-        divs.push_back({Oracle::kMpuCache,
-                        StrPrintf("step %d: CheckRange(%s, len=%u, %s, %s) ranged=%d "
-                                  "per-byte=%d",
-                                  step, opec_support::HexAddr(addr).c_str(), len,
-                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                                  priv ? "priv" : "unpriv", ranged ? 1 : 0, direct ? 1 : 0)});
-      }
     }
     // The drawn region widened by a window on each side, so the span
     // reaches past the region's edges into whatever decides beyond them.

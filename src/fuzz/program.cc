@@ -96,8 +96,6 @@ Val BuildVal(BuildCtx& ctx, const FExpr& e) {
       switch (e.un) {
         case FUnOp::kNeg:
           return -v;
-        case FUnOp::kLogNot:
-          return !v;
         case FUnOp::kBitNot:
           return ~v;
       }

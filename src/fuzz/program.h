@@ -37,7 +37,7 @@ enum class FBinOp : uint8_t {
   kAdd, kSub, kMul, kDiv, kRem, kAnd, kOr, kXor, kShl, kShr,
   kEq, kNe, kLt, kLe, kGt, kGe, kLAnd, kLOr,
 };
-enum class FUnOp : uint8_t { kNeg, kLogNot, kBitNot };
+enum class FUnOp : uint8_t { kNeg, kBitNot };
 
 // Expression node. Children live in `kids` (vector of incomplete type is
 // fine since C++17): unary/Addr/Deref/Cast use kids[0]; binary and Idx use

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "src/obs/event.h"
 #include "src/support/check.h"
@@ -310,28 +311,31 @@ void Bus::SaveState(StateWriter& w) const {
   }
 }
 
-void Bus::LoadState(StateReader& r, bool skip_memory) {
+void Bus::LoadState(StateReader& r, uint64_t image_id) {
   systick_load_ = r.U32();
   systick_ctrl_ = r.U32();
   systick_cvr_write_cycle_ = static_cast<int64_t>(r.U64());
-  if (skip_memory) {
-    // The caller restored flash/SRAM through the dirty-page baseline; the
-    // blobs still have to be consumed to keep the reader positioned.
-    OPEC_CHECK_MSG(r.SkipBlob() == flash_.size(),
-                   "snapshot flash size mismatch (wrong board?)");
-    OPEC_CHECK_MSG(r.SkipBlob() == sram_.size(),
-                   "snapshot SRAM size mismatch (wrong board?)");
-  } else {
-    std::vector<uint8_t> flash = r.Blob();
-    OPEC_CHECK_MSG(flash.size() == flash_.size(), "snapshot flash size mismatch (wrong board?)");
-    flash_ = std::move(flash);
-    std::vector<uint8_t> sram = r.Blob();
-    OPEC_CHECK_MSG(sram.size() == sram_.size(), "snapshot SRAM size mismatch (wrong board?)");
-    sram_ = std::move(sram);
-    // Memory no longer corresponds to any captured baseline page-for-page.
-    std::fill(flash_dirty_.begin(), flash_dirty_.end(), 1);
-    std::fill(sram_dirty_.begin(), sram_dirty_.end(), 1);
-  }
+  // Pages written since memory last matched `image_id` are the only ones
+  // that can differ from it; any other image differs anywhere.
+  bool dirty_only = image_id != 0 && image_id == clean_image_;
+  clean_image_ = 0;  // until both images are in
+  auto load = [&](std::vector<uint8_t>& live, std::vector<uint8_t>& dirty, const char* what) {
+    std::span<const uint8_t> image = r.BlobView();
+    OPEC_CHECK_MSG(image.size() == live.size(),
+                   std::string("snapshot ") + what + " size mismatch (wrong board?)");
+    for (size_t p = 0; p < dirty.size(); ++p) {
+      if (dirty_only && dirty[p] == 0) {
+        continue;
+      }
+      size_t off = p << kDirtyPageShift;
+      std::memcpy(live.data() + off, image.data() + off,
+                  std::min<size_t>(kDirtyPageSize, live.size() - off));
+      dirty[p] = 0;
+    }
+  };
+  load(flash_, flash_dirty_, "flash");
+  load(sram_, sram_dirty_, "SRAM");
+  clean_image_ = image_id;
   uint64_t count = r.U64();
   OPEC_CHECK_MSG(count == device_ranges_.size(),
                  "snapshot device count does not match the attached devices");
@@ -346,30 +350,10 @@ void Bus::LoadState(StateReader& r, bool skip_memory) {
   }
 }
 
-void Bus::CaptureMemoryBaseline() {
-  baseline_flash_ = flash_;
-  baseline_sram_ = sram_;
+void Bus::MarkClean(uint64_t image_id) {
+  clean_image_ = image_id;
   std::fill(flash_dirty_.begin(), flash_dirty_.end(), 0);
   std::fill(sram_dirty_.begin(), sram_dirty_.end(), 0);
-}
-
-void Bus::RestoreMemoryBaseline() {
-  OPEC_CHECK_MSG(has_memory_baseline(),
-                 "RestoreMemoryBaseline without CaptureMemoryBaseline");
-  auto restore = [](std::vector<uint8_t>& live, const std::vector<uint8_t>& base,
-                    std::vector<uint8_t>& dirty) {
-    for (size_t p = 0; p < dirty.size(); ++p) {
-      if (dirty[p] == 0) {
-        continue;
-      }
-      size_t off = p << kDirtyPageShift;
-      size_t n = std::min<size_t>(kDirtyPageSize, live.size() - off);
-      std::memcpy(live.data() + off, base.data() + off, n);
-      dirty[p] = 0;
-    }
-  };
-  restore(flash_, baseline_flash_, flash_dirty_);
-  restore(sram_, baseline_sram_, sram_dirty_);
 }
 
 void Bus::DebugWriteBytes(uint32_t addr, const std::vector<uint8_t>& bytes) {

@@ -43,19 +43,21 @@ class Bus {
   // Snapshot support (DESIGN.md §13): core-peripheral scratch registers,
   // flash and SRAM contents, then every attached device (name-tagged, in
   // address order). LoadState requires the same board and the same device set
-  // to be attached; devices are matched by name. With `skip_memory`, the
-  // flash/SRAM blobs are skipped instead of copied — the caller restores
-  // memory through the dirty-page baseline below.
+  // to be attached; devices are matched by name.
+  //
+  // `image_id` names the memory image the payload carries: a Snapshot's
+  // process-unique id (DESIGN.md §13.3), or 0 for a payload without one,
+  // such as a FaultReport's machine state. When it is the image the clean
+  // pages already match, LoadState copies back only the pages written since;
+  // otherwise it copies every page. Either way memory then matches
+  // `image_id` and no page is dirty.
   void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r, bool skip_memory = false);
+  void LoadState(StateReader& r, uint64_t image_id);
 
-  // Warm-start fast path (DESIGN.md §13.3): keep an in-memory copy of
-  // flash+SRAM and start dirty-page tracking; RestoreMemoryBaseline copies
-  // back only the pages written since — orders of magnitude less traffic
-  // than re-loading full memory images for short campaign jobs.
-  void CaptureMemoryBaseline();
-  bool has_memory_baseline() const { return !baseline_sram_.empty(); }
-  void RestoreMemoryBaseline();
+  // Declares that memory, as it is now, is the image `image_id` and clears
+  // the dirty maps: the next LoadState of that image copies back only the
+  // pages written after this call (AppRun::CaptureBoot).
+  void MarkClean(uint64_t image_id);
 
   const BoardSpec& board() const { return board_; }
   uint32_t flash_end() const { return kFlashBase + board_.flash_size; }
@@ -127,15 +129,19 @@ class Bus {
   AccessResult PpbRead(uint32_t addr, uint32_t size, bool privileged);
   AccessResult PpbWrite(uint32_t addr, uint32_t size, uint32_t value, bool privileged);
 
-  // Dirty-page granularity for the warm-start memory baseline. 4 KB keeps
-  // the maps tiny (SRAM: tens of entries) while a typical campaign job
-  // dirties well under 10% of them.
+  // Dirty-page granularity for warm restores. 4 KB keeps the maps tiny
+  // (SRAM: tens of entries) while a typical campaign job dirties well under
+  // 10% of them.
   static constexpr uint32_t kDirtyPageShift = 12;
   static constexpr uint32_t kDirtyPageSize = 1u << kDirtyPageShift;
 
   static void MarkDirty(std::vector<uint8_t>& map, uint32_t offset, uint32_t len) {
     // Word-sized writes hit one page (two when straddling); RawSramCopy
-    // ranges need every page in between too.
+    // ranges need every page in between too. A zero-byte write marks none
+    // (its last byte would wrap below its first).
+    if (len == 0) {
+      return;
+    }
     uint32_t last = (offset + len - 1) >> kDirtyPageShift;
     for (uint32_t p = offset >> kDirtyPageShift; p <= last; ++p) {
       map[p] = 1;
@@ -147,12 +153,12 @@ class Bus {
   uint64_t* cycles_;
   std::vector<uint8_t> flash_;
   std::vector<uint8_t> sram_;
-  // Per-page write tracking (always on — two byte stores per write) and the
-  // baseline images RestoreMemoryBaseline copies clean pages from.
+  // Per-page write tracking (always on — two byte stores per write) against
+  // the image `clean_image_` (0: none), the pages LoadState copies back when
+  // it restores that image again.
   std::vector<uint8_t> flash_dirty_;
   std::vector<uint8_t> sram_dirty_;
-  std::vector<uint8_t> baseline_flash_;
-  std::vector<uint8_t> baseline_sram_;
+  uint64_t clean_image_ = 0;
   // Devices sorted by base address; Route binary-searches this and keeps a
   // one-entry last-hit cache (device accesses cluster on one peripheral).
   std::vector<DeviceRange> device_ranges_;

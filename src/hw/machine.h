@@ -38,20 +38,19 @@ class Machine {
 
   // Snapshot support (DESIGN.md §13): cycle counter, privilege level, MPU
   // registers, then the bus (memories + attached devices). LoadState requires
-  // a machine of the same board with the same devices attached.
+  // a machine of the same board with the same devices attached; `image_id`
+  // names the payload's memory image (see Bus::LoadState).
   void SaveState(StateWriter& w) const {
     w.U64(cycles_);
     w.Bool(privileged_);
     mpu_.SaveState(w);
     bus_.SaveState(w);
   }
-  // With `skip_memory`, the flash/SRAM images inside the bus payload are
-  // skipped — the caller restored them via Bus::RestoreMemoryBaseline first.
-  void LoadState(StateReader& r, bool skip_memory = false) {
+  void LoadState(StateReader& r, uint64_t image_id) {
     cycles_ = r.U64();
     privileged_ = r.Bool();
     mpu_.LoadState(r);
-    bus_.LoadState(r, skip_memory);
+    bus_.LoadState(r, image_id);
   }
 
  private:

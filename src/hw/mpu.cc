@@ -145,26 +145,6 @@ uint8_t Mpu::ComputeAllowMask(uint32_t addr) const {
   return mask;
 }
 
-bool Mpu::CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileged) const {
-  if (!enabled_ || len == 0) {
-    return true;
-  }
-  // The window mask must be 64-bit: with the 32-bit ~31u, a range wrapping
-  // the top of the address space (addr + len > 2^32) truncated last_window
-  // below first_window and the loop never probed at all — the whole wrapped
-  // range was silently allowed. Probe addresses themselves wrap to uint32,
-  // matching the byte-wise wrap-around semantics of the accesses.
-  uint64_t first_window = addr & ~31u;
-  uint64_t last_window = (static_cast<uint64_t>(addr) + len - 1) & ~31ull;
-  for (uint64_t w = first_window; w <= last_window; w += 32) {
-    uint32_t probe = w < addr ? addr : static_cast<uint32_t>(w);
-    if (!ProbeAllows(probe, kind, privileged)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Mpu::GrantsThroughout(uint32_t lo, uint32_t hi, AccessKind kind, bool privileged) const {
   if (!enabled_) {
     return true;

@@ -101,17 +101,11 @@ class Mpu {
   bool CheckAccess(uint32_t addr, uint32_t size, AccessKind kind, bool privileged) const;
   bool CheckExec(uint32_t addr, bool privileged) const;
 
-  // Range variant for bulk copies: true iff every byte of [addr, addr+len)
-  // is permitted. Exact — MPU decisions are uniform within any 32-byte
-  // aligned window (regions are >=32-byte, size-aligned; sub-regions are
-  // >=32-byte), so one probe per window equals probing every byte.
-  bool CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileged) const;
-
   // True only when every enabled region overlapping [lo, hi] (inclusive)
   // grants the access, and so does the background map: one walk of the
-  // region registers. Sufficient for CheckRange over the same bytes, and
-  // exact whenever it answers true, since each byte's deciding region is one
-  // of those regions or the background.
+  // region registers. Sufficient for every byte of [lo, hi], and exact
+  // whenever it answers true, since each byte's deciding region is one of
+  // those regions or the background.
   bool GrantsThroughout(uint32_t lo, uint32_t hi, AccessKind kind, bool privileged) const;
 
   // Differential-testing twin of CheckAccess: identical verdict contract, but

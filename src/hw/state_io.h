@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,12 +116,18 @@ class StateReader {
       out[i] = U32();
     }
   }
-  std::vector<uint8_t> Blob() {
+  // A length-prefixed byte string, viewed in place: the span points into
+  // this reader's buffer, so it must not outlive it.
+  std::span<const uint8_t> BlobView() {
     uint64_t n = U64();
     Need(n);
-    std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
+    std::span<const uint8_t> view(data_ + pos_, n);
     pos_ += n;
-    return out;
+    return view;
+  }
+  std::vector<uint8_t> Blob() {
+    std::span<const uint8_t> view = BlobView();
+    return {view.begin(), view.end()};
   }
   std::string Str() {
     uint64_t n = U64();
@@ -129,23 +136,10 @@ class StateReader {
     pos_ += n;
     return out;
   }
-  // A reader over a length-prefixed byte string, without copying it: the
-  // returned reader points into this one's buffer, so it must not outlive it.
+  // A reader over a length-prefixed byte string, like BlobView.
   StateReader BlobReader() {
-    uint64_t n = U64();
-    Need(n);
-    StateReader sub(data_ + pos_, n);
-    pos_ += n;
-    return sub;
-  }
-  // Consume a length-prefixed byte string without copying it out (the
-  // warm-start restore path skips memory images it restores from the
-  // dirty-page baseline instead). Returns the skipped length.
-  uint64_t SkipBlob() {
-    uint64_t n = U64();
-    Need(n);
-    pos_ += n;
-    return n;
+    std::span<const uint8_t> view = BlobView();
+    return StateReader(view.data(), view.size());
   }
 
   size_t remaining() const { return size_ - pos_; }

@@ -28,7 +28,6 @@ Val operator>(const Val& a, const Val& b) { return Bin(BinaryOp::kGt, a, b); }
 Val operator>=(const Val& a, const Val& b) { return Bin(BinaryOp::kGe, a, b); }
 Val operator&&(const Val& a, const Val& b) { return Bin(BinaryOp::kLogAnd, a, b); }
 Val operator||(const Val& a, const Val& b) { return Bin(BinaryOp::kLogOr, a, b); }
-Val operator!(const Val& a) { return {MakeUnary(UnaryOp::kLogNot, a.expr)}; }
 Val operator-(const Val& a) { return {MakeUnary(UnaryOp::kNeg, a.expr)}; }
 Val operator~(const Val& a) { return {MakeUnary(UnaryOp::kBitNot, a.expr)}; }
 

@@ -53,7 +53,6 @@ Val operator>(const Val& a, const Val& b);
 Val operator>=(const Val& a, const Val& b);
 Val operator&&(const Val& a, const Val& b);
 Val operator||(const Val& a, const Val& b);
-Val operator!(const Val& a);
 Val operator-(const Val& a);
 Val operator~(const Val& a);
 

@@ -267,7 +267,7 @@ void VM::StoreMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size, uint
 
 // Applies a flushing instruction's batched accounting: statement increments
 // (with exact limit replay on crossing and the interpreter's 8192-statement
-// cancellation poll cadence), then the batched cycle charge.
+// deadline poll cadence), then the batched cycle charge.
 #define OPEC_VM_FLUSH()                                                      \
   do {                                                                       \
     if (I->stmt != 0) {                                                      \
@@ -277,9 +277,9 @@ void VM::StoreMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size, uint
         statements_ = before_;                                               \
         ReplayAcct(static_cast<uint32_t>(I - code));                         \
       }                                                                      \
-      if (cancel_ != nullptr && ((before_ ^ statements_) & ~0x1FFFull) != 0) \
-          [[unlikely]] {                                                     \
-        if (cancel_->load(std::memory_order_relaxed)) {                      \
+      if (deadline_ != kNoDeadline &&                                        \
+          ((before_ ^ statements_) & ~0x1FFFull) != 0) [[unlikely]] {        \
+        if (Clock::now() >= deadline_) {                                     \
           throw ExecutionAborted{"canceled: wall-clock deadline exceeded"};  \
         }                                                                    \
       }                                                                      \

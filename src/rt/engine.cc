@@ -594,11 +594,11 @@ ExecutionEngine::Flow ExecutionEngine::ExecStmt(const Stmt& s, const Frame& fram
   if (++statements_ > statement_limit_) {
     throw ExecutionAborted{"statement limit exceeded (possible guest infinite loop)"};
   }
-  // Poll external cancellation every 8192 statements: cheap enough to be
-  // invisible on the hot path, frequent enough that a campaign watchdog can
-  // bound a runaway job's wall clock to milliseconds past its deadline.
-  if ((statements_ & 0x1FFF) == 0 && cancel_ != nullptr &&
-      cancel_->load(std::memory_order_relaxed)) [[unlikely]] {
+  // Poll the deadline every 8192 statements: cheap enough to be invisible on
+  // the hot path, frequent enough to bound a runaway job's wall clock to
+  // milliseconds past its deadline.
+  if ((statements_ & 0x1FFF) == 0 && deadline_ != kNoDeadline &&
+      Clock::now() >= deadline_) [[unlikely]] {
     throw ExecutionAborted{"canceled: wall-clock deadline exceeded"};
   }
   switch (s.kind) {

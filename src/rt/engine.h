@@ -33,7 +33,7 @@
 #ifndef SRC_RT_ENGINE_H_
 #define SRC_RT_ENGINE_H_
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -50,13 +50,12 @@
 
 namespace opec_rt {
 
-// Stack-pointer and machine control handed to the Supervisor.
+// Stack-pointer control and the layout, handed to the Supervisor.
 class EngineControl {
  public:
   virtual ~EngineControl() = default;
   virtual uint32_t sp() const = 0;
   virtual void set_sp(uint32_t sp) = 0;
-  virtual opec_hw::Machine& machine() = 0;
   virtual const AddressAssignment& layout() const = 0;
 };
 
@@ -135,10 +134,12 @@ class Engine : public EngineControl {
   void AddArgAttack(const ArgAttackSpec& attack) { arg_attacks_.push_back(attack); }
   const std::vector<ArgAttackSpec>& arg_attacks() const { return arg_attacks_; }
   void set_statement_limit(uint64_t limit) { statement_limit_ = limit; }
-  // External cancellation (e.g. a campaign watchdog): when the pointed-to
-  // flag becomes true, the run aborts within a bounded number of statements.
-  // The flag is polled, never written; it may be set from another thread.
-  void set_cancel_flag(const std::atomic<bool>* cancel) { cancel_ = cancel; }
+  // Wall-clock deadline (a campaign job's timeout): a run still going past
+  // it aborts within a bounded number of statements. Both tiers read the
+  // clock once every 8192 statements.
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+  void set_deadline(Clock::time_point deadline) { deadline_ = deadline; }
   // Replaces the supervisor (not owned). Lets a decorator interpose on the
   // SVC hooks — the snapshot round-trip probe wraps the monitor this way.
   void set_supervisor(Supervisor* supervisor) { supervisor_ = supervisor; }
@@ -156,7 +157,6 @@ class Engine : public EngineControl {
   // --- EngineControl ---
   uint32_t sp() const override { return sp_; }
   void set_sp(uint32_t sp) override { sp_ = sp; }
-  opec_hw::Machine& machine() override { return machine_; }
   const AddressAssignment& layout() const override { return layout_; }
 
   // Pseudo code addresses for functions (for function pointers / icalls).
@@ -286,7 +286,7 @@ class Engine : public EngineControl {
   const opec_ir::Function* current_fn_ = nullptr;  // innermost active function
   uint64_t statements_ = 0;
   uint64_t statement_limit_ = 200'000'000;
-  const std::atomic<bool>* cancel_ = nullptr;
+  Clock::time_point deadline_ = kNoDeadline;
   CostModel costs_;
   bool fault_state_capture_ = false;
   std::vector<opec_obs::FaultReport> fault_reports_;

@@ -12,10 +12,8 @@ std::string FormatEvent(const opec_obs::Event& event) {
       static_cast<int>(event.depth), event.arg0, event.arg1, event.arg2);
 }
 
-RvSink::RvSink(std::vector<std::unique_ptr<Automaton>> monitors, Options options)
-    : monitors_(std::move(monitors)),
-      options_(options),
-      context_(options.context_depth == 0 ? 1 : options.context_depth) {}
+RvSink::RvSink(std::vector<std::unique_ptr<Automaton>> monitors)
+    : monitors_(std::move(monitors)), context_(kContextDepth) {}
 
 void RvSink::OnEvent(const opec_obs::Event& event) {
   for (std::unique_ptr<Automaton>& m : monitors_) {
@@ -37,7 +35,7 @@ void RvSink::Finish(bool run_aborted) {
 }
 
 void RvSink::Record(const Automaton& automaton, const opec_obs::Event* event) {
-  if (details_.size() >= options_.max_details) {
+  if (details_.size() >= kMaxDetails) {
     return;  // counts in the automata stay exact; only the detail list caps
   }
   RvViolation v;

@@ -31,17 +31,12 @@ struct RvViolation {
 // operation, payload) used by the violation report; deterministic.
 std::string FormatEvent(const opec_obs::Event& event);
 
-struct RvOptions {
-  size_t context_depth = 16;  // ring of recent events kept per violation
-  size_t max_details = 8;     // detailed RvViolation records kept (counts are exact)
-};
-
 class RvSink : public opec_obs::Sink {
  public:
-  using Options = RvOptions;
+  static constexpr size_t kContextDepth = 16;  // recent events kept per violation
+  static constexpr size_t kMaxDetails = 8;     // RvViolation records kept (counts are exact)
 
-  explicit RvSink(std::vector<std::unique_ptr<Automaton>> monitors,
-                  Options options = Options());
+  explicit RvSink(std::vector<std::unique_ptr<Automaton>> monitors);
 
   void OnEvent(const opec_obs::Event& event) override;
   // End-of-run hook: runs each automaton's finish check. `run_aborted` is
@@ -57,7 +52,7 @@ class RvSink : public opec_obs::Sink {
   const std::vector<RvViolation>& details() const { return details_; }
 
   // Deterministic multi-line report (first line "RV report"): per-monitor
-  // state/step/violation counts plus the first max_details violations.
+  // state/step/violation counts plus the first kMaxDetails violations.
   // Contains only modeled data, so interp and bytecode runs of the same
   // workload produce byte-identical reports.
   std::string Report() const;
@@ -66,7 +61,6 @@ class RvSink : public opec_obs::Sink {
   void Record(const Automaton& automaton, const opec_obs::Event* event);
 
   std::vector<std::unique_ptr<Automaton>> monitors_;
-  Options options_;
   opec_obs::Recorder context_;
   std::vector<RvViolation> details_;
 };

@@ -1,5 +1,6 @@
 #include "src/snapshot/snapshot.h"
 
+#include <atomic>
 #include <cstdio>
 
 #include "src/hw/machine.h"
@@ -12,10 +13,20 @@ namespace opec_snapshot {
 using opec_hw::StateReader;
 using opec_hw::StateWriter;
 
+namespace {
+
+uint64_t NextImageId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Snapshot Snapshot::Capture(const opec_hw::Machine& machine,
                            const opec_monitor::Monitor* monitor,
                            const opec_rt::Engine* engine) {
   Snapshot s;
+  s.image_id_ = NextImageId();
   {
     StateWriter w;
     machine.SaveState(w);
@@ -40,7 +51,7 @@ void Snapshot::Restore(opec_hw::Machine& machine, opec_monitor::Monitor* monitor
   OPEC_CHECK_MSG(m != nullptr, "snapshot has no machine section");
   {
     StateReader r(m->payload);
-    machine.LoadState(r);
+    machine.LoadState(r, image_id_);
     OPEC_CHECK_MSG(r.AtEnd(), "machine section has trailing bytes");
   }
   if (monitor != nullptr) {
@@ -59,15 +70,6 @@ void Snapshot::Restore(opec_hw::Machine& machine, opec_monitor::Monitor* monitor
     engine->LoadState(r);
     OPEC_CHECK_MSG(r.AtEnd(), "engine section has trailing bytes");
   }
-}
-
-void Snapshot::RestoreFast(opec_hw::Machine& machine) const {
-  const Section* m = Find(kMachineSection);
-  OPEC_CHECK_MSG(m != nullptr, "snapshot has no machine section");
-  machine.bus().RestoreMemoryBaseline();
-  StateReader r(m->payload);
-  machine.LoadState(r, /*skip_memory=*/true);
-  OPEC_CHECK_MSG(r.AtEnd(), "machine section has trailing bytes");
 }
 
 const Snapshot::Section* Snapshot::Find(const std::string& name) const {
@@ -99,6 +101,7 @@ Snapshot Snapshot::Deserialize(const uint8_t* data, size_t size) {
                  "unsupported snapshot version " + std::to_string(version) + " (expected " +
                      std::to_string(kVersion) + ")");
   Snapshot s;
+  s.image_id_ = NextImageId();
   uint64_t n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
     Section sec;

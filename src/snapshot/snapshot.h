@@ -18,8 +18,11 @@
 // (the monitor's policy is immutable compile output and is not serialized).
 // Cross-provenance restores fail an OPEC_CHECK rather than corrupting state.
 //
-// Warm-start campaigns rewind with RestoreFast over the bus's dirty-page
-// baseline; `--snapshot-dir` writes full containers (WriteFile).
+// Every Snapshot also carries a process-unique image id, assigned when it is
+// captured or deserialized and never serialized. Restore() hands it to the
+// bus, which copies back only the pages written since memory last matched
+// that image and every page otherwise (DESIGN.md §13.3). Warm-start campaigns
+// rewind this way; `--snapshot-dir` writes full containers (WriteFile).
 
 #ifndef SRC_SNAPSHOT_SNAPSHOT_H_
 #define SRC_SNAPSHOT_SNAPSHOT_H_
@@ -64,17 +67,14 @@ class Snapshot {
   // Restores captured sections into the given objects. A section captured but
   // passed as null here is skipped; a null-captured section with a non-null
   // target is a hard error (the target would keep stale state silently).
+  // Memory comes back through Bus::LoadState's page copy, picked by
+  // image_id(); the result is the same either way.
   void Restore(opec_hw::Machine& machine, opec_monitor::Monitor* monitor = nullptr,
                opec_rt::Engine* engine = nullptr) const;
 
-  // Fast machine restore for the warm-start path (DESIGN.md §13.3): restores
-  // flash/SRAM through the bus's dirty-page baseline instead of copying the
-  // full memory images out of the snapshot, then replays the (small) register
-  // state. Only valid when Bus::CaptureMemoryBaseline() was taken at the same
-  // quiescent point this snapshot was captured at — i.e. baseline memory and
-  // snapshot memory are the same image. Registers/devices restore exactly as
-  // Restore() would.
-  void RestoreFast(opec_hw::Machine& machine) const;
+  // Names this snapshot's memory image within the process (0: none). Copies
+  // share it; a capture or a deserialization gets a new one.
+  uint64_t image_id() const { return image_id_; }
 
   size_t SectionCount() const { return sections_.size(); }
 
@@ -105,6 +105,7 @@ class Snapshot {
   const Section* Find(const std::string& name) const;
 
   std::vector<Section> sections_;
+  uint64_t image_id_ = 0;
 };
 
 }  // namespace opec_snapshot

@@ -57,17 +57,39 @@ TEST(Bus, SramReadWriteRoundTrip) {
   }
 
   // A word two bytes short of a 4 KiB page boundary dirties both pages, and
-  // the warm-start restore puts both halves back.
+  // a restore of the clean image, which copies dirty pages only, puts both
+  // halves back.
   const uint32_t edge = kSramBase + 0x2000 - 2;
   bus.DebugWriteBytes(edge, {1, 2, 3, 4});
-  bus.CaptureMemoryBaseline();
+  constexpr uint64_t kImage = 1;
+  StateWriter image;
+  bus.SaveState(image);
+  bus.MarkClean(kImage);
+  auto restore = [&] {
+    StateReader r(image.data());
+    bus.LoadState(r, kImage);
+  };
   bus.RawSramWrite(edge, 4, 0xCAFEF00Du);
   EXPECT_EQ(bus.Read(edge, 4, true).value, 0xCAFEF00Du);
-  bus.RestoreMemoryBaseline();
+  restore();
   EXPECT_EQ(bus.DebugReadBytes(edge, 4), (std::vector<uint8_t>{1, 2, 3, 4}));
   ASSERT_TRUE(bus.Write(edge, 4, 0xCAFEF00Du, true).ok());
-  bus.RestoreMemoryBaseline();
+  restore();
   EXPECT_EQ(bus.DebugReadBytes(edge, 4), (std::vector<uint8_t>{1, 2, 3, 4}));
+}
+
+// A zero-byte write stores nothing and marks no page. Its last byte,
+// offset + len - 1, wraps below its first: at offset 0 that names page
+// 0xFFFFF, far past the end of either dirty map (ASan reports the overrun).
+TEST(Bus, ZeroByteWritesMarkNoPage) {
+  Machine machine(Board::kStm32F4Discovery);
+  Bus& bus = machine.bus();
+  EXPECT_TRUE(bus.Write(kSramBase, 0, 0xFFFFFFFFu, true).ok());
+  EXPECT_EQ(bus.Write(kFlashBase, 0, 0, true).status, AccessStatus::kBusFault);  // W^X
+  EXPECT_TRUE(bus.DebugWrite(kSramBase, 0, 0xFFFFFFFFu));
+  EXPECT_TRUE(bus.DebugWrite(kFlashBase, 0, 0));
+  EXPECT_EQ(bus.DebugReadBytes(kSramBase, 4), std::vector<uint8_t>(4, 0x00));
+  EXPECT_EQ(bus.DebugReadBytes(kFlashBase, 4), std::vector<uint8_t>(4, 0xFF));
 }
 
 TEST(Bus, FlashIsNotWritableAtRuntime) {

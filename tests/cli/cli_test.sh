@@ -3,7 +3,7 @@
 # exactly one line on stderr for junk numbers, unknown or removed flags,
 # missing values, malformed --spec files and output directories it cannot
 # create; `runner` runs an app end to end and writes both trace outputs into
-# WORKDIR.
+# WORKDIR, and `campaign` writes a full report with its host timing there.
 #
 #   cli_test.sh CAMPAIGN FUZZ RUNNER FIGURE9_LOAD WORKDIR
 
@@ -83,5 +83,13 @@ for out in "$work/runner.trace.json" "$work/runner.jsonl"; do
     status=1
   fi
 done
+
+# Without --deterministic the report is the full one, host timing included.
+rm -f "$work/report.json"
+expect 0 "$campaign" --apps PinLock --report-json "$work/report.json"
+if ! grep -q '"timing"' "$work/report.json"; then
+  echo "FAIL: campaign --report-json wrote no \"timing\" section"
+  status=1
+fi
 
 exit $status

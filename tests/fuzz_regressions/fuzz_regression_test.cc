@@ -16,61 +16,15 @@
 #include "src/fuzz/generator.h"
 #include "src/fuzz/oracles.h"
 #include "src/fuzz/program.h"
-#include "src/hw/mpu.h"
 
 namespace opec_fuzz {
 namespace {
 
-using opec_hw::AccessKind;
-using opec_hw::AccessPerm;
-using opec_hw::Mpu;
-using opec_hw::MpuRegionConfig;
-
-// Seed 107008: the MPU-cache oracle's CheckRange probe reported
-//   CheckRange(0xFFFFFFF3, len=35, write, unpriv) ranged=1 per-byte=0
-// — a 35-byte range wrapping the top of the 32-bit address space was allowed
-// wholesale. Root cause: CheckRange computed its last probe window with a
-// 32-bit ~31u mask, so addr + len - 1 truncated below first_window and the
-// probe loop never ran. Fixed with a 64-bit window walk in src/hw/mpu.cc.
-TEST(FuzzRegressionTest, MpuCheckRangeWrappingRangeIsProbed_Seed107008) {
-  // Direct repro: MPU enabled, no regions. The background map (PRIVDEFENA)
-  // denies every unprivileged access, so a wrapped range must be denied too.
-  Mpu mpu;
-  mpu.set_enabled(true);
-  EXPECT_FALSE(mpu.CheckRange(0xFFFFFFF3u, 35, AccessKind::kWrite, /*privileged=*/false));
-  EXPECT_TRUE(mpu.CheckRange(0xFFFFFFF3u, 35, AccessKind::kWrite, /*privileged=*/true));
-}
-
-TEST(FuzzRegressionTest, MpuCheckRangeWrapProbesTheWrappedTail) {
-  // A region grants the bytes below 2^32 but nothing maps address 0, so the
-  // wrapped tail of the range decides: pre-fix the loop skipped every probe
-  // and allowed the whole range.
-  Mpu mpu;
-  mpu.set_enabled(true);
-  MpuRegionConfig top;
-  top.enabled = true;
-  top.base = 0xFFFFFF00u;
-  top.size_log2 = 8;  // 256 bytes: 0xFFFFFF00..0xFFFFFFFF
-  top.ap = AccessPerm::kFullAccess;
-  mpu.ConfigureRegion(0, top);
-  // Entirely inside the region: allowed.
-  EXPECT_TRUE(mpu.CheckRange(0xFFFFFFF3u, 13, AccessKind::kWrite, false));
-  // Wraps into unmapped address 0: the tail must deny the range.
-  EXPECT_FALSE(mpu.CheckRange(0xFFFFFFF3u, 35, AccessKind::kWrite, false));
-  // Map page zero too and the wrapped range becomes legal again.
-  MpuRegionConfig zero;
-  zero.enabled = true;
-  zero.base = 0;
-  zero.size_log2 = 8;
-  zero.ap = AccessPerm::kFullAccess;
-  mpu.ConfigureRegion(1, zero);
-  EXPECT_TRUE(mpu.CheckRange(0xFFFFFFF3u, 35, AccessKind::kWrite, false));
-}
-
+// The MPU-cache oracle replayed at seed 107008 (DESIGN.md Section 12.4):
+// cached CheckAccess, uncached CheckAccessUncached, AllowedRange and
+// GrantsThroughout must agree on the original 300 steps and on the revisit
+// steps appended after them.
 TEST(FuzzRegressionTest, MpuCacheOracleIsClean_Seed107008) {
-  // The full oracle replay at the finding seed: cached CheckAccess, uncached
-  // CheckAccessUncached and ranged CheckRange must agree on the original 300
-  // steps and on the revisit steps appended after them.
   std::vector<Divergence> divs = DiffMpuCache(107008);
   EXPECT_TRUE(divs.empty()) << divs[0].detail;
 }

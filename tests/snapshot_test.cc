@@ -105,8 +105,7 @@ TEST(Snapshot, DirtyPageFastRestoreMatchesFullRestore) {
   machine.bus().DebugWrite(opec_hw::kSramBase + 0x100, 4, 0xAABBCCDD);
   machine.AddCycles(77);
   Snapshot snap = Snapshot::Capture(machine);
-  machine.bus().CaptureMemoryBaseline();
-  ASSERT_TRUE(machine.bus().has_memory_baseline());
+  machine.bus().MarkClean(snap.image_id());  // as AppRun::CaptureBoot does
 
   // Dirty several distinct pages through every mutation path the bus has:
   // the guest write fast path, debug writes (flash and SRAM), and a raw
@@ -118,14 +117,80 @@ TEST(Snapshot, DirtyPageFastRestoreMatchesFullRestore) {
   machine.AddCycles(123);
   EXPECT_NE(Snapshot::Capture(machine).Digest(), snap.Digest());
 
-  snap.RestoreFast(machine);
+  // The bus's clean pages are this snapshot's image: only dirty pages copy.
+  snap.Restore(machine);
   EXPECT_EQ(Snapshot::Capture(machine).Digest(), snap.Digest());
 
-  // A second fast restore after more writes works too (the dirty map was
+  // A second restore after more writes works too (the dirty map was
   // cleared page-by-page as it restored).
   machine.bus().DebugWrite(opec_hw::kSramBase + 0xC000, 4, 0x13572468);
-  snap.RestoreFast(machine);
+  snap.Restore(machine);
   EXPECT_EQ(Snapshot::Capture(machine).Digest(), snap.Digest());
+}
+
+// Restore copies only the dirty pages when the bus's clean pages are the
+// snapshot's own image, and every page otherwise. The last restore of S1
+// needs that check: the pages where S1 and S2 differ were clean against S2,
+// so a dirty-page copy would leave S2's bytes in them.
+TEST(Snapshot, RestoreCopiesEveryPageOfAnotherImage) {
+  Machine machine(Board::kStm32F4Discovery);
+  opec_hw::Bus& bus = machine.bus();
+  const uint32_t flash_size = machine.board().flash_size;
+  const uint32_t sram_size = machine.board().sram_size;
+  // Dirties pages through every funnel that writes memory: the guest write
+  // (once straddling two pages), debug writes to SRAM and flash, the raw
+  // write and a raw copy spanning several pages.
+  auto scribble = [&](uint32_t v) {
+    EXPECT_TRUE(bus.Write(opec_hw::kSramBase + 0x100, 4, v, true).ok());
+    EXPECT_TRUE(bus.Write(opec_hw::kSramBase + 0x3000 - 2, 4, v, true).ok());
+    EXPECT_TRUE(bus.DebugWrite(opec_hw::kSramBase + 0x5004, 4, v));
+    EXPECT_TRUE(bus.DebugWrite(opec_hw::kFlashBase + 0x2000, 4, v));
+    bus.RawSramWrite(opec_hw::kSramBase + 0x6000, 4, v);
+    bus.RawSramCopy(opec_hw::kSramBase + 0x100, opec_hw::kSramBase + 0x8000, 3 * 4096 + 8);
+  };
+  opec_hw::MpuRegionConfig region;
+  region.enabled = true;
+  region.base = opec_hw::kSramBase;
+  region.size_log2 = 12;
+  region.ap = opec_hw::AccessPerm::kFullAccess;
+
+  bus.DebugWrite(opec_hw::kSramBase + 0x40, 4, 0x11223344);
+  machine.AddCycles(77);
+  machine.mpu().ConfigureRegion(0, region);
+  Snapshot s1 = Snapshot::Capture(machine);
+  const std::vector<uint8_t> s1_flash = bus.DebugReadBytes(opec_hw::kFlashBase, flash_size);
+  const std::vector<uint8_t> s1_sram = bus.DebugReadBytes(opec_hw::kSramBase, sram_size);
+  bus.MarkClean(s1.image_id());
+
+  scribble(0x5A5A5A5A);
+  machine.AddCycles(5);
+  machine.mpu().DisableRegion(0);
+  s1.Restore(machine);
+  EXPECT_EQ(Snapshot::Capture(machine).Digest(), s1.Digest());
+
+  // S2 differs from S1 in the scribbled pages and in two pages of its own.
+  scribble(0x22222222);
+  bus.DebugWrite(opec_hw::kSramBase + 0xA000, 4, 0x0BADF00D);
+  bus.DebugWrite(opec_hw::kFlashBase + 0x4000, 4, 0x0BADF00D);
+  machine.AddCycles(9);
+  region.size_log2 = 13;
+  machine.mpu().ConfigureRegion(1, region);
+  Snapshot s2 = Snapshot::Capture(machine);
+  EXPECT_NE(s2.image_id(), s1.image_id());
+  EXPECT_EQ(Snapshot(s1).image_id(), s1.image_id());  // a copy is the same image
+  EXPECT_NE(Snapshot::Deserialize(s1.Serialize()).image_id(), s1.image_id());
+
+  scribble(0x33333333);
+  machine.AddCycles(3);
+  s2.Restore(machine);  // the clean pages are S1's: every page copies
+  EXPECT_EQ(Snapshot::Capture(machine).Digest(), s2.Digest());
+
+  s1.Restore(machine);  // the clean pages are S2's: every page copies
+  EXPECT_EQ(Snapshot::Capture(machine).Digest(), s1.Digest());
+  EXPECT_EQ(machine.cycles(), 77u);
+  EXPECT_FALSE(machine.mpu().region(1).enabled);
+  EXPECT_TRUE(bus.DebugReadBytes(opec_hw::kFlashBase, flash_size) == s1_flash);
+  EXPECT_TRUE(bus.DebugReadBytes(opec_hw::kSramBase, sram_size) == s1_sram);
 }
 
 TEST(Snapshot, DigestIsStableAndSensitive) {
@@ -295,7 +360,7 @@ TEST(Snapshot, FaultReportCarriesRestorableMachineState) {
   std::unique_ptr<opec_apps::Application> scratch_app = factory.make();
   AppRun scratch(*scratch_app, BuildMode::kOpec);
   StateReader r(*report.machine_state);
-  scratch.machine().LoadState(r);
+  scratch.machine().LoadState(r, /*image_id=*/0);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(scratch.machine().cycles(), report.cycle);
 }
