@@ -5,7 +5,7 @@
 // run under vanilla and OPEC builds, plus an OPEC+RV pass, over both device
 // models (PIO Ethernet and descriptor-ring EthernetDma) and both execution
 // tiers. Every reported number is *modeled* (machine cycles, cycles/request,
-// overhead %, RV automaton steps and states) — no wall clock — so the output
+// overhead %, RV monitor steps and states) — no wall clock — so the output
 // is byte-identical across `--jobs` values and engines can be diffed
 // byte-for-byte in CI. At low rates the inter-frame gap dominates the cycle
 // count and the monitor overhead is diluted toward zero; as the rate rises
@@ -64,11 +64,8 @@ uint64_t RunCycles(const opec_apps::Application& app, opec_apps::BuildMode mode,
     OPEC_CHECK_MSG(run.rv()->total_violations() == 0,
                    app.name() + ": rv violation on a clean load run:\n" +
                        run.rv()->Report());
-    uint64_t steps = 0;
-    for (size_t i = 0; i < run.rv()->monitor_count(); ++i) {
-      steps += run.rv()->monitor(i).steps();
-    }
-    *rv_steps = steps;
+    // Summed over the monitors, each of which steps on every event.
+    *rv_steps = run.rv()->steps() * opec_rv::StandardMonitorNames().size();
     *rv_states = run.rv()->states_visited();
   }
   if (echoes != nullptr) {

@@ -286,7 +286,7 @@ AcesResult PartitionAces(const Module& module, const CallGraph& cg,
 
 // --- AcesRuntime ---
 
-void AcesRuntime::OnProgramStart(opec_rt::EngineControl* engine) {
+void AcesRuntime::OnProgramStart(opec_rt::Engine* engine) {
   (void)engine;
   compartment_stack_.clear();
   const Function* main_fn = nullptr;

@@ -99,7 +99,7 @@ class AcesRuntime : public opec_rt::Supervisor {
   AcesRuntime(opec_hw::Machine& machine, const AcesResult& result)
       : machine_(machine), result_(result) {}
 
-  void OnProgramStart(opec_rt::EngineControl* engine) override;
+  void OnProgramStart(opec_rt::Engine* engine) override;
   bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override;
   bool OnOperationExit(int op_id) override;
   bool OnFunctionCall(const opec_ir::Function* callee) override;

@@ -44,7 +44,6 @@ class CallGraph {
   static CallGraph Build(const opec_ir::Module& module, PointsToAnalysis& pta);
 
   const std::set<const opec_ir::Function*>& Callees(const opec_ir::Function* fn) const;
-  const std::vector<ICallSite>& icall_sites() const { return icall_sites_; }
   ICallStats Stats() const;
 
   // Depth-first traversal from `root` over the call graph, backtracking at

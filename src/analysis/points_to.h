@@ -76,8 +76,6 @@ class PointsToAnalysis {
   bool MayPointToLocal(const opec_ir::Expr* e) const;
 
   double solve_seconds() const { return solve_seconds_; }
-  size_t node_count() const { return nodes_.size(); }
-  size_t constraint_count() const { return copy_edges_.size() + loads_.size() + stores_.size(); }
   SolverMode solver_mode() const { return mode_; }
 
   const opec_ir::Module& module() const { return module_; }

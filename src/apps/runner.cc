@@ -113,7 +113,6 @@ void AppRun::EnableRv() {
   }
   opec_rv::RvEnv env;
   env.mpu = &machine_->mpu();
-  env.opec_mode = mode_ == BuildMode::kOpec;
   if (compile_ != nullptr) {
     for (const opec_compiler::OperationPolicy& op : compile_->policy.operations) {
       for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
@@ -121,7 +120,7 @@ void AppRun::EnableRv() {
       }
     }
   }
-  rv_ = opec_rv::MakeStandardRvSink(env);
+  rv_ = std::make_unique<opec_rv::RvSink>(env);
 }
 
 opec_obs::Naming AppRun::EventNaming() const {

@@ -101,7 +101,6 @@ class AppRun {
   // module; operation names from the policy in OPEC mode).
   opec_obs::Naming EventNaming() const;
   opec_rt::Engine& engine() { return *engine_; }
-  EngineKind engine_kind() const { return engine_kind_; }
   // The address assignment in effect: the OPEC layout in OPEC mode, the flat
   // vanilla layout otherwise.
   const opec_rt::AddressAssignment& layout() const {

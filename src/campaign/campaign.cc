@@ -392,7 +392,7 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, Clock::time_point deadli
   if (spec.attach_counting_sink) {
     run.AttachSink(&counting);
   }
-  if (!spec.trace_path.empty()) {
+  if (!options.trace_dir.empty()) {
     run.EnableEventRecording();
   }
   if (spec.rv) {
@@ -453,8 +453,10 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, Clock::time_point deadli
     return out;
   };
 
-  if (!spec.trace_path.empty() && run.recorder() != nullptr) {
-    opec_obs::WriteFile(spec.trace_path,
+  if (!options.trace_dir.empty() && run.recorder() != nullptr) {
+    opec_obs::WriteFile(opec_support::StrPrintf("%s/job%04zu_%s_%s.trace.json",
+                                                options.trace_dir.c_str(), index,
+                                                AppKey(spec.app).c_str(), ModeName(spec.mode)),
                         opec_obs::ChromeTraceJson(run.recorder()->Snapshot(),
                                                   run.EventNaming(), factory->name,
                                                   run.recorder()->dropped()));
@@ -527,34 +529,14 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, Clock::time_point deadli
   return finish();
 }
 
-// Fills the derived fields of job `index`: seed from SplitMix64::JobSeed when
-// 0, timeout from the executor default then the campaign spec, trace path
-// from trace_dir.
-JobSpec ResolveJobSpec(const CampaignSpec& spec, size_t index,
-                       const Executor::Options& options) {
-  JobSpec resolved = spec.jobs[index];
-  if (resolved.seed == 0) {
-    resolved.seed = SplitMix64::JobSeed(spec.seed, index);
-  }
-  if (resolved.timeout_ms == 0) {
-    resolved.timeout_ms =
-        options.default_timeout_ms != 0 ? options.default_timeout_ms : spec.timeout_ms;
-  }
-  if (!options.trace_dir.empty() && resolved.trace_path.empty()) {
-    resolved.trace_path = opec_support::StrPrintf(
-        "%s/job%04zu_%s_%s.trace.json", options.trace_dir.c_str(), index,
-        AppKey(resolved.app).c_str(), ModeName(resolved.mode));
-  }
-  return resolved;
-}
-
 // The per-job harness around RunJobImpl: the wall-clock deadline the engine
-// polls, ScopedCheckThrow capture, and structured kException results for
-// anything thrown.
-JobResult RunGuarded(const JobSpec& resolved, size_t index, const Executor::Options& options) {
+// polls (none when `timeout_ms` is 0), ScopedCheckThrow capture, and
+// structured kException results for anything thrown.
+JobResult RunGuarded(const JobSpec& resolved, size_t index, uint64_t timeout_ms,
+                     const Executor::Options& options) {
   Clock::time_point job_t0 = Clock::now();
-  Clock::time_point deadline = resolved.timeout_ms != 0
-                                   ? job_t0 + std::chrono::milliseconds(resolved.timeout_ms)
+  Clock::time_point deadline = timeout_ms != 0
+                                   ? job_t0 + std::chrono::milliseconds(timeout_ms)
                                    : opec_rt::Engine::kNoDeadline;
   JobResult result;
   try {
@@ -904,8 +886,14 @@ CampaignResult Executor::Run(const CampaignSpec& spec, const Options& options) {
       }
     }
   }
+  const uint64_t timeout_ms =
+      options.default_timeout_ms != 0 ? options.default_timeout_ms : spec.timeout_ms;
   out.results = ParallelMap(out.jobs_used, spec.jobs.size(), [&](size_t i) {
-    return RunGuarded(ResolveJobSpec(spec, i, options), i, options);
+    JobSpec job = spec.jobs[i];
+    if (job.seed == 0) {
+      job.seed = SplitMix64::JobSeed(spec.seed, i);
+    }
+    return RunGuarded(job, i, timeout_ms, options);
   });
 
   out.wall_ns = NsSince(t0);

@@ -117,8 +117,6 @@ struct JobSpec {
   opec_apps::EngineKind engine = opec_apps::EngineKind::kInterp;
   uint64_t seed = 0;          // per-job PRNG seed (0 = derive from campaign)
   FaultClass fault = FaultClass::kAny;
-  uint64_t timeout_ms = 0;    // 0 = campaign default
-  std::string trace_path;     // non-empty: export a Chrome trace of the run
   bool attach_counting_sink = false;  // obs-invariance checks
   // Runtime-verification monitors (src/rv, DESIGN.md §15). On by default: a
   // clean-looking run that trips a safety automaton becomes kRvViolation;

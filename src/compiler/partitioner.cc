@@ -31,8 +31,6 @@ PartitionResult PartitionOperations(
     OPEC_CHECK_MSG(fn != nullptr, "operation entry does not exist: " + spec.function);
     OPEC_CHECK_MSG(!fn->type()->is_variadic(),
                    "operation entry cannot be variadic: " + spec.function);
-    OPEC_CHECK_MSG(!fn->is_interrupt_handler(),
-                   "operation entry cannot be an interrupt handler: " + spec.function);
     OPEC_CHECK_MSG(fn != main_fn, "main is implicitly the default operation");
     entries.insert(fn);
     roots.emplace_back(fn, spec);

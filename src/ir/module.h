@@ -80,10 +80,6 @@ class Function {
   const std::string& source_file() const { return source_file_; }
   void set_source_file(std::string f) { source_file_ = std::move(f); }
 
-  // Interrupt handlers cannot be operation entries and always run privileged.
-  bool is_interrupt_handler() const { return is_interrupt_handler_; }
-  void set_is_interrupt_handler(bool v) { is_interrupt_handler_ = v; }
-
   // Dense position in Module::functions(), assigned by Module::AddFunction.
   int ordinal() const { return ordinal_; }
   void set_ordinal(int o) { ordinal_ = o; }
@@ -96,7 +92,6 @@ class Function {
   std::vector<LocalVariable> locals_;
   std::vector<StmtPtr> body_;
   std::string source_file_;
-  bool is_interrupt_handler_ = false;
 };
 
 // A guest program: the statically linked bare-metal image's IR, equivalent to

@@ -205,7 +205,7 @@ void Monitor::ConfigureMpuForOperation(int op_id, uint8_t srd) {
   mpu.set_enabled(true);
 }
 
-void Monitor::OnProgramStart(opec_rt::EngineControl* engine) {
+void Monitor::OnProgramStart(opec_rt::Engine* engine) {
   engine_ = engine;
   context_stack_.clear();
   RequireSramGrant();

@@ -57,7 +57,7 @@ class Monitor : public opec_rt::Supervisor {
           const opec_hw::SocDescription& soc);
 
   // --- opec_rt::Supervisor ---
-  void OnProgramStart(opec_rt::EngineControl* engine) override;
+  void OnProgramStart(opec_rt::Engine* engine) override;
   void OnProgramEnd() override;
   bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override;
   bool OnOperationExit(int op_id) override;
@@ -123,7 +123,7 @@ class Monitor : public opec_rt::Supervisor {
   opec_hw::Machine& machine_;
   const opec_compiler::Policy& policy_;
   const opec_hw::SocDescription& soc_;
-  opec_rt::EngineControl* engine_ = nullptr;
+  opec_rt::Engine* engine_ = nullptr;
 
   std::vector<OpContext> context_stack_;
   uint8_t current_srd_ = 0;

@@ -97,7 +97,6 @@ class Hub {
   static constexpr int kMaxSinks = 6;
 
   static bool active() { return sink_count_ != 0; }
-  static int sink_count() { return sink_count_; }
 
   // Attach/Detach are idempotent per sink pointer; attaching more than
   // kMaxSinks sinks is a host programming error.

@@ -50,15 +50,6 @@
 
 namespace opec_rt {
 
-// Stack-pointer control and the layout, handed to the Supervisor.
-class EngineControl {
- public:
-  virtual ~EngineControl() = default;
-  virtual uint32_t sp() const = 0;
-  virtual void set_sp(uint32_t sp) = 0;
-  virtual const AddressAssignment& layout() const = 0;
-};
-
 // An injected exploit: when `fn` is entered for the `occurrence`-th time
 // (1-based), perform an arbitrary unprivileged write — the paper's threat
 // model primitive (Section 3.3). If the MPU/privilege rules block the write,
@@ -121,11 +112,11 @@ struct ExecutionAborted {
 // Everything observable across a run — attack bookkeeping, entry counters,
 // cost model, fault reports, the serialized snapshot payload — lives here so
 // the tiers cannot drift apart on it.
-class Engine : public EngineControl {
+class Engine {
  public:
   Engine(opec_hw::Machine& machine, const opec_ir::Module& module,
          const AddressAssignment& layout, Supervisor* supervisor);
-  ~Engine() override = default;
+  virtual ~Engine() = default;
 
   // Optional instrumentation. Function-level tracing is event-based: attach
   // an ExecutionTrace (or any obs sink) to the opec_obs::Hub around Run().
@@ -154,10 +145,11 @@ class Engine : public EngineControl {
   // reported in the result.
   RunResult Run(const std::string& entry = "main", const std::vector<uint32_t>& args = {});
 
-  // --- EngineControl ---
-  uint32_t sp() const override { return sp_; }
-  void set_sp(uint32_t sp) override { sp_ = sp; }
-  const AddressAssignment& layout() const override { return layout_; }
+  // The stack pointer (the supervisor relocates entry arguments through it)
+  // and the address assignment in effect.
+  uint32_t sp() const { return sp_; }
+  void set_sp(uint32_t sp) { sp_ = sp; }
+  const AddressAssignment& layout() const { return layout_; }
 
   // Pseudo code addresses for functions (for function pointers / icalls).
   uint32_t FuncAddr(const opec_ir::Function* fn) const;

@@ -14,7 +14,7 @@
 
 namespace opec_rt {
 
-class EngineControl;
+class Engine;
 
 class Supervisor {
  public:
@@ -23,7 +23,7 @@ class Supervisor {
   // Called once before `main` runs; gives the supervisor its engine handle
   // (stack pointer control) and lets it initialize (shadow sections, MPU,
   // privilege drop).
-  virtual void OnProgramStart(EngineControl* engine) = 0;
+  virtual void OnProgramStart(Engine* engine) = 0;
 
   // Called when the program finishes normally.
   virtual void OnProgramEnd() {}

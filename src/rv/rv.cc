@@ -12,14 +12,23 @@ std::string FormatEvent(const opec_obs::Event& event) {
       static_cast<int>(event.depth), event.arg0, event.arg1, event.arg2);
 }
 
-RvSink::RvSink(std::vector<std::unique_ptr<Automaton>> monitors)
-    : monitors_(std::move(monitors)), context_(kContextDepth) {}
+RvSink::RvSink(const RvEnv& env)
+    : shadow_isolation_(env.shadow_owners), mpu_cache_coherence_(env.mpu),
+      context_(kContextDepth) {}
 
 void RvSink::OnEvent(const opec_obs::Event& event) {
-  for (std::unique_ptr<Automaton>& m : monitors_) {
-    if (m->Step(event)) {
-      Record(*m, &event);
-    }
+  ++steps_;
+  if (switch_protocol_.Step(event)) {
+    Record(switch_protocol_, &event);
+  }
+  if (shadow_isolation_.Step(event)) {
+    Record(shadow_isolation_, &event);
+  }
+  if (mpu_cache_coherence_.Step(event)) {
+    Record(mpu_cache_coherence_, &event);
+  }
+  if (call_depth_.Step(event)) {
+    Record(call_depth_, &event);
   }
   // Fed after stepping so a violation's `recent` holds the events *before*
   // the offending one (the offender itself is in RvViolation::event).
@@ -27,26 +36,29 @@ void RvSink::OnEvent(const opec_obs::Event& event) {
 }
 
 void RvSink::Finish(bool run_aborted) {
-  for (std::unique_ptr<Automaton>& m : monitors_) {
-    if (m->Finish(run_aborted)) {
-      Record(*m, nullptr);
-    }
+  if (finished_) {
+    return;
+  }
+  finished_ = true;
+  // shadow-isolation and mpu-cache-coherence judge events only.
+  if (switch_protocol_.Finish(run_aborted)) {
+    Record(switch_protocol_, nullptr);
+  }
+  if (call_depth_.Finish(run_aborted)) {
+    Record(call_depth_, nullptr);
   }
 }
 
-void RvSink::Record(const Automaton& automaton, const opec_obs::Event* event) {
+void RvSink::Record(const RvMonitor& monitor, const opec_obs::Event* event) {
   if (details_.size() >= kMaxDetails) {
-    return;  // counts in the automata stay exact; only the detail list caps
+    return;  // counts in the monitors stay exact; only the detail list caps
   }
   RvViolation v;
-  v.automaton = automaton.name();
-  v.state = automaton.state_name(automaton.last_violation_state());
-  v.message = automaton.last_violation_message();
+  v.automaton = monitor.name();
+  v.state = monitor.last_state();
+  v.message = monitor.last_message();
   if (event != nullptr) {
-    v.event = *event;
-  } else {
-    v.event = opec_obs::Event{};  // Finish() violation: no offending event
-    v.event.cycle = 0;
+    v.event = *event;  // else a Finish() violation: no offending event
   }
   v.recent = context_.Snapshot();
   details_.push_back(std::move(v));
@@ -54,7 +66,7 @@ void RvSink::Record(const Automaton& automaton, const opec_obs::Event* event) {
 
 uint64_t RvSink::total_violations() const {
   uint64_t n = 0;
-  for (const std::unique_ptr<Automaton>& m : monitors_) {
+  for (const RvMonitor* m : monitors()) {
     n += m->violations();
   }
   return n;
@@ -62,7 +74,7 @@ uint64_t RvSink::total_violations() const {
 
 uint64_t RvSink::states_visited() const {
   uint64_t n = 0;
-  for (const std::unique_ptr<Automaton>& m : monitors_) {
+  for (const RvMonitor* m : monitors()) {
     n += m->visited_states();
   }
   return n;
@@ -70,8 +82,8 @@ uint64_t RvSink::states_visited() const {
 
 std::vector<uint64_t> RvSink::ViolationsByMonitor() const {
   std::vector<uint64_t> v;
-  v.reserve(monitors_.size());
-  for (const std::unique_ptr<Automaton>& m : monitors_) {
+  v.reserve(monitors().size());
+  for (const RvMonitor* m : monitors()) {
     v.push_back(m->violations());
   }
   return v;
@@ -79,10 +91,10 @@ std::vector<uint64_t> RvSink::ViolationsByMonitor() const {
 
 std::string RvSink::Report() const {
   std::string out = "RV report\n";
-  for (const std::unique_ptr<Automaton>& m : monitors_) {
+  for (const RvMonitor* m : monitors()) {
     out += opec_support::StrPrintf(
-        "  %s: states=%zu visited=%zu steps=%llu violations=%llu\n", m->name().c_str(),
-        m->state_count(), m->visited_states(), static_cast<unsigned long long>(m->steps()),
+        "  %s: states=%zu visited=%zu steps=%llu violations=%llu\n", m->name(),
+        m->state_count(), m->visited_states(), static_cast<unsigned long long>(steps_),
         static_cast<unsigned long long>(m->violations()));
   }
   out += opec_support::StrPrintf("  total violations: %llu\n",
@@ -94,10 +106,6 @@ std::string RvSink::Report() const {
     out += "    event: " + FormatEvent(v.event) + "\n";
   }
   return out;
-}
-
-std::unique_ptr<RvSink> MakeStandardRvSink(const RvEnv& env) {
-  return std::make_unique<RvSink>(BuildStandardMonitors(env));
 }
 
 }  // namespace opec_rv

@@ -1,27 +1,27 @@
-// RvSink: runs a set of compiled safety automata over the live obs event
-// stream of one run (DESIGN.md §15). Violations are recorded as structured
-// RvViolation records with the last-N preceding events (via the existing
-// ring-buffer Recorder) and summarized in a deterministic, modeled-data-only
-// report that is byte-identical across engines, job orders and boot modes.
+// RvSink: runs the four standard monitors (monitors.h) over the live obs
+// event stream of one run (DESIGN.md §15). Violations are recorded as
+// structured RvViolation records with the last-N preceding events (via the
+// existing ring-buffer Recorder) and summarized in a deterministic,
+// modeled-data-only report that is byte-identical across engines, job orders
+// and boot modes.
 
 #ifndef SRC_RV_RV_H_
 #define SRC_RV_RV_H_
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/obs/event.h"
 #include "src/obs/recorder.h"
-#include "src/rv/automaton.h"
 #include "src/rv/monitors.h"
 
 namespace opec_rv {
 
 struct RvViolation {
-  std::string automaton;
-  std::string state;               // state the automaton was in when it fired
+  std::string automaton;           // the monitor that fired
+  std::string state;               // state the monitor was in when it fired
   opec_obs::Event event;           // offending event (zeroed for Finish() violations)
   std::string message;
   std::vector<opec_obs::Event> recent;  // events immediately before the offender
@@ -36,18 +36,20 @@ class RvSink : public opec_obs::Sink {
   static constexpr size_t kContextDepth = 16;  // recent events kept per violation
   static constexpr size_t kMaxDetails = 8;     // RvViolation records kept (counts are exact)
 
-  explicit RvSink(std::vector<std::unique_ptr<Automaton>> monitors);
+  explicit RvSink(const RvEnv& env);
 
   void OnEvent(const opec_obs::Event& event) override;
-  // End-of-run hook: runs each automaton's finish check. `run_aborted` is
-  // true when the guest aborted (ExecutionAborted unwind). Idempotent.
+  // End-of-run hook: runs the monitors' end-of-run checks. `run_aborted` is
+  // true when the guest aborted (ExecutionAborted unwind). Only the first
+  // call checks.
   void Finish(bool run_aborted);
 
-  size_t monitor_count() const { return monitors_.size(); }
-  const Automaton& monitor(size_t i) const { return *monitors_[i]; }
+  // Events seen; every monitor steps on every one.
+  uint64_t steps() const { return steps_; }
   uint64_t total_violations() const;
-  // Distinct automaton states visited, summed over monitors.
+  // Distinct monitor states visited, summed over monitors.
   uint64_t states_visited() const;
+  // In StandardMonitorNames() order.
   std::vector<uint64_t> ViolationsByMonitor() const;
   const std::vector<RvViolation>& details() const { return details_; }
 
@@ -58,15 +60,20 @@ class RvSink : public opec_obs::Sink {
   std::string Report() const;
 
  private:
-  void Record(const Automaton& automaton, const opec_obs::Event* event);
+  std::array<const RvMonitor*, 4> monitors() const {
+    return {&switch_protocol_, &shadow_isolation_, &mpu_cache_coherence_, &call_depth_};
+  }
+  void Record(const RvMonitor& monitor, const opec_obs::Event* event);
 
-  std::vector<std::unique_ptr<Automaton>> monitors_;
+  SwitchProtocol switch_protocol_;
+  ShadowIsolation shadow_isolation_;
+  MpuCacheCoherence mpu_cache_coherence_;
+  CallDepth call_depth_;
+  uint64_t steps_ = 0;
+  bool finished_ = false;
   opec_obs::Recorder context_;
   std::vector<RvViolation> details_;
 };
-
-// Convenience: standard monitors over `env` (see monitors.h).
-std::unique_ptr<RvSink> MakeStandardRvSink(const RvEnv& env);
 
 }  // namespace opec_rv
 

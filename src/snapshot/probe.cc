@@ -11,7 +11,7 @@ RoundTripProbe::RoundTripProbe(opec_hw::Machine& machine, opec_monitor::Monitor*
                                opec_rt::Engine* engine)
     : machine_(machine), monitor_(monitor), engine_(engine) {}
 
-void RoundTripProbe::OnProgramStart(opec_rt::EngineControl* engine) {
+void RoundTripProbe::OnProgramStart(opec_rt::Engine* engine) {
   if (monitor_ != nullptr) {
     monitor_->OnProgramStart(engine);
   }

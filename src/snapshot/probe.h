@@ -38,7 +38,7 @@ class RoundTripProbe : public opec_rt::Supervisor {
                  opec_rt::Engine* engine);
 
   // --- opec_rt::Supervisor (every hook forwards to the wrapped monitor) ---
-  void OnProgramStart(opec_rt::EngineControl* engine) override;
+  void OnProgramStart(opec_rt::Engine* engine) override;
   void OnProgramEnd() override;
   bool OnOperationEnter(int op_id, std::vector<uint32_t>& args) override;
   bool OnOperationExit(int op_id) override;

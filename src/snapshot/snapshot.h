@@ -76,8 +76,6 @@ class Snapshot {
   // share it; a capture or a deserialization gets a new one.
   uint64_t image_id() const { return image_id_; }
 
-  size_t SectionCount() const { return sections_.size(); }
-
   // Container wire format: magic, version, section count, then per section
   // name + length-prefixed payload.
   std::vector<uint8_t> Serialize() const;

@@ -320,9 +320,9 @@ TEST(CampaignTest, RvReportsAreDeterministicAcrossThreadsAndBootModes) {
 
 TEST(CampaignTest, TimeoutCancelsRunawayJob) {
   CampaignSpec spec;
+  spec.timeout_ms = 1;  // unreachably tight
   JobSpec job;
   job.app = "CoreMark";  // the longest-running workload
-  job.timeout_ms = 1;    // unreachably tight
   spec.jobs.push_back(job);
   Executor::Options options;
   options.jobs = 1;

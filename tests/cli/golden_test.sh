@@ -13,19 +13,25 @@
 #   figures.txt       campaign --figures, with the digits of Table 3's
 #                     Time(s) column (host time) masked as '#'
 #   figure9_load.txt  figure9_load --requests 24 --engine both
+#   rv_report.txt     the "RV report" section of runner --rv=report for
+#                     pinlock, tcp_echo and tcp_echo_dma in both modes, then
+#                     the per-monitor block of the fault_sweep.json sweep run
+#                     with --rv report; the interp and the bytecode runs must
+#                     both produce it (rv_report_bytecode.txt in WORKDIR)
 #
 # A change that moves a modeled number on purpose says why and regenerates
 # the goldens from the outputs this script leaves in WORKDIR (from the
 # repository root, build tree in build/):
 #
 #   ctest --test-dir build -R golden_test
-#   for f in scenarios.json fault_sweep.json figures.txt figure9_load.txt; do
+#   for f in scenarios.json fault_sweep.json figures.txt figure9_load.txt \
+#       rv_report.txt; do
 #     cp build/tests/golden_test/$f tests/goldens/
 #   done
 #
-#   golden_test.sh CAMPAIGN FIGURE9_LOAD GOLDEN_DIR WORKDIR
+#   golden_test.sh CAMPAIGN FIGURE9_LOAD RUNNER GOLDEN_DIR WORKDIR
 
-campaign=$1 figure9_load=$2 goldens=$3 work=$4
+campaign=$1 figure9_load=$2 runner=$3 goldens=$4 work=$5
 mkdir -p "$work" && cd "$work" || exit 1
 status=0
 
@@ -55,11 +61,15 @@ grep -q '"engine": "bytecode"' bytecode.json || { echo "FAIL: no bytecode rows";
 sed 's/, "engine": "bytecode"//' bytecode.json > bytecode_unlabeled.json
 check bytecode_unlabeled.json scenarios.json
 
-run "$campaign" --apps PinLock,Animation --fault-sweep 24 --deterministic \
-  --report-json fault_sweep.json
+# The fault sweeps also print their RV report (stdout only; the JSON does
+# not depend on --rv report).
+"$campaign" --apps PinLock,Animation --fault-sweep 24 --deterministic --rv report \
+  --report-json fault_sweep.json > fault_sweep_interp.out \
+  || { echo "FAIL: campaign --fault-sweep"; status=1; }
 check fault_sweep.json fault_sweep.json
-run "$campaign" --apps PinLock,Animation --fault-sweep 24 --engine bytecode --jobs 1 \
-  --deterministic --report-json fault_sweep_bytecode.json
+"$campaign" --apps PinLock,Animation --fault-sweep 24 --engine bytecode --jobs 1 \
+  --deterministic --rv report --report-json fault_sweep_bytecode.json \
+  > fault_sweep_bytecode.out || { echo "FAIL: campaign --fault-sweep bytecode"; status=1; }
 grep -q '"engine": "bytecode"' fault_sweep_bytecode.json || { echo "FAIL: no bytecode faults"; status=1; }
 sed 's/, "engine": "bytecode"//' fault_sweep_bytecode.json > fault_sweep_bytecode_unlabeled.json
 check fault_sweep_bytecode_unlabeled.json fault_sweep.json
@@ -72,5 +82,27 @@ check figures.txt figures.txt
 "$figure9_load" --requests 24 --engine both > figure9_load.txt \
   || { echo "FAIL: figure9_load"; status=1; }
 check figure9_load.txt figure9_load.txt
+
+# rv_section: the "RV report" line and the indented lines that follow it.
+rv_section() {
+  awk '/^RV report/ { p = 1; print; next } p && /^  / { print; next } { p = 0 }'
+}
+for engine in interp bytecode; do
+  out=rv_report_$engine.txt
+  : > "$out"
+  for app in pinlock tcp_echo tcp_echo_dma; do
+    for mode in vanilla opec; do
+      echo "runner --app $app --mode $mode --rv=report" >> "$out"
+      "$runner" --app "$app" --mode "$mode" --engine "$engine" --rv=report > runner.out \
+        || { echo "FAIL: runner --app $app --mode $mode --engine $engine"; status=1; }
+      rv_section < runner.out >> "$out"
+    done
+  done
+  echo "campaign --apps PinLock,Animation --fault-sweep 24 --rv report" >> "$out"
+  rv_section < "fault_sweep_$engine.out" >> "$out"
+done
+cp rv_report_interp.txt rv_report.txt
+check rv_report.txt rv_report.txt
+check rv_report_bytecode.txt rv_report.txt
 
 exit $status

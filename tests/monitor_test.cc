@@ -574,7 +574,7 @@ class DenyPublicCopyOnFirstEntry : public opec_rt::Supervisor {
     run.engine().set_supervisor(this);
   }
 
-  void OnProgramStart(opec_rt::EngineControl* engine) override {
+  void OnProgramStart(opec_rt::Engine* engine) override {
     monitor_.OnProgramStart(engine);
   }
   void OnProgramEnd() override { monitor_.OnProgramEnd(); }

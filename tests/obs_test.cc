@@ -542,8 +542,8 @@ TEST(Overhead, AttachedSinkLeavesModeledOutputsIdentical) {
 }
 
 // Every EventKind has a real name: adding a kind without naming it would
-// break every exporter and the RV reports at once. kNumEventKinds in
-// src/rv/automaton.h static_asserts the enum width; this pins the names.
+// break every exporter and the RV reports at once. src/rv/monitors.cc
+// static_asserts the enum width; this pins the names.
 TEST(EventKinds, EveryKindHasAUniqueName) {
   constexpr EventKind kAll[] = {
       EventKind::kFunctionEnter, EventKind::kFunctionExit, EventKind::kOperationEnter,

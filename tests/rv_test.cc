@@ -1,8 +1,8 @@
 // Tests for the runtime-verification subsystem (src/rv, DESIGN.md §15): the
-// automaton framework on synthetic event streams, the four standard monitors
-// against hand-built protocol breaks, and the end-to-end contract on real
+// four standard monitors against hand-built protocol breaks, the exact report
+// text on synthetic event streams, and the end-to-end contract on real
 // workloads — clean runs trip nothing on either engine, blocked attacks trip
-// the matching automaton, and the deterministic report is byte-identical
+// the matching monitor, and the deterministic report is byte-identical
 // across execution tiers.
 
 #include "src/rv/rv.h"
@@ -16,15 +16,12 @@
 #include "src/apps/runner.h"
 #include "src/hw/mpu.h"
 #include "src/obs/event.h"
-#include "src/rv/automaton.h"
 #include "src/rv/monitors.h"
 
 namespace {
 
 using opec_obs::Event;
 using opec_obs::EventKind;
-using opec_rv::Automaton;
-using opec_rv::BuildStandardMonitors;
 using opec_rv::RvEnv;
 using opec_rv::RvSink;
 using opec_rv::StandardMonitorNames;
@@ -34,134 +31,17 @@ Event Ev(EventKind kind, uint32_t arg0 = 0, uint32_t arg1 = 0, uint32_t arg2 = 0
   return Event::Make(kind, /*cycle=*/0, op, depth, arg0, arg1, arg2);
 }
 
-// --- Automaton framework -------------------------------------------------
-
-TEST(AutomatonTest, RulesTransitionAndViolate) {
-  Automaton a("toy");
-  int s0 = a.AddState("closed");
-  int s1 = a.AddState("open");
-  a.AddRule(s0, EventKind::kSvc, s1);
-  a.AddRule(s1, EventKind::kOperationEnter, s0);
-  a.AddRule(s1, EventKind::kSvc, Automaton::kViolation, "nested svc");
-  a.Compile();
-
-  EXPECT_FALSE(a.Step(Ev(EventKind::kSvc)));
-  EXPECT_EQ(a.current_state(), s1);
-  EXPECT_FALSE(a.Step(Ev(EventKind::kOperationEnter)));
-  EXPECT_EQ(a.current_state(), s0);
-  EXPECT_EQ(a.violations(), 0u);
-
-  EXPECT_FALSE(a.Step(Ev(EventKind::kSvc)));
-  EXPECT_TRUE(a.Step(Ev(EventKind::kSvc)));  // "nested svc"
-  EXPECT_EQ(a.violations(), 1u);
-  EXPECT_EQ(a.last_violation_message(), "nested svc");
-  EXPECT_EQ(a.last_violation_state(), s1);
-  // A violation resets to the initial state.
-  EXPECT_EQ(a.current_state(), s0);
-}
-
-TEST(AutomatonTest, NonStrictStatesSelfLoopStrictStatesViolate) {
-  Automaton a("strictness");
-  int loose = a.AddState("loose");
-  int strict = a.AddState("strict", /*strict=*/true);
-  a.AddRule(loose, EventKind::kSvc, strict);
-  a.AddRule(strict, EventKind::kSvc, loose);
-  a.Compile();
-
-  // No rule for kMemFault in the loose state: self-loop, no violation.
-  EXPECT_FALSE(a.Step(Ev(EventKind::kMemFault)));
-  EXPECT_EQ(a.current_state(), loose);
-
-  EXPECT_FALSE(a.Step(Ev(EventKind::kSvc)));
-  EXPECT_EQ(a.current_state(), strict);
-  // No rule for kMemFault in the strict state: violation.
-  EXPECT_TRUE(a.Step(Ev(EventKind::kMemFault)));
-  EXPECT_EQ(a.violations(), 1u);
-  EXPECT_NE(a.last_violation_message().find("unexpected"), std::string::npos);
-}
-
-TEST(AutomatonTest, GuardedRulesAreFirstMatchWins) {
-  Automaton a("guards");
-  int s0 = a.AddState("s0");
-  int s1 = a.AddState("s1");
-  int s2 = a.AddState("s2");
-  a.AddGuardedRule(s0, EventKind::kSvc, [](const Event& e) { return e.arg0 == 7; }, s1);
-  a.AddRule(s0, EventKind::kSvc, s2);
-  a.Compile();
-
-  a.Step(Ev(EventKind::kSvc, /*arg0=*/7));
-  EXPECT_EQ(a.current_state(), s1);
-
-  Automaton b("guards2");
-  b.AddState("s0");
-  int b1 = b.AddState("s1");
-  int b2 = b.AddState("s2");
-  b.AddGuardedRule(0, EventKind::kSvc, [](const Event& e) { return e.arg0 == 7; }, b1);
-  b.AddRule(0, EventKind::kSvc, b2);
-  b.Compile();
-  b.Step(Ev(EventKind::kSvc, /*arg0=*/3));  // guard fails -> unguarded rule
-  EXPECT_EQ(b.current_state(), b2);
-}
-
-TEST(AutomatonTest, ResetHookRunsOnViolation) {
-  int resets = 0;
-  Automaton a("reset");
-  a.AddState("s0", /*strict=*/true);
-  a.SetResetHook([&resets] { ++resets; });
-  a.Compile();
-  EXPECT_TRUE(a.Step(Ev(EventKind::kSvc)));
-  EXPECT_EQ(resets, 1);
-}
-
-TEST(AutomatonTest, FinishHookFiresOnceAndCountsAsViolation) {
-  Automaton a("finish");
-  a.AddState("s0");
-  int open = a.AddState("open");
-  a.AddRule(0, EventKind::kSvc, open);
-  a.SetFinishHook([](bool aborted, int state) -> std::string {
-    if (!aborted && state != 0) {
-      return "ended mid-window";
-    }
-    return "";
-  });
-  a.Compile();
-  a.Step(Ev(EventKind::kSvc));
-  EXPECT_TRUE(a.Finish(/*aborted=*/false));
-  EXPECT_EQ(a.violations(), 1u);
-  EXPECT_EQ(a.last_violation_message(), "ended mid-window");
-  // Idempotent: a second Finish neither fires nor recounts.
-  EXPECT_FALSE(a.Finish(false));
-  EXPECT_EQ(a.violations(), 1u);
-}
-
-TEST(AutomatonTest, VisitedStatesTracksDistinctStates) {
-  Automaton a("visited");
-  a.AddState("s0");
-  int s1 = a.AddState("s1");
-  a.AddState("s2");  // never visited
-  a.AddRule(0, EventKind::kSvc, s1);
-  a.AddRule(s1, EventKind::kSvc, 0);
-  a.Compile();
-  EXPECT_EQ(a.visited_states(), 1u);  // initial state counts
-  a.Step(Ev(EventKind::kSvc));
-  a.Step(Ev(EventKind::kSvc));
-  a.Step(Ev(EventKind::kSvc));
-  EXPECT_EQ(a.visited_states(), 2u);
-  EXPECT_EQ(a.state_count(), 3u);
-}
-
 // --- Standard monitors on synthetic streams ------------------------------
 
 std::unique_ptr<RvSink> SyntheticSink() {
   RvEnv env;  // no MPU, no shadow owners, vanilla-style
-  return std::make_unique<RvSink>(BuildStandardMonitors(env));
+  return std::make_unique<RvSink>(env);
 }
 
 TEST(StandardMonitors, CleanSwitchWindowPasses) {
   RvEnv env;
-  env.opec_mode = true;
   env.shadow_owners = {{2, 0}, {2, 1}};
-  RvSink sink(BuildStandardMonitors(env));
+  RvSink sink(env);
   // enter op 2: svc, write-back, copy-in, reconfig, enter.
   sink.OnEvent(Ev(EventKind::kSvc, /*op target=*/2, /*enter=*/0, 0, /*op=*/-1));
   sink.OnEvent(Ev(EventKind::kShadowSync, 1, 4, opec_obs::kSyncWriteBack, 2));
@@ -216,9 +96,8 @@ TEST(StandardMonitors, UnresolvedFaultViolatesShadowIsolation) {
 
 TEST(StandardMonitors, UnownedShadowSyncViolatesShadowIsolation) {
   RvEnv env;
-  env.opec_mode = true;
   env.shadow_owners = {{1, 0}};
-  RvSink sink(BuildStandardMonitors(env));
+  RvSink sink(env);
   // Open a window so switch-protocol accepts the sync; attribute the sync to
   // op 2 which owns nothing.
   sink.OnEvent(Ev(EventKind::kSvc, 2, 0));
@@ -231,7 +110,7 @@ TEST(StandardMonitors, MpuCoherenceCrossChecksTheLiveMpu) {
   opec_hw::Mpu mpu;
   RvEnv env;
   env.mpu = &mpu;
-  RvSink sink(BuildStandardMonitors(env));
+  RvSink sink(env);
 
   opec_hw::MpuRegionConfig cfg;
   cfg.enabled = true;
@@ -282,6 +161,445 @@ TEST(StandardMonitors, CallDepthPairsLifo) {
   open->Finish(/*run_aborted=*/false);  // clean end with an open frame
   by = open->ViolationsByMonitor();
   EXPECT_EQ(by[3], 1u) << open->Report();
+}
+
+// --- Report pins on synthetic streams --------------------------------------
+//
+// The exact RvSink::Report() text for every violation message, the
+// strict-window default, a clean window, the reset after a violation and a
+// repeated Finish. Each stream runs through a fresh sink and ends the run.
+
+constexpr uint32_t kNoPrev = static_cast<uint32_t>(-1);  // "returned to" op -1
+
+Event Svc(uint32_t target, uint32_t exit_side, int32_t op = -1) {
+  return Ev(EventKind::kSvc, target, exit_side, 0, op);
+}
+Event Sync(uint32_t var, uint32_t dir, int32_t op) {
+  return Ev(EventKind::kShadowSync, var, 4, dir, op);
+}
+Event Reconfig() {
+  return Ev(EventKind::kMpuReconfig, 0, 0x20000000, 0, Event::kNoOperation);
+}
+Event OpEnter(int32_t op) {
+  return Ev(EventKind::kOperationEnter, static_cast<uint32_t>(op), kNoPrev, 0, op);
+}
+Event OpExit(int32_t op) {
+  return Ev(EventKind::kOperationExit, static_cast<uint32_t>(op), kNoPrev, 0, op);
+}
+Event FnEnter(uint32_t fn, int32_t depth) {
+  return Ev(EventKind::kFunctionEnter, fn, 0, 0, -1, depth);
+}
+Event FnExit(uint32_t fn, int32_t depth) {
+  return Ev(EventKind::kFunctionExit, fn, 0, 0, -1, depth);
+}
+Event Fault(EventKind kind, uint32_t addr, uint32_t flags, int32_t op = Event::kNoOperation) {
+  return Ev(kind, addr, 4, flags, op);
+}
+
+std::string ReportAfter(const std::vector<std::pair<int32_t, uint32_t>>& owners,
+                        const std::vector<Event>& events, bool aborted) {
+  RvEnv env;
+  env.shadow_owners = owners;
+  RvSink sink(env);
+  for (const Event& e : events) {
+    sink.OnEvent(e);
+  }
+  sink.Finish(aborted);
+  return sink.Report();
+}
+
+struct ReportPin {
+  const char* name;
+  std::vector<std::pair<int32_t, uint32_t>> owners;
+  std::vector<Event> events;
+  bool aborted;
+  const char* report;
+};
+
+TEST(RvReportPins, EveryViolationMessage) {
+  const uint32_t kWb = opec_obs::kSyncWriteBack;
+  const uint32_t kCi = opec_obs::kSyncCopyIn;
+  const std::vector<ReportPin> pins = {
+      {"exit SVC without an active operation",
+       {},
+       {Svc(3, 1)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=idle exit-side SVC does not match the "
+       "innermost active operation\n"
+       "    event: svc cycle=0 op=-1 depth=0 arg0=0x3 arg1=0x1 arg2=0x0\n"},
+      {"shadow sync while idle",
+       {{-1, 0}},
+       {Sync(0, kCi, -1)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=idle shadow sync outside an "
+       "operation-switch window\n"
+       "    event: shadow_sync cycle=0 op=-1 depth=0 arg0=0x0 arg1=0x4 arg2=0x0\n"},
+      {"operation enter while idle",
+       {},
+       {OpEnter(2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=idle operation enter without an SVC window\n"
+       "    event: operation_enter cycle=0 op=2 depth=0 arg0=0x2 arg1=0xFFFFFFFF arg2=0x0\n"},
+      {"operation exit while idle",
+       {},
+       {OpExit(2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=idle operation exit without an SVC window\n"
+       "    event: operation_exit cycle=0 op=2 depth=0 arg0=0x2 arg1=0xFFFFFFFF arg2=0x0\n"},
+      {"write-back after copy-in, enter side",
+       {{2, 0}, {2, 1}},
+       {Svc(2, 0), Sync(0, kCi, 2), Sync(1, kWb, 2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=3 steps=3 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=3 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=3 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=3 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=enter-copy-in write-back after copy-in in an "
+       "enter window\n"
+       "    event: shadow_sync cycle=0 op=2 depth=0 arg0=0x1 arg1=0x4 arg2=0x1\n"},
+      {"enter of another operation than the SVC target",
+       {},
+       {Svc(2, 0), Reconfig(), OpEnter(3)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=3 steps=3 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=3 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=3 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=3 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=enter-mpu-reconfig operation enter does not "
+       "match the SVC target\n"
+       "    event: operation_enter cycle=0 op=3 depth=0 arg0=0x3 arg1=0xFFFFFFFF arg2=0x0\n"},
+      {"write-back after copy-in, exit side",
+       {{2, 0}, {2, 1}},
+       {Svc(2, 0), Reconfig(), OpEnter(2), Svc(2, 1, 2), Sync(0, kCi, 2), Sync(1, kWb, 2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=5 steps=6 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=6 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=6 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=6 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=exit-copy-in write-back after copy-in in an "
+       "exit window\n"
+       "    event: shadow_sync cycle=0 op=2 depth=0 arg0=0x1 arg1=0x4 arg2=0x1\n"},
+      {"exit of another operation than the SVC'd one",
+       {},
+       {Svc(2, 0), Reconfig(), OpEnter(2), Svc(2, 1, 2), Reconfig(), OpExit(3)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=5 steps=6 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=6 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=6 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=6 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=exit-mpu-reconfig operation exit does not "
+       "match the SVC'd operation\n"
+       "    event: operation_exit cycle=0 op=3 depth=0 arg0=0x3 arg1=0xFFFFFFFF arg2=0x0\n"},
+      {"aborted run ends inside a window",
+       {},
+       {Svc(2, 0)},
+       true,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=2 steps=1 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=enter-write-back run ended inside an "
+       "operation-switch window\n"
+       "    event: function_enter cycle=0 op=-1 depth=0 arg0=0x0 arg1=0x0 arg2=0x0\n"},
+      {"clean end with an operation still active",
+       {},
+       {Svc(2, 0), Reconfig(), OpEnter(2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=3 steps=3 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=3 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=3 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=3 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=idle 1 operation(s) still active at clean "
+       "end of run\n"
+       "    event: function_enter cycle=0 op=-1 depth=0 arg0=0x0 arg1=0x0 arg2=0x0\n"},
+      {"MMIO inside a window (strict-window default)",
+       {},
+       {Svc(2, 0), Ev(EventKind::kMmioAccess, 0x40000000, 4, 0)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=2 steps=2 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=2 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=2 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=2 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=enter-write-back unexpected mmio_access in "
+       "state enter-write-back\n"
+       "    event: mmio_access cycle=0 op=-1 depth=0 arg0=0x40000000 arg1=0x4 arg2=0x0\n"},
+      {"copy-in after the MPU reconfig (strict-window default)",
+       {{2, 0}},
+       {Svc(2, 0), Reconfig(), Sync(0, kCi, 2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=3 steps=3 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=3 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=3 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=3 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [switch-protocol] state=enter-mpu-reconfig unexpected shadow_sync in "
+       "state enter-mpu-reconfig\n"
+       "    event: shadow_sync cycle=0 op=2 depth=0 arg0=0x0 arg1=0x4 arg2=0x0\n"},
+      {"shadow sync by an operation that owns no shadow",
+       {{1, 0}},
+       {Svc(2, 0), Sync(0, kCi, 2), Reconfig(), OpEnter(2), Svc(2, 1, 2), Reconfig(),
+        OpExit(2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=6 steps=7 violations=0\n"
+       "  shadow-isolation: states=1 visited=1 steps=7 violations=1\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=7 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=7 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [shadow-isolation] state=watch shadow sync attributed to an operation "
+       "that does not own the shadow\n"
+       "    event: shadow_sync cycle=0 op=2 depth=0 arg0=0x0 arg1=0x4 arg2=0x0\n"},
+      {"unresolved fault inside a window",
+       {},
+       {Svc(2, 0), Fault(EventKind::kMemFault, 0x20001000, opec_obs::kFaultWrite)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=2 steps=2 violations=1\n"
+       "  shadow-isolation: states=1 visited=1 steps=2 violations=1\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=2 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=2 violations=0\n"
+       "  total violations: 2\n"
+       "  violation 0: [switch-protocol] state=enter-write-back unexpected mem_fault in "
+       "state enter-write-back\n"
+       "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001000 arg1=0x4 "
+       "arg2=0x1\n"
+       "  violation 1: [shadow-isolation] state=watch unresolved fault inside an "
+       "operation-switch window\n"
+       "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001000 arg1=0x4 "
+       "arg2=0x1\n"},
+      {"blocked attack write outside a window",
+       {},
+       {Fault(EventKind::kMemFault, 0x20001000, opec_obs::kFaultWrite | opec_obs::kFaultAttack)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=0\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=1\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [shadow-isolation] state=watch write denied by the MPU/privilege "
+       "rules\n"
+       "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001000 arg1=0x4 "
+       "arg2=0x5\n"},
+      {"unresolved bus fault outside a window",
+       {},
+       {Fault(EventKind::kBusFault, 0xE000E010, opec_obs::kFaultWrite, -1)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=1 violations=0\n"
+       "  shadow-isolation: states=1 visited=1 steps=1 violations=1\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=1 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=1 violations=0\n"
+       "  total violations: 1\n"
+       "  violation 0: [shadow-isolation] state=watch write denied by the MPU/privilege "
+       "rules\n"
+       "    event: bus_fault cycle=0 op=-1 depth=0 arg0=0xE000E010 arg1=0x4 arg2=0x1\n"},
+      {"function exit that pairs with no open enter",
+       {},
+       {FnEnter(1, 1), FnExit(9, 1)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=2 violations=0\n"
+       "  shadow-isolation: states=1 visited=1 steps=2 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=2 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=2 violations=1\n"
+       "  total violations: 1\n"
+       "  violation 0: [call-depth] state=watch function exit does not pair with the "
+       "innermost open function enter\n"
+       "    event: function_exit cycle=0 op=-1 depth=1 arg0=0x9 arg1=0x0 arg2=0x0\n"},
+      {"clean end with frames still open",
+       {},
+       {FnEnter(1, 1), FnEnter(2, 2)},
+       false,
+       "RV report\n"
+       "  switch-protocol: states=7 visited=1 steps=2 violations=0\n"
+       "  shadow-isolation: states=1 visited=1 steps=2 violations=0\n"
+       "  mpu-cache-coherence: states=1 visited=1 steps=2 violations=0\n"
+       "  call-depth: states=1 visited=1 steps=2 violations=1\n"
+       "  total violations: 1\n"
+       "  violation 0: [call-depth] state=watch 2 function frame(s) still open at clean end "
+       "of run\n"
+       "    event: function_enter cycle=0 op=-1 depth=0 arg0=0x0 arg1=0x0 arg2=0x0\n"},
+  };
+  for (const ReportPin& pin : pins) {
+    EXPECT_EQ(ReportAfter(pin.owners, pin.events, pin.aborted), pin.report) << pin.name;
+  }
+}
+
+// The coherence monitor tries "no invalidation" before "payload disagrees",
+// also when the region index is out of range, and resyncs its watermark to
+// the MPU after each violation.
+TEST(RvReportPins, MpuCoherenceMessagesAndRuleOrder) {
+  opec_hw::Mpu mpu;
+  RvEnv env;
+  env.mpu = &mpu;
+  RvSink sink(env);
+  opec_hw::MpuRegionConfig cfg;
+  cfg.enabled = true;
+  cfg.base = 0x20000000;
+  cfg.size_log2 = 8;
+  cfg.ap = opec_hw::AccessPerm::kFullAccess;
+  const uint32_t packed = opec_obs::PackMpuConfig(true, 8, 0, static_cast<uint8_t>(cfg.ap));
+  auto reconfig = [&](uint32_t region, uint32_t base) {
+    sink.OnEvent(Ev(EventKind::kMpuReconfig, region, base, packed, Event::kNoOperation));
+  };
+  reconfig(0, 0x20000000);  // no register write since the start
+  reconfig(9, 0x20000000);  // out of range, still no register write
+  mpu.ConfigureRegion(0, cfg);
+  reconfig(9, 0x20000000);  // written, but no region 9
+  mpu.ConfigureRegion(0, cfg);
+  reconfig(0, 0x20000000);  // clean
+  mpu.ConfigureRegion(0, cfg);
+  reconfig(0, 0xDEAD0000);  // written, wrong base
+  sink.Finish(false);
+  EXPECT_EQ(sink.Report(),
+            "RV report\n"
+            "  switch-protocol: states=7 visited=1 steps=5 violations=0\n"
+            "  shadow-isolation: states=1 visited=1 steps=5 violations=0\n"
+            "  mpu-cache-coherence: states=1 visited=1 steps=5 violations=4\n"
+            "  call-depth: states=1 visited=1 steps=5 violations=0\n"
+            "  total violations: 4\n"
+            "  violation 0: [mpu-cache-coherence] state=watch MPU reconfig without a "
+            "verdict-cache invalidation\n"
+            "    event: mpu_reconfig cycle=0 op=-2147483648 depth=0 arg0=0x0 arg1=0x20000000 "
+            "arg2=0x807\n"
+            "  violation 1: [mpu-cache-coherence] state=watch MPU reconfig without a "
+            "verdict-cache invalidation\n"
+            "    event: mpu_reconfig cycle=0 op=-2147483648 depth=0 arg0=0x9 arg1=0x20000000 "
+            "arg2=0x807\n"
+            "  violation 2: [mpu-cache-coherence] state=watch kMpuReconfig payload disagrees "
+            "with the live MPU region state\n"
+            "    event: mpu_reconfig cycle=0 op=-2147483648 depth=0 arg0=0x9 arg1=0x20000000 "
+            "arg2=0x807\n"
+            "  violation 3: [mpu-cache-coherence] state=watch kMpuReconfig payload disagrees "
+            "with the live MPU region state\n"
+            "    event: mpu_reconfig cycle=0 op=-2147483648 depth=0 arg0=0x0 arg1=0xDEAD0000 "
+            "arg2=0x807\n");
+}
+
+TEST(RvReportPins, CleanEnterAndExitWindowVisitsEveryState) {
+  const uint32_t kWb = opec_obs::kSyncWriteBack;
+  const uint32_t kCi = opec_obs::kSyncCopyIn;
+  EXPECT_EQ(ReportAfter({{2, 0}, {2, 1}},
+                        {Svc(2, 0), Sync(1, kWb, 2), Sync(0, kCi, 2), Reconfig(), OpEnter(2),
+                         Svc(2, 1, 2), Sync(1, kWb, 2), Sync(0, kCi, 2), Reconfig(), OpExit(2)},
+                        false),
+            "RV report\n"
+            "  switch-protocol: states=7 visited=7 steps=10 violations=0\n"
+            "  shadow-isolation: states=1 visited=1 steps=10 violations=0\n"
+            "  mpu-cache-coherence: states=1 visited=1 steps=10 violations=0\n"
+            "  call-depth: states=1 visited=1 steps=10 violations=0\n"
+            "  total violations: 0\n");
+}
+
+// A violation returns the monitor to its initial state and clears its
+// context: the operation entered before it no longer counts as active at the
+// end, the window flag no longer marks a later fault, and the frames opened
+// before it no longer count as open.
+TEST(RvReportPins, ViolationResetsStateAndContext) {
+  EXPECT_EQ(ReportAfter({},
+                        {Svc(2, 0), Reconfig(), OpEnter(2),  // op 2 active
+                         Svc(5, 0), Fault(EventKind::kMemFault, 0x20001000, opec_obs::kFaultWrite),
+                         Fault(EventKind::kMemFault, 0x20001004, opec_obs::kFaultWrite),
+                         Svc(3, 0), Reconfig(), OpEnter(3), Svc(3, 1, 3), Reconfig(), OpExit(3)},
+                        false),
+            "RV report\n"
+            "  switch-protocol: states=7 visited=5 steps=12 violations=1\n"
+            "  shadow-isolation: states=1 visited=1 steps=12 violations=2\n"
+            "  mpu-cache-coherence: states=1 visited=1 steps=12 violations=0\n"
+            "  call-depth: states=1 visited=1 steps=12 violations=0\n"
+            "  total violations: 3\n"
+            "  violation 0: [switch-protocol] state=enter-write-back unexpected mem_fault in "
+            "state enter-write-back\n"
+            "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001000 arg1=0x4 "
+            "arg2=0x1\n"
+            "  violation 1: [shadow-isolation] state=watch unresolved fault inside an "
+            "operation-switch window\n"
+            "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001000 arg1=0x4 "
+            "arg2=0x1\n"
+            "  violation 2: [shadow-isolation] state=watch write denied by the MPU/privilege "
+            "rules\n"
+            "    event: mem_fault cycle=0 op=-2147483648 depth=0 arg0=0x20001004 arg1=0x4 "
+            "arg2=0x1\n");
+  EXPECT_EQ(ReportAfter({}, {FnEnter(1, 1), FnEnter(2, 2), FnExit(7, 2), FnEnter(3, 1),
+                             FnExit(3, 1)},
+                        false),
+            "RV report\n"
+            "  switch-protocol: states=7 visited=1 steps=5 violations=0\n"
+            "  shadow-isolation: states=1 visited=1 steps=5 violations=0\n"
+            "  mpu-cache-coherence: states=1 visited=1 steps=5 violations=0\n"
+            "  call-depth: states=1 visited=1 steps=5 violations=1\n"
+            "  total violations: 1\n"
+            "  violation 0: [call-depth] state=watch function exit does not pair with the "
+            "innermost open function enter\n"
+            "    event: function_exit cycle=0 op=-1 depth=2 arg0=0x7 arg1=0x0 arg2=0x0\n");
+}
+
+// Campaign aggregation labels ViolationsByMonitor() with these names, so
+// they must follow the report's monitor order.
+TEST(RvReportPins, StandardMonitorNamesFollowReportOrder) {
+  EXPECT_EQ(StandardMonitorNames(),
+            (std::vector<std::string>{"switch-protocol", "shadow-isolation",
+                                      "mpu-cache-coherence", "call-depth"}));
+}
+
+// Only the first Finish checks: a second one after more events neither fires
+// nor counts.
+TEST(RvReportPins, FinishCountsOnce) {
+  RvSink sink(RvEnv{});
+  sink.OnEvent(FnEnter(1, 1));
+  sink.Finish(false);
+  sink.OnEvent(FnEnter(2, 1));
+  sink.Finish(false);
+  EXPECT_EQ(sink.Report(),
+            "RV report\n"
+            "  switch-protocol: states=7 visited=1 steps=2 violations=0\n"
+            "  shadow-isolation: states=1 visited=1 steps=2 violations=0\n"
+            "  mpu-cache-coherence: states=1 visited=1 steps=2 violations=0\n"
+            "  call-depth: states=1 visited=1 steps=2 violations=1\n"
+            "  total violations: 1\n"
+            "  violation 0: [call-depth] state=watch 1 function frame(s) still open at clean "
+            "end of run\n"
+            "    event: function_enter cycle=0 op=-1 depth=0 arg0=0x0 arg1=0x0 arg2=0x0\n");
 }
 
 // --- End-to-end on the real workloads ------------------------------------
