@@ -80,7 +80,9 @@ int main(int argc, char** argv) {
   }
 
   opec_apps::AppRun run(*app, mode, engine_kind);
-  run.EnableEventRecording();
+  if (!trace_out.empty() || !jsonl_out.empty() || profile) {
+    run.EnableEventRecording();  // only the outputs that read the events
+  }
   if (rv_name != "off") {
     run.EnableRv();
   }
@@ -105,35 +107,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  const opec_obs::Recorder* recorder = run.recorder();
-  std::vector<opec_obs::Event> events = recorder->Snapshot();
-  opec_obs::Naming naming = run.EventNaming();
-  if (recorder->dropped() != 0) {
-    std::printf("note: ring buffer wrapped, %llu oldest events dropped from exports\n",
-                static_cast<unsigned long long>(recorder->dropped()));
-  }
+  if (const opec_obs::Recorder* recorder = run.recorder(); recorder != nullptr) {
+    std::vector<opec_obs::Event> events = recorder->Snapshot();
+    opec_obs::Naming naming = run.EventNaming();
+    if (recorder->dropped() != 0) {
+      std::printf("note: ring buffer wrapped, %llu oldest events dropped from exports\n",
+                  static_cast<unsigned long long>(recorder->dropped()));
+    }
 
-  if (!trace_out.empty()) {
-    if (!opec_obs::WriteFile(trace_out, opec_obs::ChromeTraceJson(events, naming,
-                                                                  app->name(),
-                                                                  recorder->dropped()))) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-      return 1;
+    if (!trace_out.empty()) {
+      if (!opec_obs::WriteFile(trace_out, opec_obs::ChromeTraceJson(events, naming,
+                                                                    app->name(),
+                                                                    recorder->dropped()))) {
+        std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+        return 1;
+      }
+      std::printf("wrote %s (%zu events, Chrome trace-event JSON)\n", trace_out.c_str(),
+                  events.size());
     }
-    std::printf("wrote %s (%zu events, Chrome trace-event JSON)\n", trace_out.c_str(),
-                events.size());
-  }
-  if (!jsonl_out.empty()) {
-    if (!opec_obs::WriteFile(jsonl_out,
-                             opec_obs::JsonLines(events, naming, recorder->dropped()))) {
-      std::fprintf(stderr, "cannot write %s\n", jsonl_out.c_str());
-      return 1;
+    if (!jsonl_out.empty()) {
+      if (!opec_obs::WriteFile(jsonl_out,
+                               opec_obs::JsonLines(events, naming, recorder->dropped()))) {
+        std::fprintf(stderr, "cannot write %s\n", jsonl_out.c_str());
+        return 1;
+      }
+      std::printf("wrote %s (%zu events, JSONL)\n", jsonl_out.c_str(), events.size());
     }
-    std::printf("wrote %s (%zu events, JSONL)\n", jsonl_out.c_str(), events.size());
-  }
-  if (profile) {
-    std::printf("%s", opec_obs::RenderProfileTable(opec_obs::AggregateProfiles(events), naming)
-                          .c_str());
+    if (profile) {
+      std::printf("%s", opec_obs::RenderProfileTable(opec_obs::AggregateProfiles(events), naming)
+                            .c_str());
+    }
   }
   for (const opec_obs::FaultReport& report : run.engine().fault_reports()) {
     std::printf("\n%s", report.Render().c_str());

@@ -8,6 +8,7 @@
 #include "src/analysis/points_to.h"
 #include "src/campaign/campaign.h"
 #include "src/fuzz/generator.h"
+#include "src/fuzz/reference_mpu.h"
 #include "src/hw/machine.h"
 #include "src/hw/mpu.h"
 #include "src/obs/event.h"
@@ -19,7 +20,9 @@ namespace opec_fuzz {
 
 namespace {
 
+using opec_hw::AccessKind;
 using opec_support::Fnv1a64;
+using opec_support::HexAddr;
 using opec_support::SplitMix64;
 using opec_support::StrPrintf;
 
@@ -96,7 +99,7 @@ class SymbolResolver {
         return StrPrintf("%s+%u", r.name.c_str(), addr - r.base);
       }
     }
-    return "raw:" + opec_support::HexAddr(addr);
+    return "raw:" + HexAddr(addr);
   }
 
  private:
@@ -117,7 +120,7 @@ std::string ResolveFuncAddr(opec_apps::AppRun& run, uint32_t addr) {
       return fn->name();
     }
   }
-  return "raw:" + opec_support::HexAddr(addr);
+  return "raw:" + HexAddr(addr);
 }
 
 uint32_t U32At(const std::vector<uint8_t>& bytes, size_t off) {
@@ -494,7 +497,14 @@ std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed) {
 std::vector<Divergence> DiffMpuCache(uint64_t seed) {
   std::vector<Divergence> divs;
   SplitMix64 rng(seed ^ 0xD6E8FEB86659FD93ull);
-  opec_hw::Mpu mpu;
+  // The grant's random points draw from their own stream, so the main
+  // sequence replays the steps pinned seeds were recorded with.
+  SplitMix64 grant_rng(seed ^ 0x6A09E667F3BCC909ull);
+  // The 192 KiB board's SRAM window: probes land both in the tables' window
+  // maps and in their interval lists beyond it.
+  constexpr uint32_t kSramSize = 192 * 1024;
+  constexpr uint32_t kSramLast = opec_hw::kSramBase + kSramSize - 1;
+  opec_hw::Mpu mpu(opec_hw::kSramBase, kSramSize);
   mpu.set_enabled(true);
   opec_support::ScopedCheckThrow capture;  // ConfigureRegion CHECKs validity
   static constexpr uint32_t kBases[] = {0x00000000u, 0x08000000u, 0x20000000u, 0x40000000u};
@@ -517,43 +527,55 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
   // the id is sound only if equal ids mean equal verdicts.
   struct KeptVerdict {
     uint64_t set;
-    opec_hw::AccessKind kind;
+    AccessKind kind;
     bool priv;
     uint32_t lo;
     uint32_t hi;
     bool verdict;
   };
   std::vector<KeptVerdict> kept;
-  // GrantsThroughout answering true over [lo, hi] promises that every byte
-  // is allowed. Checked at both ends and at up to 64 evenly spaced bytes in
-  // between: every 32-byte window of spans up to 2 KiB, and every sub-region
-  // of a region-sized span. Draws nothing, so pinned seeds replay unchanged.
-  auto check_grant = [&](int step, uint32_t lo, uint64_t hi, opec_hw::AccessKind kind,
-                         bool priv) {
-    hi = std::min<uint64_t>(hi, 0xFFFFFFFFu);
-    if (!mpu.GrantsThroughout(lo, static_cast<uint32_t>(hi), kind, priv)) {
-      return;
-    }
-    const uint64_t span = hi - lo + 1;
-    const uint64_t stride = std::max<uint64_t>(32, span / 64);
-    for (uint64_t off = 0; off < span + stride; off += stride) {
-      uint32_t at = static_cast<uint32_t>(std::min<uint64_t>(lo + off, hi));
-      if (!mpu.CheckAccessUncached(at, 1, kind, priv)) {
-        divs.push_back({Oracle::kMpuCache,
-                        StrPrintf("step %d: GrantsThroughout([%s, %s], %s, priv=%d) granted %s, "
-                                  "which the uncached walk denies",
-                                  step, opec_support::HexAddr(lo).c_str(),
-                                  opec_support::HexAddr(static_cast<uint32_t>(hi)).c_str(),
-                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read", priv,
-                                  opec_support::HexAddr(at).c_str())});
-        return;
+  // The monitor's SRAM grant is exact: granted iff the reference allows
+  // every SRAM byte, which it decides at every region and sub-region edge
+  // inside SRAM. Four random SRAM bytes confirm each grant apart from the
+  // reference's own edge enumeration.
+  auto check_grant = [&](int step, const ReferenceMpu& ref) {
+    for (AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+      for (bool priv : {false, true}) {
+        const bool granted = mpu.GrantsAllSram(kind, priv);
+        bool want = ref.AllowsThroughout(opec_hw::kSramBase, kSramLast, kind, priv);
+        for (int i = 0; granted && want && i < 4; ++i) {
+          want = ref.Allows(opec_hw::kSramBase + static_cast<uint32_t>(grant_rng.Below(kSramSize)),
+                            kind, priv);
+        }
+        if (granted != want) {
+          divs.push_back({Oracle::kMpuCache,
+                          StrPrintf("step %d: GrantsAllSram(%s, priv=%d)=%d, reference %d", step,
+                                    kind == AccessKind::kWrite ? "write" : "read", priv, granted,
+                                    want)});
+          return;
+        }
       }
     }
+  };
+  // CheckAccess must equal the reference on every byte of the access;
+  // reports a disagreement and returns false.
+  auto same_access = [&](int step, const ReferenceMpu& ref, uint32_t at, uint32_t size,
+                         AccessKind kind, bool priv) {
+    const bool checked = mpu.CheckAccess(at, size, kind, priv);
+    if (checked == ref.AllowsEvery(at, size, kind, priv)) {
+      return true;
+    }
+    divs.push_back({Oracle::kMpuCache,
+                    StrPrintf("step %d: CheckAccess(%s, size=%u, %s, %s)=%d, reference %d", step,
+                              HexAddr(at).c_str(), size,
+                              kind == AccessKind::kWrite ? "write" : "read",
+                              priv ? "priv" : "unpriv", checked, !checked)});
+    return false;
   };
   // Steps [0, kSteps) draw from the original configure/probe mix. The
   // revisit steps appended after them (so pinned seeds replay their original
   // sequence) add three actions: reinstall a region set built earlier, so
-  // the caches meet a set again under its interned id; change one AP or SRD
+  // the tables meet a set again under its interned id; change one AP or SRD
   // bit of the live set, a near miss that an inexact id would confuse with
   // the set the caches were just filled under; and toggle the enable bit.
   constexpr int kSteps = 300;
@@ -606,6 +628,7 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       installed.push_back(live_set());
       continue;
     }
+    const ReferenceMpu ref(mpu);
     // Every kept verdict taken under the live id must still hold across its
     // interval: checked at eight evenly spaced points and the top, one in
     // each sub-region of a region-sized interval. No random draws, so the
@@ -618,15 +641,13 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       const uint64_t span = static_cast<uint64_t>(k.hi) - k.lo + 1;
       for (uint64_t j = 0; j <= 8; ++j) {
         uint32_t at = j == 8 ? k.hi : k.lo + static_cast<uint32_t>(span * j / 8);
-        if (mpu.CheckAccessUncached(at, 1, k.kind, k.priv) != k.verdict) {
+        if (ref.Allows(at, k.kind, k.priv) != k.verdict) {
           divs.push_back(
               {Oracle::kMpuCache,
                StrPrintf("step %d: verdict %d kept for [%s, %s] under region set %llu, but "
-                         "the uncached walk at %s now says %d under the same id",
-                         step, k.verdict ? 1 : 0, opec_support::HexAddr(k.lo).c_str(),
-                         opec_support::HexAddr(k.hi).c_str(),
-                         static_cast<unsigned long long>(live),
-                         opec_support::HexAddr(at).c_str(), k.verdict ? 0 : 1)});
+                         "the reference at %s now says %d under the same id",
+                         step, k.verdict, HexAddr(k.lo).c_str(), HexAddr(k.hi).c_str(),
+                         static_cast<unsigned long long>(live), HexAddr(at).c_str(), !k.verdict)});
           break;
         }
       }
@@ -640,70 +661,68 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       uint32_t span = cfg.size() + 64;
       addr = cfg.base - 32 + static_cast<uint32_t>(rng.Below(span));
     }
-    opec_hw::AccessKind kind =
-        rng.Below(2) == 0 ? opec_hw::AccessKind::kRead : opec_hw::AccessKind::kWrite;
+    AccessKind kind = rng.Below(2) == 0 ? AccessKind::kRead : AccessKind::kWrite;
     bool priv = rng.Below(2) == 0;
     if (action < 6) {
-      uint32_t size = 1u << rng.Below(3);
-      bool cached = mpu.CheckAccess(addr, size, kind, priv);
-      bool direct = mpu.CheckAccessUncached(addr, size, kind, priv);
-      if (cached != direct) {
+      same_access(step, ref, addr, 1u << rng.Below(3), kind, priv);
+      if (const bool exec = mpu.CheckExec(addr, priv); exec != ref.Executes(addr, priv)) {
         divs.push_back({Oracle::kMpuCache,
-                        StrPrintf("step %d: CheckAccess(%s, size=%u, %s, %s) cached=%d "
-                                  "uncached=%d",
-                                  step, opec_support::HexAddr(addr).c_str(), size,
-                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                                  priv ? "priv" : "unpriv", cached ? 1 : 0, direct ? 1 : 0)});
+                        StrPrintf("step %d: CheckExec(%s, %s)=%d, reference %d", step,
+                                  HexAddr(addr).c_str(), priv ? "priv" : "unpriv", exec, !exec)});
       }
       // The bytecode tier's verdict-cache primitive: AllowedRange's verdict
-      // must equal the uncached single-byte walk, the interval must contain
-      // the probe, and the verdict must be uniform across it — checked at
-      // both interval ends and at a random interior point.
+      // must equal the reference at the probe, the interval must contain the
+      // probe, and the verdict must be uniform across it — checked at both
+      // interval ends and at a random interior point.
       uint32_t lo = 0;
       uint32_t hi = 0;
       bool range_verdict = mpu.AllowedRange(addr, kind, priv, &lo, &hi);
-      bool byte_direct = mpu.CheckAccessUncached(addr, 1, kind, priv);
+      bool byte_want = ref.Allows(addr, kind, priv);
       if (kept.size() == 64) {
         kept.erase(kept.begin());
       }
       kept.push_back({mpu.region_set(), kind, priv, lo, hi, range_verdict});
-      if (range_verdict != byte_direct || lo > addr || hi < addr) {
+      if (range_verdict != byte_want || lo > addr || hi < addr) {
         divs.push_back(
             {Oracle::kMpuCache,
-             StrPrintf("step %d: AllowedRange(%s, %s, %s) verdict=%d uncached=%d "
+             StrPrintf("step %d: AllowedRange(%s, %s, %s) verdict=%d reference=%d "
                        "interval=[%s, %s]",
-                       step, opec_support::HexAddr(addr).c_str(),
-                       kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                       priv ? "priv" : "unpriv", range_verdict ? 1 : 0, byte_direct ? 1 : 0,
-                       opec_support::HexAddr(lo).c_str(), opec_support::HexAddr(hi).c_str())});
+                       step, HexAddr(addr).c_str(), kind == AccessKind::kWrite ? "write" : "read",
+                       priv ? "priv" : "unpriv", range_verdict, byte_want, HexAddr(lo).c_str(),
+                       HexAddr(hi).c_str())});
       } else {
         uint32_t interior =
-            lo + static_cast<uint32_t>(rng.Next() %
-                                       (static_cast<uint64_t>(hi) - lo + 1));
+            lo + static_cast<uint32_t>(rng.Next() % (static_cast<uint64_t>(hi) - lo + 1));
         for (uint32_t probe : {lo, hi, interior}) {
-          if (mpu.CheckAccessUncached(probe, 1, kind, priv) != range_verdict) {
+          if (ref.Allows(probe, kind, priv) != range_verdict) {
             divs.push_back(
                 {Oracle::kMpuCache,
                  StrPrintf("step %d: AllowedRange(%s) interval [%s, %s] not uniform: "
-                           "verdict=%d but probe %s disagrees",
-                           step, opec_support::HexAddr(addr).c_str(),
-                           opec_support::HexAddr(lo).c_str(),
-                           opec_support::HexAddr(hi).c_str(), range_verdict ? 1 : 0,
-                           opec_support::HexAddr(probe).c_str())});
+                           "verdict=%d but the reference at %s disagrees",
+                           step, HexAddr(addr).c_str(), HexAddr(lo).c_str(), HexAddr(hi).c_str(),
+                           range_verdict, HexAddr(probe).c_str())});
             break;
           }
         }
-        check_grant(step, lo, hi, kind, priv);
       }
     } else {
+      // A random span, byte by byte.
       uint32_t len = 1 + static_cast<uint32_t>(rng.Below(200));
-      check_grant(step, addr, uint64_t{addr} + len - 1, kind, priv);
+      uint32_t i = 0;
+      while (i < len && same_access(step, ref, addr + i, 1, kind, priv)) {
+        ++i;
+      }
     }
-    // The drawn region widened by a window on each side, so the span
-    // reaches past the region's edges into whatever decides beyond them.
+    check_grant(step, ref);
+    // Every edge of the drawn region and the byte before it, where a lookup
+    // one interval or one window off shows. The sequence's regions end below
+    // 2^32, so base + size does not wrap.
     if (const opec_hw::MpuRegionConfig& cfg = mpu.region(r); cfg.enabled) {
-      check_grant(step, cfg.base < 32 ? 0 : cfg.base - 32, uint64_t{cfg.base} + cfg.size() + 31,
-                  kind, priv);
+      bool agreed = true;
+      for (uint32_t edge : ref.Edges(cfg.base, cfg.base + cfg.size())) {
+        agreed = agreed && same_access(step, ref, edge - 1, 1, kind, priv) &&
+                 same_access(step, ref, edge, 1, kind, priv);
+      }
     }
   }
   return divs;

@@ -104,8 +104,8 @@ std::vector<Divergence> DiffPointsTo(const ProgramSpec& spec);
 // Oracle 2b: solver modes over a seeded random injected constraint graph.
 std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed);
 
-// Oracle 3: seeded random MPU configure/probe sequence, cached vs uncached;
-// every span GrantsThroughout grants must be allowed byte by byte.
+// Oracle 3: seeded random MPU configure/probe sequence; every verdict the
+// Mpu's tables give must match the byte-at-a-time ReferenceMpu.
 std::vector<Divergence> DiffMpuCache(uint64_t seed);
 
 // Oracle 5: reruns the recipe under the snapshot RoundTripProbe and compares

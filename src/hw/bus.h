@@ -66,7 +66,7 @@ class Bus {
   // Raw backing access for plain-memory accesses whose MPU verdict the caller
   // has already established: the bytecode tier's verdict cache
   // (src/rt/bytecode), keyed on Mpu::region_set(), and the monitor's
-  // per-switch grant (Mpu::GrantsThroughout). Behavioral twins of the
+  // per-switch grant (Mpu::GrantsAllSram). Behavioral twins of the
   // Read/Write fast paths minus the MPU check; dirty-page tracking stays
   // exact. Callers must have checked InSram/InFlash for the same (addr, size)
   // first. The accessors are forced inline: they are the whole of a verdict

@@ -1,6 +1,7 @@
 #include "src/hw/mpu.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/obs/event.h"
 #include "src/support/check.h"
@@ -42,6 +43,11 @@ std::string MpuRegionConfig::ToString() const {
                                  AccessPermName(ap), xn ? " XN" : "");
 }
 
+Mpu::Mpu(uint32_t sram_base, uint32_t sram_size) : sram_base_(sram_base), sram_size_(sram_size) {
+  OPEC_CHECK(sram_base % 32 == 0 && sram_size % 32 == 0 &&
+             sram_base + uint64_t{sram_size} <= 1ull << 32);
+}
+
 void Mpu::ConfigureRegion(int index, const MpuRegionConfig& config) {
   OPEC_CHECK(index >= 0 && index < kNumRegions);
   if (config.enabled) {
@@ -65,15 +71,9 @@ void Mpu::ConfigureRegion(int index, const MpuRegionConfig& config) {
 }
 
 void Mpu::DisableRegion(int index) {
-  OPEC_CHECK(index >= 0 && index < kNumRegions);
-  MpuRegionConfig& r = regions_[static_cast<size_t>(index)];
+  MpuRegionConfig r = region(index);
   r.enabled = false;
-  ++config_writes_;
-  set_id_ = 0;
-  OPEC_OBS_EVENT(opec_obs::EventKind::kMpuReconfig, cycles_ != nullptr ? *cycles_ : 0,
-                 opec_obs::Event::kNoOperation, 0, static_cast<uint32_t>(index), r.base,
-                 opec_obs::PackMpuConfig(false, r.size_log2, r.srd,
-                                         static_cast<uint8_t>(r.ap)));
+  ConfigureRegion(index, r);
 }
 
 const MpuRegionConfig& Mpu::region(int index) const {
@@ -110,17 +110,81 @@ uint64_t Mpu::ResolveRegionSet() const {
   }
   auto it = std::find_if(interned_.begin(), interned_.end(),
                          [&key](const InternedSet& s) { return s.key == key; });
-  if (it != interned_.end()) {
-    set_id_ = it->id;
-  } else {
+  if (it == interned_.end()) {
     if (interned_.size() == kInternCapacity) {
       interned_.clear();
     }
-    set_id_ = next_set_id_++;
-    interned_.push_back({key, set_id_});
+    interned_.reserve(kInternCapacity);  // never reallocates after the first set
+    it = interned_.insert(interned_.end(), {key, next_set_id_++, {}});
+    BuildTable(&it->table);
   }
-  set_salt_ = static_cast<uint32_t>((set_id_ * 0x9E3779B97F4A7C15ull) >> 32);
+  set_id_ = it->id;
+  table_ = &it->table;
   return set_id_;
+}
+
+void Mpu::BuildTable(VerdictTable* table) const {
+  // A verdict only changes where an enabled region begins or ends, or at a
+  // sub-region boundary of a region with SRD in play: decide each such edge
+  // once and merge equal neighbours. 64-bit: a region's end reaches 2^32 at
+  // the top of the map, which is no edge.
+  std::vector<uint64_t> edges = {0};
+  for (const MpuRegionConfig& r : regions_) {
+    if (!r.enabled) {
+      continue;
+    }
+    uint64_t size = uint64_t{1} << std::min<uint8_t>(r.size_log2, 32);
+    uint64_t pieces = (r.srd != 0 && r.size_log2 >= 8) ? kNumSubRegions : 1;
+    for (uint64_t i = 0; i <= pieces; ++i) {
+      edges.push_back(r.base + size / pieces * i);
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  edges.erase(std::lower_bound(edges.begin(), edges.end(), 1ull << 32), edges.end());
+  for (uint64_t edge : edges) {
+    uint8_t mask = ComputeAllowMask(static_cast<uint32_t>(edge));
+    if (table->intervals.empty() || table->intervals.back().mask != mask) {
+      table->intervals.push_back({static_cast<uint32_t>(edge), mask});
+    }
+  }
+  // Each interval's part of the SRAM window, one memset per interval.
+  table->sram.resize(sram_size_ / 32);
+  const uint64_t sram_end = uint64_t{sram_base_} + sram_size_;
+  for (size_t i = 0; i < table->intervals.size(); ++i) {
+    uint64_t lo = std::max<uint64_t>(table->intervals[i].start, sram_base_);
+    uint64_t hi = std::min<uint64_t>(
+        i + 1 < table->intervals.size() ? table->intervals[i + 1].start : (1ull << 32), sram_end);
+    if (lo < hi) {
+      std::memset(table->sram.data() + (lo - sram_base_) / 32, table->intervals[i].mask,
+                  (hi - lo) / 32);
+      table->sram_all &= table->intervals[i].mask;
+    }
+  }
+}
+
+std::vector<Mpu::Interval>::const_iterator Mpu::NextInterval(uint32_t addr) const {
+  const std::vector<Interval>& iv = table().intervals;
+  return std::upper_bound(iv.begin(), iv.end(), addr,
+                          [](uint32_t a, const Interval& i) { return a < i.start; });
+}
+
+bool Mpu::PermAllows(AccessPerm ap, AccessKind kind, bool privileged) const {
+  switch (ap) {
+    case AccessPerm::kNoAccess:
+      return false;
+    case AccessPerm::kPrivRw:
+      return privileged;
+    case AccessPerm::kPrivRwUnprivRo:
+      return privileged || kind == AccessKind::kRead;
+    case AccessPerm::kFullAccess:
+      return true;
+    case AccessPerm::kPrivRo:
+      return privileged && kind == AccessKind::kRead;
+    case AccessPerm::kReadOnly:
+      return kind == AccessKind::kRead;
+  }
+  return false;
 }
 
 uint8_t Mpu::ComputeAllowMask(uint32_t addr) const {
@@ -145,20 +209,8 @@ uint8_t Mpu::ComputeAllowMask(uint32_t addr) const {
   return mask;
 }
 
-bool Mpu::GrantsThroughout(uint32_t lo, uint32_t hi, AccessKind kind, bool privileged) const {
-  if (!enabled_) {
-    return true;
-  }
-  if (!privileged) {
-    return false;  // the background map (PRIVDEFENA) grants privileged access only
-  }
-  for (const MpuRegionConfig& r : regions_) {
-    uint64_t end = r.size_log2 >= 32 ? (1ull << 32) : uint64_t{r.base} + r.size();  // exclusive
-    if (r.enabled && r.base <= hi && lo < end && !PermAllows(r.ap, kind, privileged)) {
-      return false;
-    }
-  }
-  return true;
+bool Mpu::GrantsAllSram(AccessKind kind, bool privileged) const {
+  return !enabled_ || ((table().sram_all >> AllowBit(kind, privileged)) & 1u) != 0;
 }
 
 bool Mpu::AllowedRange(uint32_t addr, AccessKind kind, bool privileged, uint32_t* lo,
@@ -168,54 +220,10 @@ bool Mpu::AllowedRange(uint32_t addr, AccessKind kind, bool privileged, uint32_t
     *hi = 0xFFFFFFFFu;
     return true;
   }
-  // Narrow [0, 2^32) against every enabled region: clip to the containing
-  // granule (the sub-region when SRD is in play, else the whole region) when
-  // the region covers addr, and to the gap up to the region's edge when it
-  // does not. The surviving interval crosses no boundary of any region, so
-  // the deciding-region walk — and with it the allow mask — is constant over
-  // all of it. 64-bit bounds: base + size reaches 2^32 for top-of-map regions.
-  uint64_t lo64 = 0;
-  uint64_t hi64 = 0xFFFFFFFFull;  // inclusive
-  for (const MpuRegionConfig& r : regions_) {
-    if (!r.enabled) {
-      continue;
-    }
-    uint64_t start = r.base;
-    uint64_t end = r.size_log2 >= 32 ? (1ull << 32) : start + r.size();  // exclusive
-    if (addr < start) {
-      hi64 = std::min(hi64, start - 1);
-      continue;
-    }
-    if (addr >= end) {
-      lo64 = std::max(lo64, end);
-      continue;
-    }
-    uint64_t granule = (r.srd != 0 && r.size_log2 >= 8) ? (end - start) / kNumSubRegions
-                                                        : end - start;
-    uint64_t g = (addr - start) / granule;
-    lo64 = std::max(lo64, start + g * granule);
-    hi64 = std::min(hi64, start + (g + 1) * granule - 1);
-  }
-  *lo = static_cast<uint32_t>(lo64);
-  *hi = static_cast<uint32_t>(hi64);
-  uint32_t bit = (static_cast<uint32_t>(kind) << 1) | static_cast<uint32_t>(privileged);
-  return (ComputeAllowMask(addr) >> bit) & 1u;
-}
-
-bool Mpu::CheckAccessUncached(uint32_t addr, uint32_t size, AccessKind kind,
-                              bool privileged) const {
-  if (!enabled_) {
-    return true;
-  }
-  uint32_t bit = (static_cast<uint32_t>(kind) << 1) | static_cast<uint32_t>(privileged);
-  uint32_t last = addr + (size == 0 ? 0 : size - 1);
-  if (((ComputeAllowMask(addr) >> bit) & 1u) == 0) {
-    return false;
-  }
-  if ((addr & ~31u) == (last & ~31u)) {
-    return true;
-  }
-  return (ComputeAllowMask(last) >> bit) & 1u;
+  auto next = NextInterval(addr);
+  *lo = (next - 1)->start;
+  *hi = next == table_->intervals.end() ? 0xFFFFFFFFu : next->start - 1;
+  return ((next - 1)->mask >> AllowBit(kind, privileged)) & 1u;
 }
 
 std::string Mpu::ExplainAccess(uint32_t addr, uint32_t size, AccessKind kind,
@@ -229,26 +237,20 @@ std::string Mpu::ExplainAccess(uint32_t addr, uint32_t size, AccessKind kind,
   // the decision the fault reflects.
   uint32_t last = addr + (size == 0 ? 0 : size - 1);
   for (uint32_t probe : {addr, last}) {
-    if (ProbeAllows(probe, kind, privileged)) {
-      if (probe == last) {
-        break;
-      }
+    if ((MaskAt(probe) >> AllowBit(kind, privileged)) & 1u) {
       continue;
     }
     int idx = DecidingRegion(probe);
     std::string where = probe == addr
                             ? std::string()
                             : " (the access straddles into " + opec_support::HexAddr(probe) + ")";
-    // Note any higher-priority region that contains the address but stepped
-    // aside through a disabled sub-region — the stack-protection mechanism.
+    // A higher-priority region that holds the address stepped aside through a
+    // disabled sub-region (the stack-protection mechanism): name it.
     std::string fall_through;
     for (int i = kNumRegions - 1; i > idx; --i) {
       const MpuRegionConfig& r = regions_[static_cast<size_t>(i)];
-      if (!r.enabled || !r.Contains(probe) || r.srd == 0 || r.size_log2 < 8) {
-        continue;
-      }
-      uint32_t sub = (probe - r.base) / (r.size() / kNumSubRegions);
-      if ((r.srd >> sub) & 1u) {
+      if (r.enabled && r.Contains(probe)) {
+        uint32_t sub = (probe - r.base) / (r.size() / kNumSubRegions);
         fall_through = opec_support::StrPrintf(
             "; region %d covers the address but its sub-region %u is disabled (srd=0x%02X)", i,
             sub, r.srd);
@@ -296,8 +298,8 @@ void Mpu::LoadState(StateReader& r) {
     reg.ap = static_cast<AccessPerm>(r.U8());
     reg.xn = r.Bool();
   }
-  // The restored registers replace whatever set the caches were last asked
-  // about; without this, MaskFor keeps answering under the old set's id.
+  // The restored registers replace whatever set the verdicts were last
+  // asked about; without this, MaskAt keeps reading the old set's table.
   set_id_ = 0;
 }
 
@@ -305,7 +307,7 @@ bool Mpu::CheckExec(uint32_t addr, bool privileged) const {
   if (!enabled_) {
     return true;
   }
-  return (MaskFor(addr) >> (4u | static_cast<uint32_t>(privileged))) & 1u;
+  return (MaskAt(addr) >> (4u | static_cast<uint32_t>(privileged))) & 1u;
 }
 
 }  // namespace opec_hw

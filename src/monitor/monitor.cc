@@ -33,10 +33,9 @@ int Monitor::current_operation() const {
 void Monitor::RequireSramGrant() {
   // A switch's copies and writes are privileged SRAM accesses made before it
   // reconfigures the MPU, and region 0 grants them under every OPEC policy:
-  // one walk of the region registers stands in for a check per access. Every
-  // AP encoding that grants a privileged write grants the read too.
-  OPEC_CHECK_MSG(machine_.mpu().GrantsThroughout(opec_hw::kSramBase, machine_.bus().sram_end() - 1,
-                                                 AccessKind::kWrite, /*privileged=*/true),
+  // one test of the live set's SRAM-wide mask stands in for a check per
+  // access. Every AP encoding that grants a privileged write grants the read.
+  OPEC_CHECK_MSG(machine_.mpu().GrantsAllSram(AccessKind::kWrite, /*privileged=*/true),
                  "monitor switch without its SRAM grant: the MPU denies privileged SRAM writes");
 }
 

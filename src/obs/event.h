@@ -31,6 +31,7 @@ enum class EventKind : uint8_t {
   kBusFault,         // arg0 = addr, arg1 = size, arg2 = fault flags
   kMmioAccess,       // arg0 = addr, arg1 = size | (write << 8), arg2 = value
   kShadowSync,       // arg0 = external var index, arg1 = bytes, arg2 = dir
+  kCount,            // number of kinds above; no event has this kind
 };
 
 const char* EventKindName(EventKind kind);

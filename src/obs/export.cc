@@ -98,6 +98,8 @@ void EmitProcess(std::ostringstream& out, bool& first, int pid, const TraceProce
                       ",\"s\":\"t\",\"args\":{\"bytes\":%u,\"direction\":\"%s\"}", e.arg1,
                       e.arg2 == kSyncWriteBack ? "write_back" : "copy_in"));
         break;
+      case EventKind::kCount:
+        break;
     }
   }
   for (int op : seen_ops) {
@@ -196,6 +198,8 @@ std::string JsonLines(const std::vector<Event>& events, const Naming& naming,
       case EventKind::kShadowSync:
         out << ",\"var\":" << e.arg0 << ",\"bytes\":" << e.arg1 << ",\"direction\":\""
             << (e.arg2 == kSyncWriteBack ? "write_back" : "copy_in") << "\"";
+        break;
+      case EventKind::kCount:
         break;
     }
     out << "}\n";

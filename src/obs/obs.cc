@@ -26,6 +26,8 @@ const char* EventKindName(EventKind kind) {
       return "mmio_access";
     case EventKind::kShadowSync:
       return "shadow_sync";
+    case EventKind::kCount:
+      break;
   }
   return "?";
 }

@@ -77,6 +77,8 @@ std::vector<OperationProfile> AggregateProfiles(const std::vector<Event>& events
         a.p.synced_bytes += e.arg1;
         a.synced_vars.insert(e.arg0);
         break;
+      case EventKind::kCount:
+        break;
     }
   }
 

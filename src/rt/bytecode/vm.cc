@@ -202,8 +202,8 @@ uint32_t VM::LoadMiss(VSlot& slot, uint64_t key, uint32_t addr, uint32_t size) {
   }
   // Only plain memory is ever cached: devices, the PPB and accesses
   // straddling out of a backing store go straight to MemRead's full
-  // fault/route semantics, without a region walk whose result they could not
-  // keep. For plain memory, one walk decides the verdict and yields the
+  // fault/route semantics, without a verdict lookup whose result they could
+  // not keep. For plain memory, one lookup decides the verdict and yields the
   // uniform-verdict interval; an allow whose clipped interval covers the
   // whole access fills the slot and completes through the raw backing path
   // (the same single memory charge the shared path makes). Denies fall back

@@ -10,8 +10,8 @@
 //
 // Dispatch is direct-threaded (computed goto). Each memory instruction owns
 // a two-way MPU verdict cache slot: after a successful access to plain
-// memory whose verdict is an allow, the maximal uniform-verdict interval
-// around the address (Mpu::AllowedRange, clipped to the backing store) is
+// memory whose verdict is an allow, the uniform-verdict interval around the
+// address (Mpu::AllowedRange, clipped to the backing store) is
 // cached together with the backing kind under the (Mpu::region_set(),
 // privilege) pair it was decided for; later
 // executions of the same instruction landing anywhere inside the interval
@@ -25,9 +25,9 @@
 // by two operations cached under both of their sets. A hit on way 0 is
 // inline in each memory handler: one fixed-width backing access and the
 // memory charge. Everything else is the out-of-line miss, which probes way
-// 1, then checks for plain memory before walking the regions: device and PPB
-// accesses, which are never cached, go straight to the shared path without a
-// walk.
+// 1, then checks for plain memory before looking the verdict up: device and
+// PPB accesses, which are never cached, go straight to the shared path
+// without a lookup.
 
 #ifndef SRC_RT_BYTECODE_VM_H_
 #define SRC_RT_BYTECODE_VM_H_

@@ -11,9 +11,8 @@ using opec_obs::Event;
 using opec_obs::EventKind;
 
 // Each monitor below picks the events it judges by kind; a new kind must be
-// judged by every one of them before this guard is widened. It catches a
-// kind inserted before kShadowSync, not one appended after it.
-static_assert(static_cast<int>(EventKind::kShadowSync) == 9,
+// judged by every one of them before this guard is widened.
+static_assert(static_cast<int>(EventKind::kCount) == 10,
               "EventKind grew: audit every monitor in src/rv");
 
 const std::vector<std::string>& StandardMonitorNames() {

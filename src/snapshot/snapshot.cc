@@ -131,17 +131,4 @@ void Snapshot::WriteFile(const std::string& path) const {
                  "cannot rename snapshot file into place: " + path);
 }
 
-Snapshot Snapshot::ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  OPEC_CHECK_MSG(f != nullptr, "cannot open snapshot file: " + path);
-  std::vector<uint8_t> bytes;
-  uint8_t buf[65536];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return Deserialize(bytes);
-}
-
 }  // namespace opec_snapshot

@@ -88,11 +88,11 @@ class Snapshot {
   // equal digests restore to indistinguishable states.
   uint64_t Digest() const;
 
-  // File I/O (the container wire format, verbatim). WriteFile is atomic-ish:
+  // Writes the container wire format, verbatim, for forensics (campaign
+  // --snapshot-dir); Deserialize of the file's bytes loads it back. Atomic-ish:
   // writes `path`.tmp then renames, so concurrent readers never see a torn
   // snapshot. Failures are OPEC_CHECK errors.
   void WriteFile(const std::string& path) const;
-  static Snapshot ReadFile(const std::string& path);
 
  private:
   struct Section {

@@ -79,10 +79,11 @@ TEST(AppScenarios, FatFsOperationCount) {
   EXPECT_GE(run.compile()->policy.FindExternalIndex(run.module().FindGlobal("SDFatFs")), 0);
 }
 
-// Verdicts survive operation switches: both verdict caches key on the
-// interned MPU region set, so a warm run re-enters each operation's set with
-// its verdicts still cached. Dropping every verdict at each reconfiguration
-// costs 11-48 region walks per switch on these runs, well above the bound.
+// Verdicts survive operation switches: the MPU builds each interned region
+// set's verdict table once and the VM's slots key on the set's id, so a warm
+// run re-enters each operation's set with its table built and makes no
+// region walk at all. Dropping every verdict at each reconfiguration costs
+// 11-48 region walks per switch on these runs, well above the bound.
 // Counted in region walks, so no host timing is involved.
 TEST(AppScenarios, MpuVerdictsSurviveOperationSwitches) {
   const PinLockApp pinlock;

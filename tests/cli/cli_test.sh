@@ -84,6 +84,14 @@ for out in "$work/runner.trace.json" "$work/runner.jsonl"; do
   fi
 done
 
+# runner records events only for --trace-out, --jsonl-out and --profile, so
+# a run without them has no ring buffer to wrap.
+if "$runner" --app tcp_echo_dma --mode opec --engine bytecode --rv report 2>&1 |
+    grep -q 'ring buffer wrapped'; then
+  echo "FAIL: runner recorded events that no export asked for"
+  status=1
+fi
+
 # Without --deterministic the report is the full one, host timing included.
 rm -f "$work/report.json"
 expect 0 "$campaign" --apps PinLock --report-json "$work/report.json"

@@ -20,10 +20,10 @@
 namespace opec_fuzz {
 namespace {
 
-// The MPU-cache oracle replayed at seed 107008 (DESIGN.md Section 12.4):
-// cached CheckAccess, uncached CheckAccessUncached, AllowedRange and
-// GrantsThroughout must agree on the original 300 steps and on the revisit
-// steps appended after them.
+// The MPU oracle replayed at seed 107008 (DESIGN.md Section 12.4):
+// CheckAccess, CheckExec, AllowedRange and the SRAM grant must agree with the
+// reference MPU on the original 300 steps and on the revisit steps appended
+// after them.
 TEST(FuzzRegressionTest, MpuCacheOracleIsClean_Seed107008) {
   std::vector<Divergence> divs = DiffMpuCache(107008);
   EXPECT_TRUE(divs.empty()) << divs[0].detail;

@@ -86,6 +86,21 @@ TEST(FuzzOracleTest, PinnedSeedRangeIsClean) {
   }
 }
 
+// Oracle 3 alone over seeds 1-200, the band EXPERIMENTS.md's seeded MPU
+// mutations are counted on: the Mpu's verdict tables against the reference.
+TEST(FuzzOracleTest, MpuOracleIsCleanOverSeeds1To200) {
+  size_t divergences = 0;
+  std::string first;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    std::vector<Divergence> divs = DiffMpuCache(seed);
+    if (!divs.empty() && first.empty()) {
+      first = "seed " + std::to_string(seed) + ": " + divs[0].detail;
+    }
+    divergences += divs.size();
+  }
+  EXPECT_EQ(divergences, 0u) << first;
+}
+
 TEST(FuzzOracleTest, DigestIsDeterministicAcrossReruns) {
   for (uint64_t seed : {3u, 11u, 19u}) {
     EXPECT_EQ(RunCase(seed).digest, RunCase(seed).digest) << "seed " << seed;

@@ -4,11 +4,18 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "src/fuzz/reference_mpu.h"
+#include "src/hw/address_map.h"
 #include "src/hw/mpu.h"
+#include "src/support/text.h"
 
 namespace opec_hw {
 namespace {
+
+using opec_fuzz::ReferenceMpu;
+using opec_support::HexAddr;
 
 MpuRegionConfig Region(uint32_t base, uint8_t size_log2, AccessPerm ap, uint8_t srd = 0,
                        bool xn = true) {
@@ -186,11 +193,11 @@ TEST(MpuDeathTest, RejectsTinyRegions) {
                "smaller than 32");
 }
 
-TEST(Mpu, LoadStateInvalidatesDecisionCache) {
-  // Regression: restoring register state through LoadState must invalidate
-  // the inline decision cache. Warm the cache with a deny decision, then
-  // restore a config that allows the same access — the cached path must agree
-  // with the uncached region walk, not serve the stale deny.
+TEST(Mpu, LoadStateSwitchesTheVerdictTable) {
+  // Regression: restoring register state through LoadState must switch
+  // verdicts to the restored set's table. Read a deny from one set, then
+  // restore a config that allows the same access — the verdict must agree
+  // with the reference, not serve the stale deny.
   Mpu allowing;
   allowing.set_enabled(true);
   allowing.ConfigureRegion(0, Region(0x20000000, 12, AccessPerm::kFullAccess));
@@ -200,13 +207,13 @@ TEST(Mpu, LoadStateInvalidatesDecisionCache) {
   Mpu mpu;
   mpu.set_enabled(true);
   mpu.ConfigureRegion(0, Region(0x20000000, 12, AccessPerm::kNoAccess));
-  ASSERT_FALSE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));  // cache warmed
+  ASSERT_FALSE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
 
   StateReader r(w.data());
   mpu.LoadState(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false),
-            mpu.CheckAccessUncached(0x20000010, 4, AccessKind::kWrite, false));
+            ReferenceMpu(mpu).AllowsEvery(0x20000010, 4, AccessKind::kWrite, false));
   EXPECT_TRUE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
 }
 
@@ -224,7 +231,7 @@ TEST(Mpu, EnablingTheMpuChangesTheVerdictKey) {
   EXPECT_NE(mpu.region_set(), off_key);
   EXPECT_FALSE(mpu.AllowedRange(0x20000010, AccessKind::kWrite, false, &lo, &hi));
   EXPECT_EQ(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false),
-            mpu.CheckAccessUncached(0x20000010, 4, AccessKind::kWrite, false));
+            ReferenceMpu(mpu).AllowsEvery(0x20000010, 4, AccessKind::kWrite, false));
   EXPECT_FALSE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
 }
 
@@ -301,8 +308,9 @@ TEST(Mpu, SetsOneFieldApartAreDistinct) {
   EXPECT_EQ(mpu.region_set(), first);
 }
 
-// A -> B -> A: the decision cache serves A's verdicts on the way back without
-// a single region walk, and they still agree with the uncached walk.
+// A -> B -> A: A's table, built when A was first interned, serves its
+// verdicts on the way back without a single region walk, and they still
+// agree with the reference.
 TEST(Mpu, RevisitedRegionSetNeedsNoRegionWalk) {
   const MpuRegionConfig a = Region(0x20000000, 12, AccessPerm::kFullAccess);
   const MpuRegionConfig b = Region(0x20000000, 12, AccessPerm::kPrivRw);
@@ -312,7 +320,7 @@ TEST(Mpu, RevisitedRegionSetNeedsNoRegionWalk) {
   auto probe_all = [&](bool expect) {
     for (uint32_t addr : probes) {
       EXPECT_EQ(mpu.CheckAccess(addr, 4, AccessKind::kWrite, false), expect);
-      EXPECT_EQ(mpu.CheckAccessUncached(addr, 4, AccessKind::kWrite, false), expect);
+      EXPECT_EQ(ReferenceMpu(mpu).AllowsEvery(addr, 4, AccessKind::kWrite, false), expect);
     }
   };
   mpu.ConfigureRegion(0, a);
@@ -344,6 +352,142 @@ TEST(Mpu, InternTableOverflowNeverReusesAnId) {
     }
   }
   EXPECT_GT(set_of_id.size(), 200u);  // the table overflowed and ids kept counting
+}
+
+constexpr uint32_t kSram192K = 192 * 1024;
+
+// Overlapping regions, SRD on a region that straddles the end of SRAM, and
+// regions inside SRAM: the set's table must give the reference's verdict in
+// every 32-byte SRAM window, at both privilege levels, for read, write and
+// execute.
+void InstallMixedSet(Mpu& mpu) {
+  mpu.set_enabled(true);
+  mpu.ConfigureRegion(0, Region(0x00000000, 30, AccessPerm::kPrivRwUnprivRo, 0, false));
+  // 128 KiB at 0x20020000: sub-regions 0-3 inside SRAM, 4-7 beyond its end.
+  mpu.ConfigureRegion(2, Region(0x20020000, 17, AccessPerm::kFullAccess, /*srd=*/0x96));
+  mpu.ConfigureRegion(4, Region(0x20000000, 14, AccessPerm::kReadOnly, /*srd=*/0x41));
+  mpu.ConfigureRegion(5, Region(0x20001000, 12, AccessPerm::kNoAccess));
+  mpu.ConfigureRegion(6, Region(0x20001800, 8, AccessPerm::kPrivRw, 0, false));
+  mpu.ConfigureRegion(7, Region(0x2002C000, 13, AccessPerm::kPrivRo, /*srd=*/0x0F));
+}
+
+TEST(MpuTables, EverySramWindowMatchesTheReference) {
+  Mpu mpu(kSramBase, kSram192K);
+  InstallMixedSet(mpu);
+  const ReferenceMpu ref(mpu);
+  for (uint32_t w = kSramBase; w < kSramBase + kSram192K; w += 32) {
+    for (AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+      for (bool priv : {false, true}) {
+        ASSERT_EQ(mpu.CheckAccess(w, 32, kind, priv), ref.AllowsEvery(w, 32, kind, priv))
+            << HexAddr(w) << (kind == AccessKind::kWrite ? " write" : " read")
+            << " priv=" << priv;
+      }
+    }
+    for (bool priv : {false, true}) {
+      ASSERT_EQ(mpu.CheckExec(w, priv), ref.Executes(w, priv))
+          << HexAddr(w) << " priv=" << priv;
+    }
+  }
+}
+
+// The window map is a second copy of what the interval list says: an Mpu
+// without one answers every question the same way, inside SRAM and out.
+TEST(MpuTables, NoSramWindowAnswersTheSame) {
+  Mpu windowed(kSramBase, kSram192K);
+  Mpu plain;
+  InstallMixedSet(windowed);
+  InstallMixedSet(plain);
+  for (uint32_t a = kSramBase - 0x1000; a < kSramBase + 0x40000; a += 16) {
+    for (AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+      for (bool priv : {false, true}) {
+        ASSERT_EQ(windowed.CheckAccess(a, 4, kind, priv), plain.CheckAccess(a, 4, kind, priv))
+            << HexAddr(a);
+        uint32_t lo1 = 0;
+        uint32_t hi1 = 0;
+        uint32_t lo2 = 0;
+        uint32_t hi2 = 0;
+        ASSERT_EQ(windowed.AllowedRange(a, kind, priv, &lo1, &hi1),
+                  plain.AllowedRange(a, kind, priv, &lo2, &hi2))
+            << HexAddr(a);
+        ASSERT_EQ(lo1, lo2) << HexAddr(a);
+        ASSERT_EQ(hi1, hi2) << HexAddr(a);
+      }
+    }
+    ASSERT_EQ(windowed.CheckExec(a, true), plain.CheckExec(a, true)) << HexAddr(a);
+  }
+}
+
+// The SRAM grant is exact. A privileged-read-only region that a
+// higher-numbered full-access region wholly covers denies no SRAM byte, so
+// the grant holds; as region 7 nothing covers it, and the grant fails
+// (SwitchPlan.SwitchWithoutTheSramGrantIsACheckError denies a switch this
+// way).
+TEST(MpuTables, SramGrantIsExact) {
+  const MpuRegionConfig background = Region(0x00000000, 30, AccessPerm::kPrivRwUnprivRo);
+  const MpuRegionConfig priv_ro = Region(0x20000400, 5, AccessPerm::kPrivRo);
+  const MpuRegionConfig cover = Region(0x20000000, 12, AccessPerm::kFullAccess);
+  Mpu mpu(kSramBase, kSram192K);
+  mpu.set_enabled(true);
+  mpu.ConfigureRegion(0, background);
+  EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kWrite, true));
+  EXPECT_FALSE(mpu.GrantsAllSram(AccessKind::kWrite, false));
+  EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kRead, false));
+
+  mpu.ConfigureRegion(3, priv_ro);
+  mpu.ConfigureRegion(5, cover);
+  EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kWrite, true));
+  EXPECT_TRUE(ReferenceMpu(mpu).AllowsThroughout(kSramBase, kSramBase + kSram192K - 1,
+                                                 AccessKind::kWrite, true));
+
+  mpu.DisableRegion(3);
+  mpu.ConfigureRegion(7, priv_ro);
+  EXPECT_FALSE(mpu.GrantsAllSram(AccessKind::kWrite, true));
+  EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kRead, true));
+  EXPECT_FALSE(mpu.CheckAccess(0x20000400, 4, AccessKind::kWrite, true));
+
+  mpu.set_enabled(false);
+  EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kWrite, false));
+}
+
+// The intern table clears at 64 sets. A set revisited after the clear is
+// interned under a fresh id with a rebuilt table that answers exactly as the
+// first one did.
+TEST(MpuTables, TableRebuiltAfterInternClearAnswersTheSame) {
+  Mpu mpu(kSramBase, kSram192K);
+  InstallMixedSet(mpu);
+  struct Answer {
+    bool allowed;
+    uint32_t lo;
+    uint32_t hi;
+  };
+  auto answers = [&mpu]() {
+    std::vector<Answer> out;
+    for (uint32_t a = kSramBase - 0x100; a < kSramBase + 0x40000; a += 64) {
+      Answer x{};
+      x.allowed = mpu.AllowedRange(a, AccessKind::kWrite, false, &x.lo, &x.hi);
+      out.push_back(x);
+      out.push_back({mpu.CheckAccess(a, 4, AccessKind::kRead, false), 0, 0});
+    }
+    out.push_back({mpu.GrantsAllSram(AccessKind::kWrite, true), 0, 0});
+    return out;
+  };
+  const uint64_t first_id = mpu.region_set();
+  const std::vector<Answer> first = answers();
+  const MpuRegionConfig region1 = mpu.region(1);
+  for (uint32_t i = 0; i < 64; ++i) {
+    mpu.ConfigureRegion(1, Region(0x30000000 + i * 32, 5, AccessPerm::kFullAccess));
+    mpu.region_set();
+  }
+  mpu.ConfigureRegion(1, region1);
+  const uint64_t again_id = mpu.region_set();
+  EXPECT_GT(again_id, first_id);
+  const std::vector<Answer> again = answers();
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again[i].allowed, first[i].allowed) << i;
+    EXPECT_EQ(again[i].lo, first[i].lo) << i;
+    EXPECT_EQ(again[i].hi, first[i].hi) << i;
+  }
 }
 
 TEST(MpuDeathTest, RejectsSrdOnSmallRegions) {

@@ -6,6 +6,9 @@
 #include "src/snapshot/snapshot.h"
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -229,13 +232,19 @@ TEST(Snapshot, HugeClaimedCountsAreCheckErrors) {
   EXPECT_THROW(Snapshot::Deserialize(snap.data()), opec_support::CheckError);
 }
 
-TEST(Snapshot, FileRoundTrip) {
+// A --snapshot-dir dump is the wire format verbatim: Deserialize of the
+// file's bytes loads it back.
+TEST(Snapshot, WriteFileWritesTheWireFormat) {
   Machine machine(Board::kStm32F4Discovery);
   machine.bus().DebugWrite(opec_hw::kSramBase + 8, 4, 0x5EED5EED);
   Snapshot snap = Snapshot::Capture(machine);
   std::string path = ::testing::TempDir() + "opec_snapshot_test.snap";
   snap.WriteFile(path);
-  EXPECT_EQ(Snapshot::ReadFile(path).Digest(), snap.Digest());
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, snap.Serialize());
+  EXPECT_EQ(Snapshot::Deserialize(bytes).Digest(), snap.Digest());
   std::remove(path.c_str());
 }
 
