@@ -500,11 +500,11 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
   // The grant's random points draw from their own stream, so the main
   // sequence replays the steps pinned seeds were recorded with.
   SplitMix64 grant_rng(seed ^ 0x6A09E667F3BCC909ull);
-  // The 192 KiB board's SRAM window: probes land both in the tables' window
-  // maps and in their interval lists beyond it.
+  // The 192 KiB board's SRAM: probes land both in the tables' window maps and
+  // in their interval lists beyond them.
   constexpr uint32_t kSramSize = 192 * 1024;
   constexpr uint32_t kSramLast = opec_hw::kSramBase + kSramSize - 1;
-  opec_hw::Mpu mpu(opec_hw::kSramBase, kSramSize);
+  opec_hw::Mpu mpu(kSramSize);
   mpu.set_enabled(true);
   opec_support::ScopedCheckThrow capture;  // ConfigureRegion CHECKs validity
   static constexpr uint32_t kBases[] = {0x00000000u, 0x08000000u, 0x20000000u, 0x40000000u};

@@ -6,8 +6,10 @@
 //  2. Points-to:    worklist vs exhaustive Andersen solving must yield
 //                   identical query answers on the recipe's module and on
 //                   randomized injected constraint graphs.
-//  3. MPU cache:    the decision-cached CheckAccess must agree with the
-//                   uncached region walk on every probe of a randomized
+//  3. MPU cache:    the MPU's verdict tables (CheckAccess, CheckExec,
+//                   AllowedRange and the SRAM grant) must agree with
+//                   ReferenceMpu, an independent byte-at-a-time model of the
+//                   ARMv7-M rules, on every probe of a randomized
 //                   configure/probe sequence.
 //  4. Parallelism:  a campaign of cases run with --jobs N must produce
 //                   digests bit-identical to the serial run (checked by the

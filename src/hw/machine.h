@@ -16,8 +16,7 @@ namespace opec_hw {
 class Machine {
  public:
   explicit Machine(Board board)
-      : spec_(GetBoardSpec(board)), mpu_(kSramBase, spec_.sram_size),
-        bus_(spec_, &mpu_, &cycles_) {
+      : spec_(GetBoardSpec(board)), mpu_(spec_.sram_size), bus_(spec_, &mpu_, &cycles_) {
     mpu_.set_cycle_counter(&cycles_);
   }
 

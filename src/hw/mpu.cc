@@ -43,9 +43,8 @@ std::string MpuRegionConfig::ToString() const {
                                  AccessPermName(ap), xn ? " XN" : "");
 }
 
-Mpu::Mpu(uint32_t sram_base, uint32_t sram_size) : sram_base_(sram_base), sram_size_(sram_size) {
-  OPEC_CHECK(sram_base % 32 == 0 && sram_size % 32 == 0 &&
-             sram_base + uint64_t{sram_size} <= 1ull << 32);
+Mpu::Mpu(uint32_t sram_size) : sram_size_(sram_size) {
+  OPEC_CHECK(sram_size % 32 == 0 && kSramBase + uint64_t{sram_size} <= 1ull << 32);
 }
 
 void Mpu::ConfigureRegion(int index, const MpuRegionConfig& config) {
@@ -148,15 +147,15 @@ void Mpu::BuildTable(VerdictTable* table) const {
       table->intervals.push_back({static_cast<uint32_t>(edge), mask});
     }
   }
-  // Each interval's part of the SRAM window, one memset per interval.
+  // Each interval's part of SRAM, one memset per interval.
   table->sram.resize(sram_size_ / 32);
-  const uint64_t sram_end = uint64_t{sram_base_} + sram_size_;
+  const uint64_t sram_end = uint64_t{kSramBase} + sram_size_;
   for (size_t i = 0; i < table->intervals.size(); ++i) {
-    uint64_t lo = std::max<uint64_t>(table->intervals[i].start, sram_base_);
+    uint64_t lo = std::max<uint64_t>(table->intervals[i].start, kSramBase);
     uint64_t hi = std::min<uint64_t>(
         i + 1 < table->intervals.size() ? table->intervals[i + 1].start : (1ull << 32), sram_end);
     if (lo < hi) {
-      std::memset(table->sram.data() + (lo - sram_base_) / 32, table->intervals[i].mask,
+      std::memset(table->sram.data() + (lo - kSramBase) / 32, table->intervals[i].mask,
                   (hi - lo) / 32);
       table->sram_all &= table->intervals[i].mask;
     }

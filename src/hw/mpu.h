@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/hw/address_map.h"
 #include "src/hw/fault.h"
 #include "src/hw/state_io.h"
 
@@ -59,11 +60,11 @@ class Mpu {
   static constexpr int kNumSubRegions = 8;
   static constexpr uint8_t kMinSizeLog2 = 5;  // 32 bytes
 
-  // Each verdict table also maps the SRAM window [sram_base, sram_base +
-  // sram_size) per 32-byte window (Machine passes its board's SRAM); without
-  // one, verdicts are interval lookups. Either way they are the same.
+  // Each verdict table also maps SRAM, [kSramBase, kSramBase + sram_size),
+  // per 32-byte window (Machine passes its board's SRAM size); without that,
+  // verdicts are interval lookups. Either way they are the same.
   Mpu() = default;
-  Mpu(uint32_t sram_base, uint32_t sram_size);
+  explicit Mpu(uint32_t sram_size);
   Mpu(const Mpu&) = delete;  // points into its own intern table
   Mpu& operator=(const Mpu&) = delete;
 
@@ -108,9 +109,9 @@ class Mpu {
   bool CheckAccess(uint32_t addr, uint32_t size, AccessKind kind, bool privileged) const;
   bool CheckExec(uint32_t addr, bool privileged) const;
 
-  // True when every byte of the SRAM window allows the access: one test of
-  // the live table's SRAM-wide mask, exact both ways. Vacuously true without
-  // an SRAM window. The monitor's per-switch grant.
+  // True when every byte of SRAM allows the access: one test of the live
+  // table's SRAM-wide mask, exact both ways. Vacuously true for an Mpu that
+  // maps no SRAM. The monitor's per-switch grant.
   bool GrantsAllSram(AccessKind kind, bool privileged) const;
 
   // Verdict for a one-byte probe at `addr`, plus the interval [*lo, *hi] of
@@ -196,7 +197,6 @@ class Mpu {
   bool enabled_ = false;
   uint64_t config_writes_ = 0;
   const uint64_t* cycles_ = nullptr;
-  uint32_t sram_base_ = 0;
   uint32_t sram_size_ = 0;
   // Derived from the registers. Written from const checks, so an Mpu must
   // not be shared across threads.
@@ -209,7 +209,7 @@ class Mpu {
 
 inline uint8_t Mpu::MaskAt(uint32_t addr) const {
   const VerdictTable& t = table();
-  uint32_t off = addr - sram_base_;
+  uint32_t off = addr - kSramBase;
   if (off < sram_size_) {
     return t.sram[off >> 5];
   }

@@ -85,9 +85,14 @@ for out in "$work/runner.trace.json" "$work/runner.jsonl"; do
 done
 
 # runner records events only for --trace-out, --jsonl-out and --profile, so
-# a run without them has no ring buffer to wrap.
-if "$runner" --app tcp_echo_dma --mode opec --engine bytecode --rv report 2>&1 |
-    grep -q 'ring buffer wrapped'; then
+# a run without them has no ring buffer to wrap. The run itself must succeed.
+if ! out=$("$runner" --app tcp_echo_dma --mode opec --engine bytecode --rv report 2>&1); then
+  echo "FAIL: runner --app tcp_echo_dma --rv report exited non-zero"
+  status=1
+elif ! printf '%s\n' "$out" | grep -q '^TCP-Echo-DMA \[opec/bytecode\]: ok=1 '; then
+  echo "FAIL: runner --app tcp_echo_dma --rv report printed no ok=1 summary"
+  status=1
+elif printf '%s\n' "$out" | grep -q 'ring buffer wrapped'; then
   echo "FAIL: runner recorded events that no export asked for"
   status=1
 fi

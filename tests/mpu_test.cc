@@ -372,7 +372,7 @@ void InstallMixedSet(Mpu& mpu) {
 }
 
 TEST(MpuTables, EverySramWindowMatchesTheReference) {
-  Mpu mpu(kSramBase, kSram192K);
+  Mpu mpu(kSram192K);
   InstallMixedSet(mpu);
   const ReferenceMpu ref(mpu);
   for (uint32_t w = kSramBase; w < kSramBase + kSram192K; w += 32) {
@@ -393,7 +393,7 @@ TEST(MpuTables, EverySramWindowMatchesTheReference) {
 // The window map is a second copy of what the interval list says: an Mpu
 // without one answers every question the same way, inside SRAM and out.
 TEST(MpuTables, NoSramWindowAnswersTheSame) {
-  Mpu windowed(kSramBase, kSram192K);
+  Mpu windowed(kSram192K);
   Mpu plain;
   InstallMixedSet(windowed);
   InstallMixedSet(plain);
@@ -426,7 +426,7 @@ TEST(MpuTables, SramGrantIsExact) {
   const MpuRegionConfig background = Region(0x00000000, 30, AccessPerm::kPrivRwUnprivRo);
   const MpuRegionConfig priv_ro = Region(0x20000400, 5, AccessPerm::kPrivRo);
   const MpuRegionConfig cover = Region(0x20000000, 12, AccessPerm::kFullAccess);
-  Mpu mpu(kSramBase, kSram192K);
+  Mpu mpu(kSram192K);
   mpu.set_enabled(true);
   mpu.ConfigureRegion(0, background);
   EXPECT_TRUE(mpu.GrantsAllSram(AccessKind::kWrite, true));
@@ -453,7 +453,7 @@ TEST(MpuTables, SramGrantIsExact) {
 // interned under a fresh id with a rebuilt table that answers exactly as the
 // first one did.
 TEST(MpuTables, TableRebuiltAfterInternClearAnswersTheSame) {
-  Mpu mpu(kSramBase, kSram192K);
+  Mpu mpu(kSram192K);
   InstallMixedSet(mpu);
   struct Answer {
     bool allowed;
