@@ -41,8 +41,8 @@
 //                   machine-state dumps) into DIR; also records a
 //                   snapshot_digest per diverging job in the JSON report
 //   --cold-boot     rebuild every job from scratch instead of forking from
-//                   the per-worker post-boot snapshot (warm start, the
-//                   default); results are bit-identical either way
+//                   a booted run of the process-wide warm pool (warm start,
+//                   the default); results are bit-identical either way
 //   --traffic       load spec for the traffic apps, read by every job that
 //                   builds one
 //

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "src/apps/all_apps.h"
 #include "src/obs/export.h"
@@ -36,6 +38,31 @@ const char* ModeName(opec_apps::BuildMode mode) {
   return mode == opec_apps::BuildMode::kOpec ? "opec" : "vanilla";
 }
 
+// (app registry name, build mode, engine): what a warm run and a baseline
+// are built for.
+using RunKey = std::tuple<std::string, int, int>;
+
+RunKey KeyOf(const opec_apps::AppFactory& factory, opec_apps::BuildMode mode,
+             opec_apps::EngineKind engine) {
+  return RunKey(factory.name, static_cast<int>(mode), static_cast<int>(engine));
+}
+
+// An app instance and the AppRun built from it: the full cold build.
+struct BuiltRun {
+  RunKey key;
+  std::unique_ptr<opec_apps::Application> app;
+  std::unique_ptr<opec_apps::AppRun> run;
+};
+
+std::unique_ptr<BuiltRun> Build(const opec_apps::AppFactory& factory,
+                                opec_apps::BuildMode mode, opec_apps::EngineKind engine) {
+  auto built = std::make_unique<BuiltRun>();
+  built->key = KeyOf(factory, mode, engine);
+  built->app = factory.make();
+  built->run = std::make_unique<opec_apps::AppRun>(*built->app, mode, engine);
+  return built;
+}
+
 // ---------------------------------------------------------------------------
 // Clean-run baselines for fault-outcome classification. Values are modeled
 // outputs — deterministic per (app, mode) — so which thread populates the
@@ -52,8 +79,8 @@ struct Baseline {
 Baseline ComputeBaseline(const opec_apps::AppFactory& factory, opec_apps::BuildMode mode,
                          opec_apps::EngineKind engine) {
   Baseline b;
-  std::unique_ptr<opec_apps::Application> app = factory.make();
-  opec_apps::AppRun run(*app, mode, engine);
+  std::unique_ptr<BuiltRun> built = Build(factory, mode, engine);
+  opec_apps::AppRun& run = *built->run;
   opec_rt::RunResult r = run.Execute();
   if (!r.ok) {
     b.error = "clean baseline run failed: " + r.violation;
@@ -74,9 +101,9 @@ Baseline ComputeBaseline(const opec_apps::AppFactory& factory, opec_apps::BuildM
 const Baseline& CleanBaseline(const opec_apps::AppFactory& factory,
                               opec_apps::BuildMode mode, opec_apps::EngineKind engine) {
   static std::mutex mutex;
-  static std::map<std::tuple<std::string, int, int>, Baseline> cache;
+  static std::map<RunKey, Baseline> cache;
   std::lock_guard<std::mutex> lock(mutex);
-  auto key = std::make_tuple(factory.name, static_cast<int>(mode), static_cast<int>(engine));
+  auto key = KeyOf(factory, mode, engine);
   auto it = cache.find(key);
   if (it == cache.end()) {
     it = cache.emplace(key, ComputeBaseline(factory, mode, engine)).first;
@@ -314,31 +341,52 @@ class CountingSink : public opec_obs::Sink {
   uint64_t count_ = 0;
 };
 
-// Warm-start cache: one booted AppRun per (app, mode, engine) per worker
-// thread. Thread-local on purpose — no cross-thread sharing, so jobs stay
-// isolated (TSan-clean) and results stay placement-deterministic. The first
-// use on a thread pays the full cold build and captures the post-boot
-// snapshot; every later job on that thread rewinds to it with RestoreBoot(),
-// skipping BuildModule + CompileOpec + LoadGlobals and the bytecode lowering.
-opec_apps::AppRun* WarmRun(const opec_apps::AppFactory& factory,
-                           opec_apps::BuildMode mode, opec_apps::EngineKind engine) {
-  struct Entry {
-    std::unique_ptr<opec_apps::Application> app;
-    std::unique_ptr<opec_apps::AppRun> run;
-  };
-  thread_local std::map<std::tuple<std::string, int, int>, Entry> cache;
-  auto key = std::make_tuple(factory.name, static_cast<int>(mode), static_cast<int>(engine));
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    Entry e;
-    e.app = factory.make();
-    e.run = std::make_unique<opec_apps::AppRun>(*e.app, mode, engine);
-    e.run->CaptureBoot();
-    it = cache.emplace(key, std::move(e)).first;
-  } else {
-    it->second.run->RestoreBoot();
+// The warm pool (DESIGN.md §13.3): the process's booted runs, kept per key
+// for its lifetime. A job checks out a free run and rewinds it to its
+// post-boot snapshot with RestoreBoot(), skipping BuildModule + CompileOpec +
+// LoadGlobals and the bytecode lowering, or builds and boots one when none is
+// free; the run goes back on its free list when the job ends, whatever the
+// outcome (one whose restore or boot threw is dropped instead). So a key
+// holds as many runs as were ever in use at once, and a later Executor::Run
+// builds nothing. The mutex guards the free lists only: a checked-out run
+// belongs to its job alone, and the lock hands it over from the thread that
+// checked it in to the one that checks it out.
+struct WarmPool {
+  std::mutex mutex;
+  std::map<RunKey, std::vector<std::unique_ptr<BuiltRun>>> free;
+};
+
+WarmPool& Pool() {
+  static WarmPool* pool = new WarmPool;  // never destroyed: exit skips the teardown
+  return *pool;
+}
+
+struct CheckIn {
+  void operator()(BuiltRun* built) const {
+    std::lock_guard<std::mutex> lock(Pool().mutex);
+    Pool().free[built->key].emplace_back(built);
   }
-  return it->second.run.get();
+};
+using WarmLease = std::unique_ptr<BuiltRun, CheckIn>;
+
+WarmLease CheckOut(const opec_apps::AppFactory& factory, opec_apps::BuildMode mode,
+                   opec_apps::EngineKind engine) {
+  std::unique_ptr<BuiltRun> built;
+  {
+    std::lock_guard<std::mutex> lock(Pool().mutex);
+    std::vector<std::unique_ptr<BuiltRun>>& free = Pool().free[KeyOf(factory, mode, engine)];
+    if (!free.empty()) {
+      built = std::move(free.back());
+      free.pop_back();
+    }
+  }
+  if (built != nullptr) {
+    built->run->RestoreBoot();
+  } else {
+    built = Build(factory, mode, engine);
+    built->run->CaptureBoot();
+  }
+  return WarmLease(built.release());
 }
 
 void WriteBinaryFile(const std::string& path, const std::vector<uint8_t>& bytes) {
@@ -358,17 +406,14 @@ JobResult RunJobImpl(const JobSpec& spec, size_t index, Clock::time_point deadli
     throw std::runtime_error("unknown app '" + spec.app + "' (see opec_apps::AllApps)");
   }
 
-  std::unique_ptr<opec_apps::Application> app;
-  std::unique_ptr<opec_apps::AppRun> cold_run;
-  opec_apps::AppRun* run_ptr;
+  std::unique_ptr<BuiltRun> cold;
+  WarmLease warm;
   if (options.cold_boot) {
-    app = factory->make();
-    cold_run = std::make_unique<opec_apps::AppRun>(*app, spec.mode, spec.engine);
-    run_ptr = cold_run.get();
+    cold = Build(*factory, spec.mode, spec.engine);
   } else {
-    run_ptr = WarmRun(*factory, spec.mode, spec.engine);
+    warm = CheckOut(*factory, spec.mode, spec.engine);
   }
-  opec_apps::AppRun& run = *run_ptr;
+  opec_apps::AppRun& run = options.cold_boot ? *cold->run : *warm->run;
   run.engine().set_deadline(deadline);
   if (!options.snapshot_dir.empty()) {
     run.engine().set_fault_state_capture(true);

@@ -3,11 +3,11 @@
 //
 // A campaign is a job matrix — apps x build modes x seeds, scenario runs or
 // fault-injection runs — executed by ParallelMap's worker threads. Every job
-// runs on a Module/Machine/AppRun no other thread touches: built from scratch
-// under cold_boot, else rewound to the post-boot snapshot of its thread's
-// warm pool (the harness has no process-global mutable state; the obs Hub is
-// thread-local), so jobs are fully isolated and the aggregated result is
-// bit-identical whether the campaign runs on one thread or many:
+// runs on a Module/Machine/AppRun no other job touches while it runs: built
+// from scratch under cold_boot, else checked out of the process-wide warm
+// pool and rewound to its post-boot snapshot (the obs Hub is thread-local),
+// so jobs are fully isolated and the aggregated result is bit-identical
+// whether the campaign runs on one thread or many:
 //   * results are placed by job index, never by completion order;
 //   * each job derives all randomness from a SplitMix64 PRNG seeded by
 //     (campaign seed, job index) — nothing touches global rand();
@@ -41,9 +41,9 @@ namespace opec_campaign {
 // jobs <= 1 runs inline on the calling thread — exactly the serial path.
 // Otherwise min(jobs, count, 4 x hardware threads) fresh threads claim
 // indexes from one atomic counter and the caller joins them; every call
-// starts its own threads, so thread-local state (the executor's warm pools)
-// lives for one call. Exceptions propagate: after all jobs finish, the
-// lowest-index captured exception (if any) is rethrown.
+// starts its own threads, so thread-local state lives for one call.
+// Exceptions propagate: after all jobs finish, the lowest-index captured
+// exception (if any) is rethrown.
 template <typename Fn>
 auto ParallelMap(int jobs, size_t count, Fn&& fn)
     -> std::vector<decltype(fn(size_t{0}))> {
@@ -225,10 +225,12 @@ class Executor {
     int jobs = 1;
     uint64_t default_timeout_ms = 0;  // overrides spec.timeout_ms when nonzero
     std::string trace_dir;  // non-empty: per-job Chrome traces written here
-    // Warm start (DESIGN.md §13): each worker thread keeps one booted AppRun
-    // per (app, mode, engine) and forks every job from its post-boot snapshot
-    // instead of rebuilding module + compile + image from scratch. Results
-    // are bit-identical to cold boots (campaign_test.cc pins this); set
+    // Warm start (DESIGN.md §13.3): a job borrows a booted AppRun of its
+    // (app, mode, engine) from the process-wide warm pool and forks from its
+    // post-boot snapshot instead of rebuilding module + compile + image from
+    // scratch; the pool builds a run only when every one of that key is in
+    // use, and keeps it for later jobs and later Run calls. Results are
+    // bit-identical to cold boots (campaign_test.cc pins this); set
     // cold_boot to force the from-scratch path anyway.
     bool cold_boot = false;
     // Non-empty: diverging jobs (outcome other than ok / not-fired / benign)

@@ -497,9 +497,12 @@ std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed) {
 std::vector<Divergence> DiffMpuCache(uint64_t seed) {
   std::vector<Divergence> divs;
   SplitMix64 rng(seed ^ 0xD6E8FEB86659FD93ull);
-  // The grant's random points draw from their own stream, so the main
-  // sequence replays the steps pinned seeds were recorded with.
+  // The grant's random points and the nesting below draw from their own
+  // streams, so the main stream draws the actions pinned seeds were recorded
+  // with; the regions the nesting moves, and the probes aimed at them, land
+  // elsewhere.
   SplitMix64 grant_rng(seed ^ 0x6A09E667F3BCC909ull);
+  SplitMix64 nest_rng(seed ^ 0xBB67AE8584CAA73Bull);
   // The 192 KiB board's SRAM: probes land both in the tables' window maps and
   // in their interval lists beyond them.
   constexpr uint32_t kSramSize = 192 * 1024;
@@ -521,6 +524,24 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
     return set;
   };
   std::vector<RegionSet> installed;  // every region set the sequence built
+  // Random bases rarely overlap, so half the drawn regions move inside an
+  // enabled region of another slot that is at least as large, where the
+  // higher-numbered region must win. Only the base moves: every size, and so
+  // every draw of the main stream, stays as pinned seeds recorded it.
+  auto nest = [&](int slot, opec_hw::MpuRegionConfig* cfg) {
+    std::vector<int> outers;
+    for (int i = 0; i < opec_hw::Mpu::kNumRegions; ++i) {
+      if (i != slot && mpu.region(i).enabled && mpu.region(i).size_log2 >= cfg->size_log2) {
+        outers.push_back(i);
+      }
+    }
+    if (outers.empty() || nest_rng.Below(2) != 0) {
+      return;
+    }
+    const opec_hw::MpuRegionConfig& outer = mpu.region(outers[nest_rng.Below(outers.size())]);
+    cfg->base = outer.base + static_cast<uint32_t>(nest_rng.Below(outer.size() / cfg->size())) *
+                                 cfg->size();
+  };
   // A model of the bytecode tier's verdict cache: the last 64 AllowedRange
   // answers, kept under the region_set() id they were taken for. Whenever
   // that id is live again, each answer must still hold across its interval —
@@ -619,7 +640,9 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       }
       cfg.ap = static_cast<opec_hw::AccessPerm>(rng.Below(6));
       cfg.xn = rng.Below(2) == 0;
-      mpu.ConfigureRegion(static_cast<int>(rng.Below(8)), cfg);
+      const int slot = static_cast<int>(rng.Below(8));
+      nest(slot, &cfg);
+      mpu.ConfigureRegion(slot, cfg);
       installed.push_back(live_set());
       continue;
     }

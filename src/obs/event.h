@@ -9,7 +9,7 @@
 //     sink is attached; the event payload (including cycle-stamp reads) is
 //     only evaluated when a sink is listening.
 //   * Thread-local dispatch: the sink table is per-thread, so concurrent
-//     campaign jobs (one Machine/AppRun per worker thread) each observe only
+//     campaign jobs (each on its own Machine/AppRun) each observe only
 //     their own run — a sink attached on one thread never sees another
 //     thread's events, with no locking on the emission path.
 

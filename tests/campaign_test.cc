@@ -332,9 +332,23 @@ TEST(CampaignTest, TimeoutCancelsRunawayJob) {
   EXPECT_FALSE(result.results[0].ok);
   EXPECT_NE(result.results[0].detail.find("canceled"), std::string::npos)
       << result.results[0].detail;
+
+  // The canceled run went back to the warm pool mid-execution. Without the
+  // timeout, the same job warm on this thread (jobs 1) and on a worker
+  // thread (jobs 4) must report what a cold boot reports.
+  spec.timeout_ms = 0;
+  Executor::Options cold;
+  cold.cold_boot = true;
+  const std::string want = Executor::Run(spec, cold).DeterministicJson();
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    Executor::Options warm;
+    warm.jobs = jobs;
+    EXPECT_EQ(Executor::Run(spec, warm).DeterministicJson(), want);
+  }
 }
 
-// Warm-start (restore from a per-worker boot snapshot) is the executor
+// Warm-start (restore a pooled run from its boot snapshot) is the executor
 // default; it must be an implementation detail, invisible in the report.
 TEST(CampaignTest, WarmStartIsBitIdenticalToColdBoot) {
   // Once per engine: the bytecode tier's warm path also carries its lowered

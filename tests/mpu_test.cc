@@ -490,6 +490,51 @@ TEST(MpuTables, TableRebuiltAfterInternClearAnswersTheSame) {
   }
 }
 
+// Accesses wrap at 2^32, as the bus's addresses do, and a wrapping access
+// is decided by its bytes at both ends of the map (the seed-107008 bug,
+// DESIGN.md §12.4, allowed every one). Every access of 1, 2 or 4 bytes that
+// starts in the last or first 32 bytes, and AllowedRange at each of those
+// bytes, is compared with the reference: first with a region at base 0 and
+// the background map at the top, then with a region at the top as well, then
+// with base 0's first sub-region falling through.
+TEST(MpuTables, AccessWrappingPastTheTopMatchesTheReference) {
+  Mpu mpu(kSram192K);
+  mpu.set_enabled(true);
+  mpu.ConfigureRegion(0, Region(0x00000000, 12, AccessPerm::kNoAccess));
+  // Privileged code may write the top bytes but not those at 0 and 1.
+  EXPECT_TRUE(mpu.CheckAccess(0xFFFFFFFE, 2, AccessKind::kWrite, true));
+  EXPECT_FALSE(mpu.CheckAccess(0xFFFFFFFE, 4, AccessKind::kWrite, true));
+  auto compare = [&mpu]() {
+    const ReferenceMpu ref(mpu);
+    for (uint32_t i = 0; i < 64; ++i) {
+      const uint32_t addr = 0xFFFFFFE0u + i;  // 0xFFFFFFE0 .. 0x1F
+      for (AccessKind kind : {AccessKind::kRead, AccessKind::kWrite}) {
+        for (bool priv : {false, true}) {
+          for (uint32_t size : {1u, 2u, 4u}) {
+            ASSERT_EQ(mpu.CheckAccess(addr, size, kind, priv),
+                      ref.AllowsEvery(addr, size, kind, priv))
+                << HexAddr(addr) << " size " << size << " write=" << (kind == AccessKind::kWrite)
+                << " priv=" << priv;
+          }
+          uint32_t lo = 0;
+          uint32_t hi = 0;
+          const bool allowed = mpu.AllowedRange(addr, kind, priv, &lo, &hi);
+          ASSERT_EQ(allowed, ref.Allows(addr, kind, priv)) << HexAddr(addr);
+          ASSERT_LE(lo, addr) << HexAddr(addr);
+          ASSERT_GE(hi, addr) << HexAddr(addr);
+          ASSERT_EQ(ref.Allows(lo, kind, priv), allowed) << HexAddr(lo);
+          ASSERT_EQ(ref.Allows(hi, kind, priv), allowed) << HexAddr(hi);
+        }
+      }
+    }
+  };
+  compare();
+  mpu.ConfigureRegion(1, Region(0xFFFFF000, 12, AccessPerm::kFullAccess));
+  compare();
+  mpu.ConfigureRegion(0, Region(0x00000000, 12, AccessPerm::kReadOnly, /*srd=*/0x01));
+  compare();
+}
+
 TEST(MpuDeathTest, RejectsSrdOnSmallRegions) {
   Mpu mpu;
   EXPECT_DEATH(mpu.ConfigureRegion(0, Region(0x20000000, 7, AccessPerm::kFullAccess, 0x01)),
